@@ -206,8 +206,8 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, str):
-        return x
+    if isinstance(x, str):  # quoted only when it holds a separator or a quote
+        return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\n') else x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     v = float(x)
@@ -330,7 +330,20 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
             err = error_norms(report.x, case, su, st, sf, rules, stab, layout)
             rows.append({"N": n, "h": rules.h, "lambda": lam, "K": K,
                          "residual": report.rel_residual, **err.as_dict()})
+            # free this factorization before the next one is made
+            report = system = None
     return rows
+
+
+def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
+    """job(cfg.raw, item) for every item, in min(workers, len(items)) processes."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(items))
+    if workers == 1:
+        return [job(cfg.raw, item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, [cfg.raw] * len(items), items))
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
@@ -343,11 +356,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("convergence ladder must be strictly increasing")
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_ladder_level_job, [cfg.raw] * len(ladder), ladder))
-    else:
-        chunks = [_ladder_level_job(cfg.raw, n) for n in ladder]
+    chunks = _run_jobs(_ladder_level_job, cfg, ladder, workers)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["N"], r["lambda"], r["K"]))
 
@@ -395,16 +404,18 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
         system = stabilized if stab_on else without_ghost(stabilized)
         row = {"delta": delta, "stabilized": stab_on, "err_u_star": None,
                "err_pT_star": None, "err_pF_star": None, "err_u_L2": None,
-               "kappa": None, "solver_status": "ok"}
+               "kappa": None, "solver_status": "ok", "error": "", "message": ""}
         try:
             report = solve(system)
             row["kappa"] = estimate_condition(system, lu=report._lu)
             err = error_norms(report.x, case, su, st, sf, rules, stab, layout)
             row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
                         "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})
-        except SolverError:
-            row["solver_status"] = "failed"
+        except SolverError as exc:
+            row.update(solver_status="failed", error=type(exc).__name__, message=str(exc))
         rows.append(row)
+        # free this factorization before the next one is made
+        report = system = None
     return rows
 
 
@@ -414,16 +425,16 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     deltas = sweep_deltas(cfg)
     if not deltas:
         raise ConfigurationError("sweep delta family is empty")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_delta_job, [cfg.raw] * len(deltas), deltas))
-    else:
-        chunks = [_sweep_delta_job(cfg.raw, d) for d in deltas]
+    chunks = _run_jobs(_sweep_delta_job, cfg, deltas, workers)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["delta"], not r["stabilized"]))
     header = ["delta", "stabilized", "err_u_star", "err_pT_star", "err_pF_star",
               "err_u_L2", "kappa", "solver_status"]
     _write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
+    # why each failed arm failed; only the header when none did
+    header = ["delta", "stabilized", "error", "message"]
+    _write_csv(out_dir / "sweep_failures.csv", header,
+               [[r[h] for h in header] for r in rows if r["solver_status"] == "failed"])
     return 0
 
 
@@ -445,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes")
+                       help="parallel worker processes (>= 1; at most one per "
+                            "ladder level or sweep translation)")
         p.add_argument("--no-stab", action="store_true",
                        help="disable ghost-penalty stabilization")
     return parser

@@ -3,17 +3,23 @@
 Builds the elastic, coupling, mass and Darcy forms with Nitsche terms on the
 tagged boundary parts, the facet-based ghost penalties with per-field
 scalings, and the right-hand side, into one sparse symmetric indefinite
-block system over the (u, p_T, p_F) layout.  Interior cells share a single
-reference local matrix per form; cut cells are integrated with their
-individual rules; ghost facets of equal orientation share one jump matrix.
-Assembly is single-threaded and bitwise deterministic.
+block system over the (u, p_T, p_F) layout.
+
+Every cell integral runs through one quadrature table built per call from
+the cut rules: interior cells carry the reference rule, cut cells their own,
+boundary points also their normal and part tag.  Cells with equal point
+counts form a group, tabulated once per degree as [N, dN/dx, dN/dy]; a
+bilinear form is a slice or sum of the per-cell Gram matrices of that stack
+(one batched matmul per group), a load term a weighted moment of it, and
+each block one COO scatter.  Ghost facets of equal orientation share one
+jump matrix.  Assembly is single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,10 +44,6 @@ class PhysicalParams:
             raise ConfigurationError("mu and lambda must be positive")
         if self.K < 0:
             raise ConfigurationError(f"hydraulic conductivity K must be >= 0, got {self.K}")
-
-    @property
-    def c0(self) -> float:
-        return 1.0 / self.lam
 
 
 @dataclass(frozen=True)
@@ -99,114 +101,159 @@ class BoundaryData:
 
 
 # ---------------------------------------------------------------------------
-# small dense building blocks
+# the quadrature table
 
-def _vrows(a0, a1) -> np.ndarray:
-    """Interleave per-component rows into vector-dof columns (..., 2*nloc)."""
-    n = a0 if isinstance(a0, np.ndarray) else a1
-    out = np.zeros((*n.shape[:-1], 2 * n.shape[-1]))
-    if isinstance(a0, np.ndarray):
-        out[..., 0::2] = a0
-    if isinstance(a1, np.ndarray):
-        out[..., 1::2] = a1
-    return out
+@dataclass(frozen=True)
+class QuadGroup:
+    """Cells that share a point count: physical points, weights, boundary normals."""
 
-
-def _strain_rows(G: np.ndarray):
-    """(e11, e22, e12) rows of the symmetric gradient, each (nq, 2*nloc)."""
-    e11 = _vrows(G[:, :, 0], None)
-    e22 = _vrows(None, G[:, :, 1])
-    e12 = 0.5 * _vrows(G[:, :, 1], G[:, :, 0])
-    return e11, e22, e12
+    cells: np.ndarray  # (nc,)
+    pts: np.ndarray  # (nc, nq, 2)
+    wts: np.ndarray  # (nc, nq)
+    normals: np.ndarray | None = None  # (nc, nq, 2), boundary tables only
 
 
-def _div_rows(G: np.ndarray) -> np.ndarray:
-    return _vrows(G[:, :, 0], G[:, :, 1])
+def quadrature_table(active: ActiveMesh, rules: CutRule,
+                     tag: int | None = None) -> list[QuadGroup]:
+    """The volume rule (tag None) or one boundary part's rule, grouped by point count.
 
-
-def _qf(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("qa,qb,q->ab", rows, rows, w, optimize=True)
-
-
-def _pair(rows_r: np.ndarray, rows_c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("qa,qb,q->ab", rows_r, rows_c, w, optimize=True)
-
-
-def _strain_local(G: np.ndarray, w: np.ndarray) -> np.ndarray:
-    e11, e22, e12 = _strain_rows(G)
-    return _qf(e11, w) + _qf(e22, w) + 2.0 * _qf(e12, w)
-
-
-def _traction_rows(N: np.ndarray, G: np.ndarray, nrm: np.ndarray):
-    """(E, Phi): rows of eps(phi)*n and of the vector basis, (nq, 2, 2*nloc)."""
-    nq, nloc = N.shape
-    Gn = np.einsum("qak,qk->qa", G, nrm)
-    E = np.zeros((nq, 2, 2 * nloc))
-    E[:, 0, 0::2] = 0.5 * (G[:, :, 0] * nrm[:, 0:1] + Gn)
-    E[:, 0, 1::2] = 0.5 * (G[:, :, 0] * nrm[:, 1:2])
-    E[:, 1, 0::2] = 0.5 * (G[:, :, 1] * nrm[:, 0:1])
-    E[:, 1, 1::2] = 0.5 * (G[:, :, 1] * nrm[:, 1:2] + Gn)
-    Phi = np.zeros((nq, 2, 2 * nloc))
-    Phi[:, 0, 0::2] = N
-    Phi[:, 1, 1::2] = N
-    return E, Phi
-
-
-class _Triplets:
-    """COO accumulator for one sparse block."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.r: list[np.ndarray] = []
-        self.c: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
-
-    def add_local(self, rows: np.ndarray, cols: np.ndarray, loc: np.ndarray):
-        """Scatter one local matrix; rows (nr,), cols (nc,), loc (nr, nc)."""
-        nr, nc = loc.shape
-        self.r.append(np.repeat(rows, nc))
-        self.c.append(np.tile(cols, nr))
-        self.v.append(loc.ravel())
-
-    def add_batch(self, rows: np.ndarray, cols: np.ndarray, loc: np.ndarray):
-        """Scatter the same local matrix over many cells.
-
-        rows (ncells, nr), cols (ncells, nc), loc (nr, nc) or (ncells, nr, nc).
-        """
-        ncells, nr = rows.shape
-        nc = cols.shape[1]
-        R = np.broadcast_to(rows[:, :, None], (ncells, nr, nc))
-        C = np.broadcast_to(cols[:, None, :], (ncells, nr, nc))
-        if loc.ndim == 2:
-            V = np.broadcast_to(loc[None, :, :], (ncells, nr, nc))
-        else:
-            V = loc
-        self.r.append(R.ravel())
-        self.c.append(C.ravel())
-        self.v.append(np.ascontiguousarray(V).ravel())
-
-    def tocsr(self) -> sp.csr_matrix:
-        if not self.r:
-            return sp.csr_matrix(self.shape)
-        coo = sp.coo_matrix(
-            (np.concatenate(self.v), (np.concatenate(self.r), np.concatenate(self.c))),
-            shape=self.shape,
-        )
-        return coo.tocsr()
-
-
-def _interior_data(space: FeSpace, rules: CutRule):
-    """Reference tabulation shared by all uncut cells, plus their dof rows."""
-    vals, grads = space.eval_basis(int(space.active.active_cells[0]), rules.ref_pts)
-    cells = space.active.interior_cells
-    sdofs = space.cell_dofs[space._cell_row[cells]]
-    return vals, grads, rules.int_wts, sdofs
-
-
-def _cut_iter(space: FeSpace, rules: CutRule):
+    Interior cells carry the reference rule, cut cells their own; only cells
+    with points enter.  Groups ascend in point count, so passes are deterministic.
+    """
+    rows = []  # (cells, pts, wts, normals), one point count each
+    if tag is None and len(active.interior_cells):
+        cells = active.interior_cells
+        pts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
+        rows.append((cells, pts, np.broadcast_to(rules.int_wts, pts.shape[:2]), None))
     for c in sorted(rules.cut):
         r = rules.cut[c]
-        yield c, r, space.cell_dofs[space.row_of_cell(c)]
+        if tag is None:
+            pts, w, nrm = r.vol_pts, r.vol_wts, None
+        else:
+            on = r.bnd_tags == tag
+            pts, w, nrm = r.bnd_pts[on], r.bnd_wts[on], r.bnd_normals[on][None]
+        if len(w):
+            rows.append((np.array([c]), pts[None], w[None], nrm))
+    by_count: dict[int, list] = {}
+    for row in rows:
+        by_count.setdefault(row[2].shape[1], []).append(row)
+    return [QuadGroup(*(None if col[0] is None else np.concatenate(col) for col in zip(*rs)))
+            for _, rs in sorted(by_count.items())]
+
+
+def tabulation_columns(spaces) -> dict:
+    """Column slice of each (kind, degree), kind "N", "x" or "y", in the stack."""
+    sizes = [(kind, d, ref_basis(d).n_basis)
+             for d in dict.fromkeys(s.degree for s in spaces) for kind in "Nxy"]
+    ends = np.cumsum([n for _, _, n in sizes])
+    return {(kind, d): slice(e - n, e) for (kind, d, n), e in zip(sizes, ends)}
+
+
+def tabulate(groups: list[QuadGroup], spaces):
+    """Yield (group, B): B (nc, nq, m) stacks [N, dN/dx, dN/dy] once per distinct degree."""
+    mesh = spaces[0].active.mesh
+    for g in groups:
+        local = ((g.pts - mesh.cell_origin(g.cells)[:, None, :]) / mesh.h).reshape(-1, 2)
+        cols = []
+        for d in dict.fromkeys(s.degree for s in spaces):
+            vals, grads = ref_basis(d).tabulate(local)
+            cols += [vals, grads[:, :, 0] / mesh.h, grads[:, :, 1] / mesh.h]
+        yield g, np.concatenate(cols, axis=1).reshape(*g.wts.shape, -1)
+
+
+class _Gram:
+    """Per-cell integrals over one table against the stacked tabulation B.
+
+    `g(a, b, k)` is sum_q w_q (1, n_x, n_y)[k] a_q b_q for a column key b such
+    as ("x", 2); a is a column key too, or, when pointwise `data(pts, normals)`
+    rows are given, a row index into them (load moments).  k > 0 needs normals.
+    """
+
+    def __init__(self, groups: list[QuadGroup], spaces, data: Callable | None = None):
+        self.cols, self.data = tabulation_columns(spaces), data
+        m = max(c.stop for c in self.cols.values())
+        cells, grams = [np.zeros(0, dtype=np.int64)], []
+        for g, B in tabulate(groups, spaces):
+            W = g.wts[:, None] if g.normals is None else \
+                np.stack([g.wts, g.wts * g.normals[..., 0], g.wts * g.normals[..., 1]], axis=1)
+            rows = B.transpose(0, 2, 1) if data is None else np.stack(
+                data(g.pts.reshape(-1, 2), None if g.normals is None
+                     else g.normals.reshape(-1, 2))).reshape(-1, *g.wts.shape).swapaxes(0, 1)
+            grams.append(np.matmul(rows[:, None] * W[:, :, None, :], B[:, None]))
+            cells.append(g.cells)
+        self.cells = np.concatenate(cells)
+        # an empty table has room for every row index and weight
+        self.G = np.concatenate(grams) if grams else np.zeros((0, 3, m, m))
+
+    def __call__(self, a, b, k: int = 0) -> np.ndarray:
+        return self.G[:, k, a if self.data else self.cols[a], self.cols[b]]
+
+
+def _keys(space: FeSpace):
+    return ("N", space.degree), ("x", space.degree), ("y", space.degree)
+
+
+def _dofs(space: FeSpace, cells: np.ndarray, scalar: bool = False) -> np.ndarray:
+    """Cell dofs; vector fields list component 0 of every node, then component 1."""
+    d = space.cell_dofs[space._cell_row[cells]]
+    return d if scalar or space.ncomp == 1 else np.concatenate([2 * d, 2 * d + 1], axis=1)
+
+
+def _scatter(shape, blocks) -> sp.csr_matrix:
+    """One COO scatter of (rows (nc, nr), cols (nc, nk), local (nc|1, nr, nk)) blocks."""
+    rr, cc, vv = [], [], []
+    for rows, cols, loc in blocks:
+        full = (len(rows), rows.shape[1], cols.shape[1])
+        rr.append(np.broadcast_to(rows[:, :, None], full).ravel())
+        cc.append(np.broadcast_to(cols[:, None, :], full).ravel())
+        vv.append(np.broadcast_to(loc, full).ravel())
+    return sp.coo_matrix((np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
+                         shape=shape).tocsr()
+
+
+def _form(space_r: FeSpace, space_c: FeSpace, cells, loc, scalar: bool = False):
+    """Scatter local matrices; `scalar` pairs node dofs (a mass applied per component)."""
+    n = (space_r.n_nodes, space_c.n_nodes) if scalar else (space_r.n_dofs, space_c.n_dofs)
+    return _scatter(n, [(_dofs(space_r, cells, scalar), _dofs(space_c, cells, scalar), loc)])
+
+
+def _bilinear_parts(rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
+                    su: FeSpace | None = None, st: FeSpace | None = None,
+                    sf: FeSpace | None = None) -> dict:
+    """Every non-ghost block whose spaces are given, from one Gram per table."""
+    spaces = [s for s in (su, st, sf) if s is not None]
+    vol, dr, sr = (_Gram(quadrature_table(spaces[0].active, rules, tag), spaces)
+                   for tag in (None, TAG_DIRICHLET, TAG_STRESS))
+    mu, K, lam, h = params.mu, params.K, params.lam, rules.h
+    parts = {}
+    if su is not None:
+        N, x, y = _keys(su)
+        xx, yy, P = vol(x, x), vol(y, y), dr(N, N)
+        # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
+        F = np.block([[dr(x, N, 1) + 0.5 * dr(y, N, 2), 0.5 * dr(y, N, 1)],
+                      [0.5 * dr(x, N, 2), 0.5 * dr(x, N, 1) + dr(y, N, 2)]])
+        parts["a1_strain"] = _form(su, su, vol.cells, mu * np.block(
+            [[xx + 0.5 * yy, 0.5 * vol(y, x)], [0.5 * vol(x, y), yy + 0.5 * xx]]))
+        parts["a1_nitsche"] = _form(su, su, dr.cells, -mu * (F + F.transpose(0, 2, 1)))
+        parts["a1_penalty"] = _form(su, su, dr.cells, (stab.gamma_u * mu / h)
+                                    * np.block([[P, 0.0 * P], [0.0 * P, P]]))
+    if st is not None:
+        t = ("N", st.degree)
+        parts["a2_mass"] = _form(st, st, vol.cells, vol(t, t) / lam)
+        if su is not None:
+            N, x, y = _keys(su)
+            parts["b1_vol"] = _form(st, su, vol.cells, -np.block([vol(t, x), vol(t, y)]))
+            parts["b1_bnd"] = _form(st, su, dr.cells, np.block([dr(t, N, 1), dr(t, N, 2)]))
+        if sf is not None:
+            parts["b2_mass"] = _form(st, sf, vol.cells, vol(t, ("N", sf.degree)) / lam)
+    if sf is not None:
+        N, x, y = _keys(sf)
+        parts["a3_stiff"] = _form(sf, sf, vol.cells, K * (vol(x, x) + vol(y, y)))
+        flux = sr(x, N, 1) + sr(y, N, 2)
+        parts["a3_nitsche"] = _form(sf, sf, sr.cells, -K * (flux + flux.transpose(0, 2, 1)))
+        parts["a3_penalty"] = _form(sf, sf, sr.cells, (stab.gamma_p * K / h) * sr(N, N))
+        parts["a3_mass"] = _form(sf, sf, vol.cells, (2.0 / lam) * vol(N, N))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +262,7 @@ def _cut_iter(space: FeSpace, rules: CutRule):
 def assemble_a1(space_u: FeSpace, rules: CutRule, params: PhysicalParams,
                 stab: StabilizationParams) -> sp.csr_matrix:
     """Elastic block with Nitsche terms on the Dirichlet boundary part."""
-    return sum(_a1_parts(space_u, rules, params, stab).values())
-
-
-def _a1_parts(space_u, rules, params, stab):
-    n = space_u.n_dofs
-    mu, h = params.mu, rules.h
-    t_strain, t_nit, t_pen = (_Triplets((n, n)) for _ in range(3))
-
-    vals, grads, wts, sdofs = _interior_data(space_u, rules)
-    if len(sdofs):
-        loc = mu * _strain_local(grads, wts)
-        vd = space_u.vector_dofs(sdofs)
-        t_strain.add_batch(vd, vd, loc)
-
-    for c, r, sd in _cut_iter(space_u, rules):
-        vd = space_u.vector_dofs(sd)
-        if len(r.vol_wts):
-            _, G = space_u.eval_basis(c, space_u.local_coords(c, r.vol_pts))
-            t_strain.add_local(vd, vd, mu * _strain_local(G, r.vol_wts))
-        m = r.bnd_tags == TAG_DIRICHLET
-        if m.any():
-            pts, w, nrm = r.bnd_pts[m], r.bnd_wts[m], r.bnd_normals[m]
-            N, G = space_u.eval_basis(c, space_u.local_coords(c, pts))
-            E, Phi = _traction_rows(N, G, nrm)
-            F = np.einsum("qka,qkb,q->ab", E, Phi, w, optimize=True)
-            t_nit.add_local(vd, vd, -mu * (F + F.T))
-            Pm = np.einsum("qka,qkb,q->ab", Phi, Phi, w, optimize=True)
-            t_pen.add_local(vd, vd, (stab.gamma_u * mu / h) * Pm)
-
-    return {"a1_strain": t_strain.tocsr(), "a1_nitsche": t_nit.tocsr(),
-            "a1_penalty": t_pen.tocsr()}
+    return sum(_bilinear_parts(rules, params, stab, su=space_u).values())
 
 
 def assemble_b1(space_u: FeSpace, space_t: FeSpace, rules: CutRule) -> sp.csr_matrix:
@@ -254,77 +271,28 @@ def assemble_b1(space_u: FeSpace, space_t: FeSpace, rules: CutRule) -> sp.csr_ma
     Returned with test-function rows in the total-pressure space, i.e. the
     block that multiplies u in the second equation.
     """
-    return sum(_b1_parts(space_u, space_t, rules).values())
-
-
-def _b1_parts(space_u, space_t, rules):
-    nt, nu = space_t.n_dofs, space_u.n_dofs
-    t_vol, t_bnd = _Triplets((nt, nu)), _Triplets((nt, nu))
-
-    _, grads, wts, sdofs_u = _interior_data(space_u, rules)
-    if len(sdofs_u):
-        cells = space_u.active.interior_cells
-        sdofs_t = space_t.cell_dofs[space_t._cell_row[cells]]
-        psi, _ = space_t.eval_basis(int(cells[0]), rules.ref_pts)
-        loc = -_pair(psi, _div_rows(grads), wts)
-        t_vol.add_batch(sdofs_t, space_u.vector_dofs(sdofs_u), loc)
-
-    for c, r, sd_u in _cut_iter(space_u, rules):
-        sd_t = space_t.dofs_on_cell(c)
-        vd = space_u.vector_dofs(sd_u)
-        if len(r.vol_wts):
-            ploc = space_u.local_coords(c, r.vol_pts)
-            _, G = space_u.eval_basis(c, ploc)
-            psi, _ = space_t.eval_basis(c, ploc)
-            t_vol.add_local(sd_t, vd, -_pair(psi, _div_rows(G), r.vol_wts))
-        m = r.bnd_tags == TAG_DIRICHLET
-        if m.any():
-            pts, w, nrm = r.bnd_pts[m], r.bnd_wts[m], r.bnd_normals[m]
-            ploc = space_u.local_coords(c, pts)
-            N, _ = space_u.eval_basis(c, ploc)
-            psi, _ = space_t.eval_basis(c, ploc)
-            vn = _vrows(N * nrm[:, 0:1], N * nrm[:, 1:2])
-            t_bnd.add_local(sd_t, vd, _pair(psi, vn, w))
-
-    return {"b1_vol": t_vol.tocsr(), "b1_bnd": t_bnd.tocsr()}
-
-
-def _scalar_mass(space_r: FeSpace, space_c: FeSpace, rules: CutRule,
-                 scale: float) -> sp.csr_matrix:
-    # pairs scalar node dofs; vector fields apply it per component
-    tri = _Triplets((space_r.n_nodes, space_c.n_nodes))
-    cells = space_r.active.interior_cells
-    if len(cells):
-        Nr, _ = space_r.eval_basis(int(cells[0]), rules.ref_pts)
-        Nc, _ = space_c.eval_basis(int(cells[0]), rules.ref_pts)
-        loc = scale * _pair(Nr, Nc, rules.int_wts)
-        tri.add_batch(space_r.cell_dofs[space_r._cell_row[cells]],
-                      space_c.cell_dofs[space_c._cell_row[cells]], loc)
-    for c, r, sd_r in _cut_iter(space_r, rules):
-        if not len(r.vol_wts):
-            continue
-        ploc = space_r.local_coords(c, r.vol_pts)
-        Nr, _ = space_r.eval_basis(c, ploc)
-        Nc, _ = space_c.eval_basis(c, ploc)
-        tri.add_local(sd_r, space_c.dofs_on_cell(c), scale * _pair(Nr, Nc, r.vol_wts))
-    return tri.tocsr()
+    parts = _bilinear_parts(rules, PhysicalParams(), StabilizationParams(),
+                            su=space_u, st=space_t)
+    return parts["b1_vol"] + parts["b1_bnd"]
 
 
 def mass_matrix(space_r: FeSpace, space_c: FeSpace, rules: CutRule,
                 scale: float = 1.0) -> sp.csr_matrix:
     """Scalar mass pairing over the physical domain (cut cells restricted)."""
-    return _scalar_mass(space_r, space_c, rules, scale)
+    vol = _Gram(quadrature_table(space_r.active, rules), (space_r, space_c))
+    loc = scale * vol(("N", space_r.degree), ("N", space_c.degree))
+    return _form(space_r, space_c, vol.cells, loc, scalar=True)
 
 
 def assemble_a2(space_t: FeSpace, rules: CutRule, params: PhysicalParams) -> sp.csr_matrix:
     """Total-pressure mass, scaled by 1/lambda."""
-    return _scalar_mass(space_t, space_t, rules, 1.0 / params.lam)
+    return mass_matrix(space_t, space_t, rules, 1.0 / params.lam)
 
 
 def assemble_b2(space_f: FeSpace, space_t: FeSpace, rules: CutRule,
                 params: PhysicalParams) -> sp.csr_matrix:
     """Fluid/total-pressure mass coupling, scaled by 1/lambda; rows in p_T."""
-    return _scalar_mass(space_t, space_f, rules, 1.0 / params.lam)
+    return mass_matrix(space_t, space_f, rules, 1.0 / params.lam)
 
 
 def assemble_a3(space_f: FeSpace, rules: CutRule, params: PhysicalParams,
@@ -333,38 +301,8 @@ def assemble_a3(space_f: FeSpace, rules: CutRule, params: PhysicalParams,
 
     Returns (a3_1, a3_2); the full form is their sum.
     """
-    parts = _a3_parts(space_f, rules, params, stab)
-    a31 = parts["a3_stiff"] + parts["a3_nitsche"] + parts["a3_penalty"]
-    return a31, parts["a3_mass"]
-
-
-def _a3_parts(space_f, rules, params, stab):
-    n = space_f.n_dofs
-    K, lam, h = params.K, params.lam, rules.h
-    t_stiff, t_nit, t_pen = (_Triplets((n, n)) for _ in range(3))
-
-    vals, grads, wts, sdofs = _interior_data(space_f, rules)
-    if len(sdofs):
-        loc = K * np.einsum("qak,qbk,q->ab", grads, grads, wts, optimize=True)
-        t_stiff.add_batch(sdofs, sdofs, loc)
-
-    for c, r, sd in _cut_iter(space_f, rules):
-        if len(r.vol_wts):
-            _, G = space_f.eval_basis(c, space_f.local_coords(c, r.vol_pts))
-            t_stiff.add_local(sd, sd, K * np.einsum("qak,qbk,q->ab", G, G, r.vol_wts,
-                                                    optimize=True))
-        m = r.bnd_tags == TAG_STRESS
-        if m.any():
-            pts, w, nrm = r.bnd_pts[m], r.bnd_wts[m], r.bnd_normals[m]
-            N, G = space_f.eval_basis(c, space_f.local_coords(c, pts))
-            Gn = np.einsum("qak,qk->qa", G, nrm)
-            Fl = _pair(Gn, N, w)
-            t_nit.add_local(sd, sd, -K * (Fl + Fl.T))
-            t_pen.add_local(sd, sd, (stab.gamma_p * K / h) * _pair(N, N, w))
-
-    return {"a3_stiff": t_stiff.tocsr(), "a3_nitsche": t_nit.tocsr(),
-            "a3_penalty": t_pen.tocsr(),
-            "a3_mass": _scalar_mass(space_f, space_f, rules, 2.0 / params.lam)}
+    parts = _bilinear_parts(rules, params, stab, sf=space_f)
+    return parts["a3_stiff"] + parts["a3_nitsche"] + parts["a3_penalty"], parts["a3_mass"]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +337,7 @@ def _ghost_facet_matrix(degree: int, axis: int, ghost_order: int) -> np.ndarray:
     G = np.zeros((2 * nloc, 2 * nloc))
     for j in range(1, ghost_order + 1):
         rows, w = _ghost_jump_rows(degree, axis, j)
-        G += _qf(rows, w)
+        G += (rows * w[:, None]).T @ rows
     return G
 
 
@@ -419,13 +357,13 @@ def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
         )
     mesh = active.mesh
     n = space.n_dofs
-    tri = _Triplets((n, n))
     ghost = active.ghost_facets
     if len(ghost) == 0 or gamma == 0.0 or scaling == 0.0:
-        return tri.tocsr()
+        return sp.csr_matrix((n, n))
 
     fc = mesh.facet_cells[ghost]
     fax = mesh.facet_axis[ghost]
+    blocks = []
     for axis in (0, 1):
         sel = fax == axis
         if not sel.any():
@@ -439,8 +377,8 @@ def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
             [space.cell_dofs[rows_p], space.cell_dofs[rows_m]], axis=1)
         for comp in range(space.ncomp):
             dofs = combined if space.ncomp == 1 else 2 * combined + comp
-            tri.add_batch(dofs, dofs, G)
-    return tri.tocsr()
+            blocks.append((dofs, dofs, G))
+    return _scatter((n, n), blocks) if blocks else sp.csr_matrix((n, n))
 
 
 def ghost_seminorm(space: FeSpace, active: ActiveMesh, v: np.ndarray,
@@ -483,80 +421,37 @@ def ghost_seminorm(space: FeSpace, active: ActiveMesh, v: np.ndarray,
 def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                  rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
                  bdata: BoundaryData) -> np.ndarray:
-    """Load vector (L1, L2, L3) stacked over the field layout."""
+    """Load vector (L1, L2, L3) stacked over the field layout.
+
+    Each load term is a moment of pointwise data against tabulation columns,
+    weighted on the boundary parts by a normal component where the term has one.
+    """
     layout = make_layout(space_u, space_t, space_f)
     rhs = np.zeros(layout.total)
     mu, K, h = params.mu, params.K, rules.h
+    pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
     off_t, off_f = layout.offset("pT"), layout.offset("pF")
-
-    # volume sources over interior cells, batched
-    cells = space_u.active.interior_cells
-    if len(cells):
-        Nu, _ = space_u.eval_basis(int(cells[0]), rules.ref_pts)
-        Nf, _ = space_f.eval_basis(int(cells[0]), rules.ref_pts)
-        origins = space_u.active.mesh.cell_origin(cells)
-        pts = (origins[:, None, :] + rules.h * rules.ref_pts[None, :, :]).reshape(-1, 2)
-        fv = bdata.f(pts).reshape(len(cells), -1, 2)
-        gv = bdata.g(pts).reshape(len(cells), -1)
-        w = rules.int_wts
-        contrib_u = np.einsum("cq,q,qa->ca", fv[:, :, 0], w, Nu, optimize=True)
-        contrib_v = np.einsum("cq,q,qa->ca", fv[:, :, 1], w, Nu, optimize=True)
-        vd = space_u.vector_dofs(space_u.cell_dofs[space_u._cell_row[cells]])
-        np.add.at(rhs, vd[:, 0::2].ravel(), contrib_u.ravel())
-        np.add.at(rhs, vd[:, 1::2].ravel(), contrib_v.ravel())
-        contrib_g = np.einsum("cq,q,qa->ca", gv, w, Nf, optimize=True)
-        fd = space_f.cell_dofs[space_f._cell_row[cells]]
-        np.add.at(rhs, off_f + fd.ravel(), contrib_g.ravel())
-
-    for c, r, sd_u in _cut_iter(space_u, rules):
-        vd = space_u.vector_dofs(sd_u)
-        sd_t = space_t.dofs_on_cell(c)
-        sd_f = space_f.dofs_on_cell(c)
-        if len(r.vol_wts):
-            ploc = space_u.local_coords(c, r.vol_pts)
-            Nu, _ = space_u.eval_basis(c, ploc)
-            Nf, _ = space_f.eval_basis(c, ploc)
-            fv = bdata.f(r.vol_pts)
-            gv = bdata.g(r.vol_pts)
-            np.add.at(rhs, vd[0::2], np.einsum("q,q,qa->a", fv[:, 0], r.vol_wts, Nu))
-            np.add.at(rhs, vd[1::2], np.einsum("q,q,qa->a", fv[:, 1], r.vol_wts, Nu))
-            np.add.at(rhs, off_f + sd_f, np.einsum("q,q,qa->a", gv, r.vol_wts, Nf))
-
-        md = r.bnd_tags == TAG_DIRICHLET
-        if md.any():
-            pts, w, nrm = r.bnd_pts[md], r.bnd_wts[md], r.bnd_normals[md]
-            ploc = space_u.local_coords(c, pts)
-            Nu, Gu = space_u.eval_basis(c, ploc)
-            E, Phi = _traction_rows(Nu, Gu, nrm)
-            uD = bdata.u_D(pts)
-            # L1: -(u_D, mu eps(v) n) + gamma_u mu / h (u_D, v)
-            np.add.at(rhs, vd, -mu * np.einsum("qk,qka,q->a", uD, E, w, optimize=True))
-            np.add.at(rhs, vd, (stab.gamma_u * mu / h)
-                      * np.einsum("qk,qka,q->a", uD, Phi, w, optimize=True))
-            # L2: (u_D . n, q_T)
-            psi, _ = space_t.eval_basis(c, ploc)
-            udn = np.einsum("qk,qk->q", uD, nrm)
-            np.add.at(rhs, off_t + sd_t, np.einsum("q,q,qa->a", udn, w, psi))
+    (Nu, xu, yu), (Nt, _, _), (Nf, xf, yf) = _keys(space_u), _keys(space_t), _keys(space_f)
+    sources = {None: lambda p, n: [*bdata.f(p).T, bdata.g(p)],
+               TAG_DIRICHLET: lambda p, n: [*bdata.u_D(p).T, bdata.g_N(p, n)],
+               TAG_STRESS: lambda p, n: [*bdata.sigma_N(p, n).T, bdata.p_FD(p)]}
+    for tag, data in sources.items():
+        m = _Gram(quadrature_table(space_u.active, rules, tag),
+                  (space_u, space_t, space_f), data)
+        if tag is None:  # L1: (f, v); L3: (g, q_F)
+            loads = [(space_u, 0, np.block([m(0, Nu), m(1, Nu)])), (space_f, off_f, m(2, Nf))]
+        elif tag == TAG_DIRICHLET:
+            # L1: -(u_D, mu eps(v) n) + gamma_u mu / h (u_D, v); L2: (u_D . n, q_T);
             # L3: -(g_N, q_F)
-            Nf, _ = space_f.eval_basis(c, ploc)
-            gN = bdata.g_N(pts, nrm)
-            np.add.at(rhs, off_f + sd_f, -np.einsum("q,q,qa->a", gN, w, Nf))
-
-        ms = r.bnd_tags == TAG_STRESS
-        if ms.any():
-            pts, w, nrm = r.bnd_pts[ms], r.bnd_wts[ms], r.bnd_normals[ms]
-            ploc = space_u.local_coords(c, pts)
-            Nu, _ = space_u.eval_basis(c, ploc)
-            sN = bdata.sigma_N(pts, nrm)
-            np.add.at(rhs, vd[0::2], np.einsum("q,q,qa->a", sN[:, 0], w, Nu))
-            np.add.at(rhs, vd[1::2], np.einsum("q,q,qa->a", sN[:, 1], w, Nu))
-            # L3 stress terms: +(p_FD, K grad q . n) - gamma_p K / h (p_FD, q)
-            Nf, Gf = space_f.eval_basis(c, ploc)
-            Gn = np.einsum("qak,qk->qa", Gf, nrm)
-            pD = bdata.p_FD(pts)
-            np.add.at(rhs, off_f + sd_f, K * np.einsum("q,q,qa->a", pD, w, Gn))
-            np.add.at(rhs, off_f + sd_f, -(stab.gamma_p * K / h)
-                      * np.einsum("q,q,qa->a", pD, w, Nf))
+            loads = [(space_u, 0, np.block([
+                -mu * (m(0, xu, 1) + 0.5 * m(0, yu, 2) + 0.5 * m(1, yu, 1)) + pen_u * m(0, Nu),
+                -mu * (0.5 * m(0, xu, 2) + 0.5 * m(1, xu, 1) + m(1, yu, 2)) + pen_u * m(1, Nu)])),
+                (space_t, off_t, m(0, Nt, 1) + m(1, Nt, 2)), (space_f, off_f, -m(2, Nf))]
+        else:  # L1: (sigma_N, v); L3: +(p_FD, K grad q . n) - gamma_p K / h (p_FD, q)
+            loads = [(space_u, 0, np.block([m(0, Nu), m(1, Nu)])),
+                     (space_f, off_f, K * (m(2, xf, 1) + m(2, yf, 2)) - pen_f * m(2, Nf))]
+        for space, offset, vals in loads:
+            np.add.at(rhs, offset + _dofs(space, m.cells).ravel(), vals.ravel())
     return rhs
 
 
@@ -600,15 +495,30 @@ class BlockSystem:
         return blk.nnz
 
 
-_PLACEMENT = {
-    "a1_strain": ("u", "u", 1.0), "a1_nitsche": ("u", "u", 1.0), "a1_penalty": ("u", "u", 1.0),
-    "b1_vol": ("pT", "u", 1.0), "b1_bnd": ("pT", "u", 1.0),
-    "a2_mass": ("pT", "pT", -1.0),
-    "b2_mass": ("pT", "pF", 1.0),
-    "a3_stiff": ("pF", "pF", -1.0), "a3_nitsche": ("pF", "pF", -1.0),
-    "a3_penalty": ("pF", "pF", -1.0), "a3_mass": ("pF", "pF", -1.0),
-    "g1": ("u", "u", 1.0), "g2": ("pT", "pT", -1.0),
-    "g3_1": ("pF", "pF", -1.0), "g3_2": ("pF", "pF", -1.0),
+class _Term(NamedTuple):
+    row: str
+    col: str
+    sign: float
+    scale: Callable[[PhysicalParams], float]  # material factor the block is linear in
+    ghost: bool
+
+
+_TERMS = {
+    "a1_strain": _Term("u", "u", 1.0, lambda p: p.mu, False),
+    "a1_nitsche": _Term("u", "u", 1.0, lambda p: p.mu, False),
+    "a1_penalty": _Term("u", "u", 1.0, lambda p: p.mu, False),
+    "b1_vol": _Term("pT", "u", 1.0, lambda p: 1.0, False),
+    "b1_bnd": _Term("pT", "u", 1.0, lambda p: 1.0, False),
+    "a2_mass": _Term("pT", "pT", -1.0, lambda p: 1.0 / p.lam, False),
+    "b2_mass": _Term("pT", "pF", 1.0, lambda p: 1.0 / p.lam, False),
+    "a3_stiff": _Term("pF", "pF", -1.0, lambda p: p.K, False),
+    "a3_nitsche": _Term("pF", "pF", -1.0, lambda p: p.K, False),
+    "a3_penalty": _Term("pF", "pF", -1.0, lambda p: p.K, False),
+    "a3_mass": _Term("pF", "pF", -1.0, lambda p: 1.0 / p.lam, False),
+    "g1": _Term("u", "u", 1.0, lambda p: p.mu, True),
+    "g2": _Term("pT", "pT", -1.0, lambda p: 1.0, True),
+    "g3_1": _Term("pF", "pF", -1.0, lambda p: p.K, True),
+    "g3_2": _Term("pF", "pF", -1.0, lambda p: 1.0 / p.lam, True),
 }
 
 
@@ -625,48 +535,31 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     with g1 = mu g_u, g2 = h^2 g_p and g3 = (K + h^2/lambda) g_u, where g_u and
     g_p are the facet sums gamma h^(2j-1) ([d_n^j v], [d_n^j w]) over the
     field's own space with factors gamma_g_u and gamma_g_p: gradient-type
-    forms take the bare sum, mass-type forms an extra h^2.  Dropping `include_ghost` removes exactly the
-    ghost-penalty terms.
+    forms take the bare sum, mass-type forms an extra h^2.  Dropping
+    `include_ghost` removes exactly the ghost-penalty terms.
     """
     if not (space_u.active is space_t.active is space_f.active):
         raise AssemblyError("spaces must share one active mesh")
     layout = make_layout(space_u, space_t, space_f)
     active = space_u.active
-
-    parts: dict[str, tuple] = {}
-
-    def put(name, block):
-        rf, cf, sign = _PLACEMENT[name]
-        parts[name] = (rf, cf, sign, block)
-
-    for name, blk in _a1_parts(space_u, rules, params, stab).items():
-        put(name, blk)
-    for name, blk in _b1_parts(space_u, space_t, rules).items():
-        put(name, blk)
-    put("a2_mass", assemble_a2(space_t, rules, params))
-    put("b2_mass", assemble_b2(space_f, space_t, rules, params))
-    for name, blk in _a3_parts(space_f, rules, params, stab).items():
-        put(name, blk)
+    h, lam = rules.h, params.lam
+    blocks = _bilinear_parts(rules, params, stab, space_u, space_t, space_f)
 
     if include_ghost:
         go_u = min(space_u.degree, stab.ghost_order)
         go_t = min(space_t.degree, stab.ghost_order)
         go_f = min(space_f.degree, stab.ghost_order)
-        h = rules.h
-        put("g1", assemble_ghost(space_u, active, params.mu, go_u, stab.gamma_g_u))
-        put("g2", assemble_ghost(space_t, active, h * h, go_t, stab.gamma_g_p))
+        blocks["g1"] = assemble_ghost(space_u, active, params.mu, go_u, stab.gamma_g_u)
+        blocks["g2"] = assemble_ghost(space_t, active, h * h, go_t, stab.gamma_g_p)
         g3_unit = assemble_ghost(space_f, active, 1.0, go_f, stab.gamma_g_u)
-        put("g3_1", params.K * g3_unit)
-        put("g3_2", (h * h / params.lam) * g3_unit)
+        blocks["g3_1"] = params.K * g3_unit
+        blocks["g3_2"] = (h * h / lam) * g3_unit
 
-    matrix = compose_matrix(parts, layout)
-
-    if bdata is None:
-        rhs = np.zeros(layout.total)
-    else:
-        rhs = assemble_rhs(space_u, space_t, space_f, rules, params, stab, bdata)
-
-    return BlockSystem(matrix=matrix, rhs=rhs, layout=layout, h=rules.h,
+    parts = {name: (_TERMS[name].row, _TERMS[name].col, _TERMS[name].sign, blk)
+             for name, blk in blocks.items()}
+    rhs = np.zeros(layout.total) if bdata is None else \
+        assemble_rhs(space_u, space_t, space_f, rules, params, stab, bdata)
+    return BlockSystem(matrix=compose_matrix(parts, layout), rhs=rhs, layout=layout, h=h,
                        params=params, stab=stab, parts=parts)
 
 
@@ -696,21 +589,8 @@ def without_ghost(system: BlockSystem) -> BlockSystem:
     Shares the right-hand side (ghost terms never touch it); used by the
     cut-translation sweep to run the unstabilized arm without reassembly.
     """
-    kept = {k: v for k, v in system.parts.items() if not k.startswith("g")}
-    return BlockSystem(matrix=compose_matrix(kept, system.layout), rhs=system.rhs,
-                       layout=system.layout, h=system.h, params=system.params,
-                       stab=system.stab, parts=kept)
-
-
-_PARAM_SCALE = {
-    "a1_strain": lambda p: p.mu, "a1_nitsche": lambda p: p.mu, "a1_penalty": lambda p: p.mu,
-    "b1_vol": lambda p: 1.0, "b1_bnd": lambda p: 1.0,
-    "a2_mass": lambda p: 1.0 / p.lam, "b2_mass": lambda p: 1.0 / p.lam,
-    "a3_stiff": lambda p: p.K, "a3_nitsche": lambda p: p.K, "a3_penalty": lambda p: p.K,
-    "a3_mass": lambda p: 1.0 / p.lam,
-    "g1": lambda p: p.mu, "g2": lambda p: 1.0, "g3_1": lambda p: p.K,
-    "g3_2": lambda p: 1.0 / p.lam,
-}
+    kept = {k: v for k, v in system.parts.items() if not _TERMS[k].ghost}
+    return replace(system, matrix=compose_matrix(kept, system.layout), parts=kept)
 
 
 def with_params(system: BlockSystem, params: PhysicalParams,
@@ -725,12 +605,10 @@ def with_params(system: BlockSystem, params: PhysicalParams,
         raise AssemblyError("parameter rescaling requires a unit-parameter assembly")
     parts = {}
     for name, (rf, cf, sign, blk) in system.parts.items():
-        s = _PARAM_SCALE[name](params)
+        s = _TERMS[name].scale(params)
         parts[name] = (rf, cf, sign, blk if s == 1.0 else s * blk)
-    return BlockSystem(matrix=compose_matrix(parts, system.layout),
-                       rhs=system.rhs if rhs is None else rhs,
-                       layout=system.layout, h=system.h, params=params,
-                       stab=system.stab, parts=parts)
+    return replace(system, matrix=compose_matrix(parts, system.layout), params=params,
+                   rhs=system.rhs if rhs is None else rhs, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -740,28 +618,19 @@ def full_cell_matrix(space: FeSpace, kind: str = "mass",
                      cells: np.ndarray | None = None,
                      order: int | None = None) -> sp.csr_matrix:
     """Mass or stiffness over entire background cells (no cut restriction)."""
-    if order is None:
-        order = 2 * space.degree + 1
-    ref, w = tensor_square(order)
-    h = space.h
-    cells = space.active.active_cells if cells is None else np.asarray(cells)
-    vals, grads = space.eval_basis(int(space.active.active_cells[0]), ref)
-    wts = w * h * h
-    if kind == "mass":
-        loc = _pair(vals, vals, wts)
-    elif kind == "stiff":
-        loc = np.einsum("qak,qbk,q->ab", grads, grads, wts, optimize=True)
-    else:
+    if kind not in ("mass", "stiff"):
         raise ConfigurationError(f"unknown kind {kind!r}")
-    tri = _Triplets((space.n_dofs, space.n_dofs))
-    sdofs = space.cell_dofs[space._cell_row[cells]]
-    if space.ncomp == 1:
-        tri.add_batch(sdofs, sdofs, loc)
-    else:
-        for comp in range(2):
-            d = 2 * sdofs + comp
-            tri.add_batch(d, d, loc)
-    return tri.tocsr()
+    ref, w = tensor_square(2 * space.degree + 1 if order is None else order)
+    mesh = space.active.mesh
+    cells = space.active.active_cells if cells is None else np.asarray(cells)
+    pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref
+    gram = _Gram([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]))],
+                 (space,))
+    N, x, y = _keys(space)
+    scalar = _form(space, space, cells, gram(N, N) if kind == "mass"
+                   else gram(x, x) + gram(y, y), scalar=True)
+    # vector dofs interleave components: 2 * node + comp
+    return scalar if space.ncomp == 1 else sp.kron(scalar, sp.eye(2), format="csr")
 
 
 def dump_matrix(system: BlockSystem, path) -> None:

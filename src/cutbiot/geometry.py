@@ -12,7 +12,6 @@ separates the Dirichlet boundary (outer) from the stress boundary (hole).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,8 +22,6 @@ from .quadrature import gauss_1d, tensor_square, triangle_rule
 
 if TYPE_CHECKING:
     from .mesh import ActiveMesh
-
-logger = logging.getLogger(__name__)
 
 #: boundary-part tags carried by surface quadrature points
 TAG_DIRICHLET = 0  # outer boundary, Gamma_d

@@ -55,8 +55,8 @@ def translate_box(cfg: MeshConfig, delta: float) -> MeshConfig:
 class BackgroundMesh:
     """Uniform n-by-n grid of square cells with facet adjacency.
 
-    Cells are numbered ix*n + iy (x-major); facets know their normal axis,
-    their two neighbor cells (-1 outside the box) and their lower endpoint.
+    Cells are numbered ix*n + iy (x-major); facets know their normal axis
+    and their two neighbor cells (-1 outside the box).
     """
 
     def __init__(self, box_lo, box_hi, n: int):
@@ -77,19 +77,17 @@ class BackgroundMesh:
         self._build_facets()
 
     def _build_facets(self):
-        n, h = self.n, self.h
+        n = self.n
         # vertical facets (normal = x): grid line ix in 0..n, row iy in 0..n-1
         ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
         ix, iy = ix.ravel(), iy.ravel()
         v_minus = np.where(ix > 0, (ix - 1) * n + iy, -1)
         v_plus = np.where(ix < n, ix * n + iy, -1)
-        v_origin = self.box_lo + np.column_stack([ix * h, iy * h])
         # horizontal facets (normal = y): column ix in 0..n-1, line iy in 0..n
         jx, jy = np.meshgrid(np.arange(n), np.arange(n + 1), indexing="ij")
         jx, jy = jx.ravel(), jy.ravel()
         h_minus = np.where(jy > 0, jx * n + (jy - 1), -1)
         h_plus = np.where(jy < n, jx * n + jy, -1)
-        h_origin = self.box_lo + np.column_stack([jx * h, jy * h])
 
         self.facet_axis = np.concatenate([
             np.zeros(len(v_minus), dtype=np.int8),
@@ -99,7 +97,6 @@ class BackgroundMesh:
             np.column_stack([v_minus, v_plus]),
             np.column_stack([h_minus, h_plus]),
         ]).astype(np.int64)
-        self.facet_origin = np.concatenate([v_origin, h_origin])
         self.n_facets = len(self.facet_axis)
 
     @property
@@ -114,14 +111,6 @@ class BackgroundMesh:
         c = np.asarray(c)
         ix, iy = c // self.n, c % self.n
         return self.box_lo + self.h * np.stack([ix, iy], axis=-1).astype(float)
-
-    def facet_endpoints(self, f: int) -> np.ndarray:
-        o = self.facet_origin[f]
-        d = np.array([0.0, self.h]) if self.facet_axis[f] == 0 else np.array([self.h, 0.0])
-        return np.stack([o, o + d])
-
-    def facet_normal(self, f: int) -> np.ndarray:
-        return np.array([1.0, 0.0]) if self.facet_axis[f] == 0 else np.array([0.0, 1.0])
 
 
 def build_mesh(box_lo, box_hi, n: int) -> BackgroundMesh:
@@ -142,7 +131,6 @@ class ActiveMesh:
     active_cells: np.ndarray
     interior_cells: np.ndarray
     cut_cells: np.ndarray
-    cut_stress_cells: np.ndarray
     ghost_facets: np.ndarray
     n_probe: int
     subdiv: int
@@ -182,7 +170,6 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
     tags[(psi > 0.0).all(axis=1)] = CellTag.OUTSIDE
 
     clips: dict[int, object] = {}
-    stress_cells = []
     h2 = mesh.h * mesh.h
     for c in np.flatnonzero(tags == CellTag.CUT):
         lo = mesh.cell_origin(int(c))
@@ -197,10 +184,6 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
             if tags[c] == CellTag.INTERIOR:
                 continue
         clips[int(c)] = clip
-        if len(clip.segs):
-            mids = clip.segs.mean(axis=1)
-            if np.any(dom.branch(mids) == 2):
-                stress_cells.append(int(c))
 
     active = np.flatnonzero(tags != CellTag.OUTSIDE)
     interior = np.flatnonzero(tags == CellTag.INTERIOR)
@@ -218,7 +201,6 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
         active_cells=active,
         interior_cells=interior,
         cut_cells=cut,
-        cut_stress_cells=np.array(stress_cells, dtype=np.int64),
         ghost_facets=ghost,
         n_probe=n_probe,
         subdiv=subdiv,

@@ -5,18 +5,21 @@ adds a quadratic bulge to the first displacement component so that the
 divergence (and hence the total pressure) carries an explicit lambda
 dependence.  All derivatives are closed forms; the source terms f and g are
 written out independently so the strong-form residual genuinely checks the
-hand-coded calculus.
+hand-coded calculus.  Error norms are weighted sums of pointwise error
+densities over the same quadrature table and basis tabulation as assembly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .forms import BlockSystem, BoundaryData, PhysicalParams, StabilizationParams
+from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
+                    quadrature_table, tabulate, tabulation_columns)
 from .geometry import TAG_DIRICHLET, TAG_STRESS, CutRule
 from .spaces import FeSpace, FieldLayout
 
@@ -171,103 +174,50 @@ def _field_coeffs(x: np.ndarray, layout: FieldLayout):
 def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
                 space_t: FeSpace, space_f: FeSpace, rules: CutRule,
                 stab: StabilizationParams, layout: FieldLayout) -> ErrorReport:
-    """Quadrature evaluation of all error norms against the analytic fields."""
+    """Quadrature evaluation of all error norms against the analytic fields.
+
+    One pass per table (volume, Dirichlet part, stress part) over the same
+    point-count groups the assembly uses; each norm is a weighted sum of a
+    pointwise error density.
+    """
     if space_u.active is not space_t.active or space_u.active is not space_f.active:
         raise ConfigurationError("spaces for error evaluation must share a mesh")
     prm = case.params
     h = rules.h
     xu, xt, xf = _field_coeffs(x, layout)
-
-    acc = dict(strain=0.0, uL2=0.0, TL2=0.0, gradF=0.0, FL2=0.0,
-               pen_u=0.0, flux_u=0.0, T_bnd=0.0, pen_F=0.0, flux_F=0.0)
-
     active = space_u.active
-    cells = active.interior_cells
-    if len(cells):
-        Nu, Gu = space_u.eval_basis(int(cells[0]), rules.ref_pts)
-        Nt, _ = space_t.eval_basis(int(cells[0]), rules.ref_pts)
-        Nf, Gf = space_f.eval_basis(int(cells[0]), rules.ref_pts)
-        origins = active.mesh.cell_origin(cells)
-        pts = (origins[:, None, :] + h * rules.ref_pts[None, :, :]).reshape(-1, 2)
-        w = rules.int_wts
-        cu = space_u.vector_dofs(space_u.cell_dofs[space_u._cell_row[cells]])
-        ct = space_t.cell_dofs[space_t._cell_row[cells]]
-        cf = space_f.cell_dofs[space_f._cell_row[cells]]
-        U0, U1 = xu[cu[:, 0::2]], xu[cu[:, 1::2]]
-        nq = len(w)
-        uh = np.stack([np.einsum("qa,ca->cq", Nu, U0),
-                       np.einsum("qa,ca->cq", Nu, U1)], axis=-1)
-        gh0 = np.einsum("qak,ca->cqk", Gu, U0)
-        gh1 = np.einsum("qak,ca->cqk", Gu, U1)
-        e_u = case.u(pts).reshape(len(cells), nq, 2) - uh
-        ge = case.grad_u(pts).reshape(len(cells), nq, 2, 2)
-        ge[:, :, 0, :] -= gh0
-        ge[:, :, 1, :] -= gh1
-        eps = 0.5 * (ge + np.transpose(ge, (0, 1, 3, 2)))
-        dens = eps[:, :, 0, 0] ** 2 + eps[:, :, 1, 1] ** 2 + 2.0 * eps[:, :, 0, 1] ** 2
-        acc["strain"] += float(np.einsum("cq,q->", dens, w))
-        acc["uL2"] += float(np.einsum("cq,q->", (e_u ** 2).sum(-1), w))
-        th = np.einsum("qa,ca->cq", Nt, xt[ct])
-        e_t = case.p_T(pts).reshape(len(cells), nq) - th
-        acc["TL2"] += float(np.einsum("cq,q->", e_t ** 2, w))
-        fh = np.einsum("qa,ca->cq", Nf, xf[cf])
-        e_f = case.p_F(pts).reshape(len(cells), nq) - fh
-        acc["FL2"] += float(np.einsum("cq,q->", e_f ** 2, w))
-        gfh = np.einsum("qak,ca->cqk", Gf, xf[cf])
-        ge_f = case.grad_p_F(pts).reshape(len(cells), nq, 2) - gfh
-        acc["gradF"] += float(np.einsum("cqk,q->", ge_f ** 2, w))
+    spaces = (space_u, space_t, space_f)
+    cols = tabulation_columns(spaces)
+    acc = defaultdict(float)
+    for tag in (None, TAG_DIRICHLET, TAG_STRESS):
+        for g, B in tabulate(quadrature_table(active, rules, tag), spaces):
+            p, shape = g.pts.reshape(-1, 2), g.wts.shape
 
-    for c in sorted(rules.cut):
-        r = rules.cut[c]
-        du = space_u.vector_dofs(space_u.dofs_on_cell(c))
-        dt = space_t.dofs_on_cell(c)
-        df = space_f.dofs_on_cell(c)
-        if len(r.vol_wts):
-            ploc = space_u.local_coords(c, r.vol_pts)
-            Nu, Gu = space_u.eval_basis(c, ploc)
-            Nt, _ = space_t.eval_basis(c, ploc)
-            Nf, Gf = space_f.eval_basis(c, ploc)
-            w = r.vol_wts
-            e_u = case.u(r.vol_pts) - np.column_stack([Nu @ xu[du[0::2]], Nu @ xu[du[1::2]]])
-            ge = case.grad_u(r.vol_pts)
-            ge[:, 0, :] -= np.einsum("qak,a->qk", Gu, xu[du[0::2]])
-            ge[:, 1, :] -= np.einsum("qak,a->qk", Gu, xu[du[1::2]])
-            eps = 0.5 * (ge + np.transpose(ge, (0, 2, 1)))
-            dens = eps[:, 0, 0] ** 2 + eps[:, 1, 1] ** 2 + 2.0 * eps[:, 0, 1] ** 2
-            acc["strain"] += float(dens @ w)
-            acc["uL2"] += float(((e_u ** 2).sum(-1)) @ w)
-            e_t = case.p_T(r.vol_pts) - Nt @ xt[dt]
-            acc["TL2"] += float((e_t ** 2) @ w)
-            e_f = case.p_F(r.vol_pts) - Nf @ xf[df]
-            acc["FL2"] += float((e_f ** 2) @ w)
-            ge_f = case.grad_p_F(r.vol_pts) - np.einsum("qak,a->qk", Gf, xf[df])
-            acc["gradF"] += float(((ge_f ** 2).sum(-1)) @ w)
+            def err(space, coeffs, value, grad=None):
+                """Value (nc, nq) and gradient (nc, nq, 2) errors of one scalar field."""
+                c = coeffs[space.cell_dofs[space._cell_row[g.cells]]][:, :, None]
+                vals = [B[:, :, cols[kind, space.degree]] @ c for kind in "Nxy"]
+                return value.reshape(shape) - vals[0][..., 0], None if grad is None \
+                    else grad.reshape(*shape, 2) - np.concatenate(vals[1:], axis=-1)
 
-        for tag in (TAG_DIRICHLET, TAG_STRESS):
-            m = r.bnd_tags == tag
-            if not m.any():
-                continue
-            pts, w, nrm = r.bnd_pts[m], r.bnd_wts[m], r.bnd_normals[m]
-            ploc = space_u.local_coords(c, pts)
-            if tag == TAG_DIRICHLET:
-                Nu, Gu = space_u.eval_basis(c, ploc)
-                e_u = case.u(pts) - np.column_stack([Nu @ xu[du[0::2]], Nu @ xu[du[1::2]]])
-                acc["pen_u"] += float(((e_u ** 2).sum(-1)) @ w)
-                ge = case.grad_u(pts)
-                ge[:, 0, :] -= np.einsum("qak,a->qk", Gu, xu[du[0::2]])
-                ge[:, 1, :] -= np.einsum("qak,a->qk", Gu, xu[du[1::2]])
-                nde = np.einsum("qik,qk->qi", ge, nrm)
-                acc["flux_u"] += float(((nde ** 2).sum(-1)) @ w)
-                Nt, _ = space_t.eval_basis(c, ploc)
-                e_t = case.p_T(pts) - Nt @ xt[dt]
-                acc["T_bnd"] += float((e_t ** 2) @ w)
+            u, grad_u = case.u(p), case.grad_u(p)
+            (e_u0, g_u0), (e_u1, g_u1) = (err(space_u, xu[i::2], u[:, i], grad_u[:, i])
+                                          for i in (0, 1))
+            e_t, _ = err(space_t, xt, case.p_T(p))
+            e_f, g_f = err(space_f, xf, case.p_F(p), case.grad_p_F(p))
+            if tag is None:
+                e12 = 0.5 * (g_u0[..., 1] + g_u1[..., 0])
+                dens = {"strain": g_u0[..., 0] ** 2 + g_u1[..., 1] ** 2 + 2.0 * e12 ** 2,
+                        "uL2": e_u0 ** 2 + e_u1 ** 2, "TL2": e_t ** 2, "FL2": e_f ** 2,
+                        "gradF": (g_f ** 2).sum(-1)}
+            elif tag == TAG_DIRICHLET:
+                dens = {"pen_u": e_u0 ** 2 + e_u1 ** 2, "T_bnd": e_t ** 2,
+                        "flux_u": ((g_u0 * g.normals).sum(-1) ** 2
+                                   + (g_u1 * g.normals).sum(-1) ** 2)}
             else:
-                Nf, Gf = space_f.eval_basis(c, ploc)
-                e_f = case.p_F(pts) - Nf @ xf[df]
-                acc["pen_F"] += float((e_f ** 2) @ w)
-                ge_f = case.grad_p_F(pts) - np.einsum("qak,a->qk", Gf, xf[df])
-                nde = np.einsum("qk,qk->q", ge_f, nrm)
-                acc["flux_F"] += float((nde ** 2) @ w)
+                dens = {"pen_F": e_f ** 2, "flux_F": (g_f * g.normals).sum(-1) ** 2}
+            for key, d in dens.items():
+                acc[key] += float((d * g.wts).sum())
 
     mu, lam, K = prm.mu, prm.lam, prm.K
     uV2 = mu * acc["strain"] + stab.gamma_u * mu / h * acc["pen_u"]

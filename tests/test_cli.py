@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from cutbiot import cli
 from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
-from cutbiot.errors import ConfigurationError
+from cutbiot.errors import ConfigurationError, SolverError
 
 SOLVE_CFG = {"mesh": {"n": 12},
              "output": {"write_points": True, "write_matrix": True,
@@ -187,3 +190,96 @@ def test_box_coverage_guard(tmp_path):
     cfg = RunConfig.from_dict({"mesh": {"n": 8, "delta": 1.0}})
     with pytest.raises(ConfigurationError):
         cmd_solve(cfg, tmp_path / "x")
+
+
+def test_previous_factorization_released_before_next_solve(monkeypatch, tmp_path):
+    # each SolveReport holds its LU factor; two must never coexist in one job
+    reports = []
+
+    def tracking_solve(system):
+        gc.collect()
+        assert all(ref() is None for ref in reports), "an earlier SolveReport is alive"
+        report = real_solve(system)
+        reports.append(weakref.ref(report))
+        return report
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", tracking_solve)
+    conv = {"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0, 1e8], "Ks": [1.0],
+                            "subdiv": 3}}
+    assert cmd_convergence(RunConfig.from_dict(conv), tmp_path / "conv") == 0
+    assert len(reports) == 6
+    assert cmd_sweep(RunConfig.from_dict({"sweep": {"n": 16, "deltas": [0.1]}}),
+                     tmp_path / "sw") == 0
+    assert len(reports) == 8
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_workers_validated_and_capped(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    stub = [{"N": n, "h": 2.0 / n, "lambda": 1.0, "K": 1.0,
+             **{name: 1.0 / n for name in cli._ERR_NAMES}} for n in (8, 12, 16)]
+    monkeypatch.setattr(cli, "_ladder_level_job", lambda raw, n: [stub[(n - 8) // 4]])
+    monkeypatch.setattr(cli, "_sweep_delta_job", lambda raw, d: [
+        {"delta": d, "stabilized": s, "err_u_star": 1.0, "err_pT_star": 1.0,
+         "err_pF_star": 1.0, "err_u_L2": 1.0, "kappa": 1.0, "solver_status": "ok",
+         "error": "", "message": ""} for s in (True, False)])
+    conv, sweep = RunConfig.from_dict(CONV_CFG), RunConfig.from_dict(SWEEP_CFG)
+    assert cmd_convergence(conv, tmp_path / "c", workers=8) == 0
+    assert cmd_sweep(sweep, tmp_path / "s", workers=8) == 0
+    assert cmd_sweep(sweep, tmp_path / "s1", workers=1) == 0
+    assert _InlinePool.sizes == [3, 2]  # one worker per level or translation
+    for command in (cmd_convergence, cmd_sweep):
+        for workers in (0, -3):
+            with pytest.raises(ConfigurationError):
+                command(conv if command is cmd_convergence else sweep,
+                        tmp_path / "bad", workers=workers)
+    cfg = _write(tmp_path, "cfg.json", SWEEP_CFG)
+    code = main(["sweep", "--config", str(cfg), "--workers", "0",
+                 "--out", str(tmp_path / "w0")])
+    assert code == 2
+    assert "workers" in json.loads((tmp_path / "w0" / "error.json").read_text())["message"]
+    assert _InlinePool.sizes == [3, 2]
+
+
+def test_sweep_failures_sidecar(monkeypatch, tmp_path):
+    cfg = RunConfig.from_dict(SWEEP_CFG)
+    assert cmd_sweep(cfg, tmp_path / "ok") == 0
+    assert (tmp_path / "ok" / "sweep_failures.csv").read_text() == \
+        "delta,stabilized,error,message\n"
+
+    real_solve = cli.solve
+
+    def failing_unstabilized(system):
+        if "g1" not in system.parts:
+            raise SolverError("relative residual 2.000e-08 exceeds 1e-09")
+        return real_solve(system)
+
+    monkeypatch.setattr(cli, "solve", failing_unstabilized)
+    assert cmd_sweep(cfg, tmp_path / "bad") == 0
+    lines = (tmp_path / "bad" / "sweep_failures.csv").read_text().splitlines()
+    assert lines == ["delta,stabilized,error,message",
+                     "0.1,false,SolverError,relative residual 2.000e-08 exceeds 1e-09",
+                     "0.3,false,SolverError,relative residual 2.000e-08 exceeds 1e-09"]
+    sweep = (tmp_path / "bad" / "sweep.csv").read_text().splitlines()
+    assert sweep[0] == "delta,stabilized,err_u_star,err_pT_star,err_pF_star," \
+        "err_u_L2,kappa,solver_status"
+    assert [line.split(",")[-1] for line in sweep[1:]] == ["ok", "failed", "ok", "failed"]

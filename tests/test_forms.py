@@ -125,10 +125,13 @@ def test_a3_linear_field_box(fullbox, stab):
 
 
 def test_a3_term_scalings(disc16, stab):
-    from cutbiot.forms import _a3_parts
+    def a3_blocks(prm):
+        sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab,
+                               include_ghost=False)
+        return {name: blk for name, (_, _, _, blk) in sys_.parts.items()}
 
-    base = _a3_parts(disc16.sf, disc16.rules, PhysicalParams(lam=1.0, K=1.0), stab)
-    scaled = _a3_parts(disc16.sf, disc16.rules, PhysicalParams(lam=1e8, K=1e-8), stab)
+    base = a3_blocks(PhysicalParams(lam=1.0, K=1.0))
+    scaled = a3_blocks(PhysicalParams(lam=1e8, K=1e-8))
     for name, factor in [("a3_stiff", 1e-8), ("a3_nitsche", 1e-8),
                          ("a3_penalty", 1e-8), ("a3_mass", 1e-8)]:
         d = scaled[name] - factor * base[name]
