@@ -4,14 +4,13 @@ from .errors import (AssemblyError, ConfigurationError, CutBiotError,
                      GeometryConflictError, GeometryError, GeometryResolutionError,
                      SolverError)
 from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
-                    assemble_a1, assemble_a2, assemble_a3, assemble_b1, assemble_b2,
                     assemble_ghost, assemble_rhs, assemble_system)
 from .geometry import (CutRule, LevelSetDomain, build_cut_rules, cut_surface_rule,
                        cut_volume_rule, flower_levelset, make_flower_domain)
 from .mesh import (ActiveMesh, BackgroundMesh, CellTag, MeshConfig, build_mesh,
                    classify, translate_box)
 from .solver import SolveReport, estimate_condition, solve
-from .spaces import FeSpace, FieldLayout, build_space, eval_basis, interpolate
+from .spaces import FeSpace, FieldLayout, build_space
 from .verification import (ErrorReport, ManufacturedCase, eoc, error_norms,
                            galerkin_residual, make_case)
 

@@ -22,13 +22,14 @@ import jsonschema
 import numpy as np
 
 from .errors import ConfigurationError, CutBiotError, GeometryError, SolverError
-from .forms import (PhysicalParams, StabilizationParams, assemble_rhs,
-                    assemble_system, dump_matrix, mass_matrix, with_params, without_ghost)
+from .forms import (PhysicalParams, QuadGroup, StabilizationParams, assemble_rhs,
+                    assemble_system, dump_matrix, mass_matrix, tabulate, tabulation_columns,
+                    with_params, without_ghost)
 from .geometry import build_cut_rules, dump_boundary_points, make_flower_domain
 from .mesh import MeshConfig, build_mesh, classify, dump_classification, translate_box
 from .solver import estimate_condition, solve
 from .spaces import build_space, make_layout
-from .verification import CASE_NAMES, eoc, error_norms, eval_fields, make_case
+from .verification import CASE_NAMES, eoc, error_norms, field_values, make_case
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -107,7 +108,8 @@ CONFIG_SCHEMA = {
                 "count": {"type": "integer", "minimum": 1},
                 "stride": {"type": "integer", "minimum": 1},
                 "delta_step": {"type": "number", "exclusiveMinimum": 0},
-                "deltas": {"type": ["array", "null"], "items": {"type": "number"}},
+                "deltas": {"type": ["array", "null"], "items": {"type": "number"},
+                           "minItems": 1},
             },
         },
         "output": {
@@ -232,7 +234,7 @@ def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None =
     dom = cfg.domain()
     mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
     active = classify(mesh, dom, n_probe=m["n_probe"], subdiv=subdiv)
-    rules = build_cut_rules(active, dom, order=m["order"], subdiv=subdiv)
+    rules = build_cut_rules(active, dom, order=m["order"])
     k, l = cfg.raw["spaces"]["k"], cfg.raw["spaces"]["l"]
     su = build_space(active, k, ncomp=2)
     st = build_space(active, k - 1)
@@ -284,17 +286,17 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     (out_dir / "solution.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     if cfg.raw["output"]["write_points"]:
-        rows = []
+        # the fields at the centers of the active cells whose center is inside
         centers = mesh.cell_origin(active.active_cells) + mesh.h / 2
         inside = dom.psi(centers) < 0
-        mid = np.array([[0.5, 0.5]])
-        for c, ctr, ok in zip(active.active_cells, centers, inside):
-            if not ok:
-                continue
-            u, pT, pF = eval_fields(report.x, su, st, sf, layout, int(c), mid)
-            rows.append([ctr[0], ctr[1], u[0, 0], u[0, 1], pT[0], pF[0]])
-        _write_csv(out_dir / "solution_points.csv",
-                   ["x", "y", "ux", "uy", "pT", "pF"], rows)
+        cells = active.active_cells[inside]
+        mid = QuadGroup(cells, centers[inside][:, None, :], np.ones((len(cells), 1)))
+        [(_, B)] = tabulate([mid], (su, st, sf))
+        cols = tabulation_columns((su, st, sf))
+        vals = [field_values(s, c, cells, B, cols)[:, 0, 0]
+                for s, c in ((su, xu[0::2]), (su, xu[1::2]), (st, xt), (sf, xf))]
+        _write_csv(out_dir / "solution_points.csv", ["x", "y", "ux", "uy", "pT", "pF"],
+                   np.column_stack([centers[inside], *vals]).tolist())
     if cfg.raw["output"]["write_matrix"]:
         dump_matrix(system, out_dir / "system.mtx")
     if cfg.raw["output"]["write_debug"]:
@@ -385,7 +387,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 def sweep_deltas(cfg: RunConfig) -> list[float]:
     sw = cfg.raw["sweep"]
-    if sw["deltas"]:
+    if sw["deltas"] is not None:
         return [float(d) for d in sw["deltas"]]
     return [sw["stride"] * j * sw["delta_step"] for j in range(1, sw["count"] + 1)]
 

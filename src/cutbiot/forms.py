@@ -12,7 +12,12 @@ counts form a group, tabulated once per degree as [N, dN/dx, dN/dy]; a
 bilinear form is a slice or sum of the per-cell Gram matrices of that stack
 (one batched matmul per group), a load term a weighted moment of it, and
 each block one COO scatter.  Ghost facets of equal orientation share one
-jump matrix.  Assembly is single-threaded and bitwise deterministic.
+jump matrix, and one walk over them serves the assembled penalty and the
+direct seminorm.  `_TERMS` is the only record of where each term goes in the
+3x3 system (row, column, sign), how it scales with the material parameters
+and whether it is a ghost penalty; `BlockSystem.parts` holds the bare blocks
+and every composed matrix is read from them through that table.  Assembly is
+single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -218,91 +223,39 @@ def _form(space_r: FeSpace, space_c: FeSpace, cells, loc, scalar: bool = False):
 
 
 def _bilinear_parts(rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
-                    su: FeSpace | None = None, st: FeSpace | None = None,
-                    sf: FeSpace | None = None) -> dict:
-    """Every non-ghost block whose spaces are given, from one Gram per table."""
-    spaces = [s for s in (su, st, sf) if s is not None]
-    vol, dr, sr = (_Gram(quadrature_table(spaces[0].active, rules, tag), spaces)
+                    su: FeSpace, st: FeSpace, sf: FeSpace) -> dict:
+    """Every non-ghost block of the system, from one Gram per table."""
+    vol, dr, sr = (_Gram(quadrature_table(su.active, rules, tag), (su, st, sf))
                    for tag in (None, TAG_DIRICHLET, TAG_STRESS))
     mu, K, lam, h = params.mu, params.K, params.lam, rules.h
-    parts = {}
-    if su is not None:
-        N, x, y = _keys(su)
-        xx, yy, P = vol(x, x), vol(y, y), dr(N, N)
-        # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
-        F = np.block([[dr(x, N, 1) + 0.5 * dr(y, N, 2), 0.5 * dr(y, N, 1)],
-                      [0.5 * dr(x, N, 2), 0.5 * dr(x, N, 1) + dr(y, N, 2)]])
-        parts["a1_strain"] = _form(su, su, vol.cells, mu * np.block(
-            [[xx + 0.5 * yy, 0.5 * vol(y, x)], [0.5 * vol(x, y), yy + 0.5 * xx]]))
-        parts["a1_nitsche"] = _form(su, su, dr.cells, -mu * (F + F.transpose(0, 2, 1)))
-        parts["a1_penalty"] = _form(su, su, dr.cells, (stab.gamma_u * mu / h)
-                                    * np.block([[P, 0.0 * P], [0.0 * P, P]]))
-    if st is not None:
-        t = ("N", st.degree)
-        parts["a2_mass"] = _form(st, st, vol.cells, vol(t, t) / lam)
-        if su is not None:
-            N, x, y = _keys(su)
-            parts["b1_vol"] = _form(st, su, vol.cells, -np.block([vol(t, x), vol(t, y)]))
-            parts["b1_bnd"] = _form(st, su, dr.cells, np.block([dr(t, N, 1), dr(t, N, 2)]))
-        if sf is not None:
-            parts["b2_mass"] = _form(st, sf, vol.cells, vol(t, ("N", sf.degree)) / lam)
-    if sf is not None:
-        N, x, y = _keys(sf)
-        parts["a3_stiff"] = _form(sf, sf, vol.cells, K * (vol(x, x) + vol(y, y)))
-        flux = sr(x, N, 1) + sr(y, N, 2)
-        parts["a3_nitsche"] = _form(sf, sf, sr.cells, -K * (flux + flux.transpose(0, 2, 1)))
-        parts["a3_penalty"] = _form(sf, sf, sr.cells, (stab.gamma_p * K / h) * sr(N, N))
-        parts["a3_mass"] = _form(sf, sf, vol.cells, (2.0 / lam) * vol(N, N))
-    return parts
+    (N, x, y), t, (Nf, xf, yf) = _keys(su), ("N", st.degree), _keys(sf)
+    xx, yy, P = vol(x, x), vol(y, y), dr(N, N)
+    # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
+    F = np.block([[dr(x, N, 1) + 0.5 * dr(y, N, 2), 0.5 * dr(y, N, 1)],
+                  [0.5 * dr(x, N, 2), 0.5 * dr(x, N, 1) + dr(y, N, 2)]])
+    flux = sr(xf, Nf, 1) + sr(yf, Nf, 2)
+    return {
+        "a1_strain": _form(su, su, vol.cells, mu * np.block(
+            [[xx + 0.5 * yy, 0.5 * vol(y, x)], [0.5 * vol(x, y), yy + 0.5 * xx]])),
+        "a1_nitsche": _form(su, su, dr.cells, -mu * (F + F.transpose(0, 2, 1))),
+        "a1_penalty": _form(su, su, dr.cells, (stab.gamma_u * mu / h)
+                            * np.block([[P, 0.0 * P], [0.0 * P, P]])),
+        "b1_vol": _form(st, su, vol.cells, -np.block([vol(t, x), vol(t, y)])),
+        "b1_bnd": _form(st, su, dr.cells, np.block([dr(t, N, 1), dr(t, N, 2)])),
+        "a2_mass": _form(st, st, vol.cells, vol(t, t) / lam),
+        "b2_mass": _form(st, sf, vol.cells, vol(t, Nf) / lam),
+        "a3_stiff": _form(sf, sf, vol.cells, K * (vol(xf, xf) + vol(yf, yf))),
+        "a3_nitsche": _form(sf, sf, sr.cells, -K * (flux + flux.transpose(0, 2, 1))),
+        "a3_penalty": _form(sf, sf, sr.cells, (stab.gamma_p * K / h) * sr(Nf, Nf)),
+        "a3_mass": _form(sf, sf, vol.cells, (2.0 / lam) * vol(Nf, Nf)),
+    }
 
 
-# ---------------------------------------------------------------------------
-# bilinear forms
-
-def assemble_a1(space_u: FeSpace, rules: CutRule, params: PhysicalParams,
-                stab: StabilizationParams) -> sp.csr_matrix:
-    """Elastic block with Nitsche terms on the Dirichlet boundary part."""
-    return sum(_bilinear_parts(rules, params, stab, su=space_u).values())
-
-
-def assemble_b1(space_u: FeSpace, space_t: FeSpace, rules: CutRule) -> sp.csr_matrix:
-    """Coupling b1(v, q) = -(div v, q) + (v.n, q) on the Dirichlet part.
-
-    Returned with test-function rows in the total-pressure space, i.e. the
-    block that multiplies u in the second equation.
-    """
-    parts = _bilinear_parts(rules, PhysicalParams(), StabilizationParams(),
-                            su=space_u, st=space_t)
-    return parts["b1_vol"] + parts["b1_bnd"]
-
-
-def mass_matrix(space_r: FeSpace, space_c: FeSpace, rules: CutRule,
-                scale: float = 1.0) -> sp.csr_matrix:
+def mass_matrix(space_r: FeSpace, space_c: FeSpace, rules: CutRule) -> sp.csr_matrix:
     """Scalar mass pairing over the physical domain (cut cells restricted)."""
     vol = _Gram(quadrature_table(space_r.active, rules), (space_r, space_c))
-    loc = scale * vol(("N", space_r.degree), ("N", space_c.degree))
+    loc = vol(("N", space_r.degree), ("N", space_c.degree))
     return _form(space_r, space_c, vol.cells, loc, scalar=True)
-
-
-def assemble_a2(space_t: FeSpace, rules: CutRule, params: PhysicalParams) -> sp.csr_matrix:
-    """Total-pressure mass, scaled by 1/lambda."""
-    return mass_matrix(space_t, space_t, rules, 1.0 / params.lam)
-
-
-def assemble_b2(space_f: FeSpace, space_t: FeSpace, rules: CutRule,
-                params: PhysicalParams) -> sp.csr_matrix:
-    """Fluid/total-pressure mass coupling, scaled by 1/lambda; rows in p_T."""
-    return mass_matrix(space_t, space_f, rules, 1.0 / params.lam)
-
-
-def assemble_a3(space_f: FeSpace, rules: CutRule, params: PhysicalParams,
-                stab: StabilizationParams) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Darcy part with Nitsche terms on the stress part, and the 2/lambda mass.
-
-    Returns (a3_1, a3_2); the full form is their sum.
-    """
-    parts = _bilinear_parts(rules, params, stab, sf=space_f)
-    return parts["a3_stiff"] + parts["a3_nitsche"] + parts["a3_penalty"], parts["a3_mass"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +294,11 @@ def _ghost_facet_matrix(degree: int, axis: int, ghost_order: int) -> np.ndarray:
     return G
 
 
-def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
-                   ghost_order: int, gamma: float) -> sp.csr_matrix:
-    """Facet ghost penalty over the ghost set, scaled by `scaling * gamma`.
+def _ghost_walk(space: FeSpace, active: ActiveMesh, ghost_order: int) -> list:
+    """(axis, dofs) per facet orientation and component over the ghost facets.
 
-    Penalizes squared jumps of normal derivatives of orders 1..ghost_order
-    with weights h^(2j-1) per order j.
+    `dofs` (nfacets, 2*nloc) lists the plus cell's dofs, then the minus
+    cell's, in the column order of `_ghost_jump_rows`.
     """
     if active is not space.active:
         raise AssemblyError("space and active mesh do not match")
@@ -355,30 +307,34 @@ def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
             f"ghost_order {ghost_order} exceeds space degree {space.degree}; "
             "higher normal-derivative jumps vanish identically"
         )
-    mesh = active.mesh
-    n = space.n_dofs
-    ghost = active.ghost_facets
-    if len(ghost) == 0 or gamma == 0.0 or scaling == 0.0:
-        return sp.csr_matrix((n, n))
-
-    fc = mesh.facet_cells[ghost]
-    fax = mesh.facet_axis[ghost]
-    blocks = []
+    fc = active.mesh.facet_cells[active.ghost_facets]
+    fax = active.mesh.facet_axis[active.ghost_facets]
+    walk = []
     for axis in (0, 1):
-        sel = fax == axis
-        if not sel.any():
-            continue
-        G = gamma * scaling * _ghost_facet_matrix(space.degree, axis, ghost_order)
-        rows_p = space._cell_row[fc[sel, 1]]
-        rows_m = space._cell_row[fc[sel, 0]]
-        if np.any(rows_p < 0) or np.any(rows_m < 0):
+        rows = space._cell_row[fc[fax == axis][:, ::-1]]  # (plus, minus) cell rows
+        if np.any(rows < 0):
             raise AssemblyError("ghost facet with inactive neighbor")
-        combined = np.concatenate(
-            [space.cell_dofs[rows_p], space.cell_dofs[rows_m]], axis=1)
-        for comp in range(space.ncomp):
-            dofs = combined if space.ncomp == 1 else 2 * combined + comp
-            blocks.append((dofs, dofs, G))
-    return _scatter((n, n), blocks) if blocks else sp.csr_matrix((n, n))
+        if len(rows):
+            dofs = space.cell_dofs[rows].reshape(len(rows), -1)
+            walk += [(axis, dofs if space.ncomp == 1 else 2 * dofs + comp)
+                     for comp in range(space.ncomp)]
+    return walk
+
+
+def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
+                   ghost_order: int, gamma: float) -> sp.csr_matrix:
+    """Facet ghost penalty over the ghost set, scaled by `scaling * gamma`.
+
+    Penalizes squared jumps of normal derivatives of orders 1..ghost_order
+    with weights h^(2j-1) per order j.
+    """
+    walk = _ghost_walk(space, active, ghost_order)
+    n = space.n_dofs
+    if not walk or gamma == 0.0 or scaling == 0.0:
+        return sp.csr_matrix((n, n))
+    return _scatter((n, n), [
+        (dofs, dofs, gamma * scaling * _ghost_facet_matrix(space.degree, axis, ghost_order))
+        for axis, dofs in walk])
 
 
 def ghost_seminorm(space: FeSpace, active: ActiveMesh, v: np.ndarray,
@@ -389,29 +345,12 @@ def ghost_seminorm(space: FeSpace, active: ActiveMesh, v: np.ndarray,
     Numerically exact annihilation for globally smooth fields: jumps cancel
     before squaring, unlike the quadratic form of the assembled matrix.
     """
-    if ghost_order > space.degree:
-        raise ConfigurationError(
-            f"ghost_order {ghost_order} exceeds space degree {space.degree}")
-    mesh = active.mesh
-    ghost = active.ghost_facets
-    if len(ghost) == 0:
-        return 0.0
-    fc = mesh.facet_cells[ghost]
-    fax = mesh.facet_axis[ghost]
     acc = 0.0
-    for axis in (0, 1):
-        sel = fax == axis
-        if not sel.any():
-            continue
-        combined = np.concatenate(
-            [space.cell_dofs[space._cell_row[fc[sel, 1]]],
-             space.cell_dofs[space._cell_row[fc[sel, 0]]]], axis=1)
+    for axis, dofs in _ghost_walk(space, active, ghost_order):
         for j in range(1, ghost_order + 1):
             rows, w = _ghost_jump_rows(space.degree, axis, j)
-            for comp in range(space.ncomp):
-                dofs = combined if space.ncomp == 1 else 2 * combined + comp
-                jumps = v[dofs] @ rows.T  # (nfacets, nq)
-                acc += float(np.einsum("fq,q->", jumps ** 2, w))
+            jumps = v[dofs] @ rows.T  # (nfacets, nq)
+            acc += float(np.einsum("fq,q->", jumps ** 2, w))
     return math.sqrt(gamma * scaling * acc)
 
 
@@ -458,43 +397,6 @@ def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
 # ---------------------------------------------------------------------------
 # system composition
 
-@dataclass
-class BlockSystem:
-    """Assembled sparse symmetric system with per-form bookkeeping.
-
-    `parts` maps a term name to (row_field, col_field, sign, block) where the
-    block is the form in its natural orientation; off-diagonal blocks also
-    enter transposed at the mirrored position.  `matrix` is their signed sum.
-    """
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    layout: FieldLayout
-    h: float
-    params: PhysicalParams
-    stab: StabilizationParams
-    parts: dict = field(default_factory=dict)
-
-    def form(self, prefix: str) -> sp.csr_matrix:
-        """Sum of the natural blocks whose name starts with `prefix`."""
-        picked = [blk for name, (_, _, _, blk) in self.parts.items()
-                  if name.startswith(prefix)]
-        if not picked:
-            raise KeyError(f"no term named {prefix}*")
-        return sum(picked)
-
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        amax = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
-        return (np.abs(d.data).max() / amax) if d.nnz else 0.0
-
-    def block_nnz(self, row_field: str, col_field: str) -> int:
-        sl = {"u": self.layout.s_u, "pT": self.layout.s_t, "pF": self.layout.s_f}
-        blk = self.matrix[sl[row_field], :][:, sl[col_field]]
-        blk.eliminate_zeros()
-        return blk.nnz
-
-
 class _Term(NamedTuple):
     row: str
     col: str
@@ -522,6 +424,33 @@ _TERMS = {
 }
 
 
+@dataclass
+class BlockSystem:
+    """Assembled sparse symmetric system with per-term bookkeeping.
+
+    `parts` maps a term name to its bare block, the form in its natural
+    orientation; `_TERMS` places it.  `matrix` is the signed sum of the
+    placed blocks, off-diagonal ones also entering transposed at the
+    mirrored position.
+    """
+
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    layout: FieldLayout
+    params: PhysicalParams
+    parts: dict = field(default_factory=dict)
+
+    def block(self, row_field: str, col_field: str) -> sp.csr_matrix:
+        """The assembled matrix restricted to one field's rows and another's columns."""
+        sl = {"u": self.layout.s_u, "pT": self.layout.s_t, "pF": self.layout.s_f}
+        return self.matrix[sl[row_field], sl[col_field]]
+
+    def symmetry_defect(self) -> float:
+        d = self.matrix - self.matrix.T
+        amax = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
+        return (np.abs(d.data).max() / amax) if d.nnz else 0.0
+
+
 def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                     rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
                     bdata: BoundaryData | None = None,
@@ -543,40 +472,37 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     layout = make_layout(space_u, space_t, space_f)
     active = space_u.active
     h, lam = rules.h, params.lam
-    blocks = _bilinear_parts(rules, params, stab, space_u, space_t, space_f)
+    parts = _bilinear_parts(rules, params, stab, space_u, space_t, space_f)
 
     if include_ghost:
         go_u = min(space_u.degree, stab.ghost_order)
         go_t = min(space_t.degree, stab.ghost_order)
         go_f = min(space_f.degree, stab.ghost_order)
-        blocks["g1"] = assemble_ghost(space_u, active, params.mu, go_u, stab.gamma_g_u)
-        blocks["g2"] = assemble_ghost(space_t, active, h * h, go_t, stab.gamma_g_p)
+        parts["g1"] = assemble_ghost(space_u, active, params.mu, go_u, stab.gamma_g_u)
+        parts["g2"] = assemble_ghost(space_t, active, h * h, go_t, stab.gamma_g_p)
         g3_unit = assemble_ghost(space_f, active, 1.0, go_f, stab.gamma_g_u)
-        blocks["g3_1"] = params.K * g3_unit
-        blocks["g3_2"] = (h * h / lam) * g3_unit
+        parts["g3_1"] = params.K * g3_unit
+        parts["g3_2"] = (h * h / lam) * g3_unit
 
-    parts = {name: (_TERMS[name].row, _TERMS[name].col, _TERMS[name].sign, blk)
-             for name, blk in blocks.items()}
     rhs = np.zeros(layout.total) if bdata is None else \
         assemble_rhs(space_u, space_t, space_f, rules, params, stab, bdata)
-    return BlockSystem(matrix=compose_matrix(parts, layout), rhs=rhs, layout=layout, h=h,
-                       params=params, stab=stab, parts=parts)
+    return BlockSystem(matrix=compose_matrix(parts, layout), rhs=rhs, layout=layout,
+                       params=params, parts=parts)
 
 
 def compose_matrix(parts: dict, layout: FieldLayout) -> sp.csr_matrix:
-    """Signed sum of placed blocks; off-diagonal forms enter twice (mirrored)."""
-    offs = {"u": 0, "pT": layout.n_u, "pF": layout.n_u + layout.n_t}
+    """Signed sum of the blocks placed by `_TERMS`; off-diagonal ones enter twice (mirrored)."""
     rr, cc, vv = [], [], []
     for name in sorted(parts):
-        rf, cf, sign, blk = parts[name]
-        coo = blk.tocoo()
-        rr.append(coo.row + offs[rf])
-        cc.append(coo.col + offs[cf])
-        vv.append(sign * coo.data)
-        if rf != cf:
-            rr.append(coo.col + offs[cf])
-            cc.append(coo.row + offs[rf])
-            vv.append(sign * coo.data)
+        term, coo = _TERMS[name], parts[name].tocoo()
+        rows, cols = coo.row + layout.offset(term.row), coo.col + layout.offset(term.col)
+        rr.append(rows)
+        cc.append(cols)
+        vv.append(term.sign * coo.data)
+        if term.row != term.col:
+            rr.append(cols)
+            cc.append(rows)
+            vv.append(term.sign * coo.data)
     return sp.coo_matrix(
         (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
         shape=(layout.total, layout.total),
@@ -589,7 +515,7 @@ def without_ghost(system: BlockSystem) -> BlockSystem:
     Shares the right-hand side (ghost terms never touch it); used by the
     cut-translation sweep to run the unstabilized arm without reassembly.
     """
-    kept = {k: v for k, v in system.parts.items() if not _TERMS[k].ghost}
+    kept = {name: blk for name, blk in system.parts.items() if not _TERMS[name].ghost}
     return replace(system, matrix=compose_matrix(kept, system.layout), parts=kept)
 
 
@@ -604,9 +530,9 @@ def with_params(system: BlockSystem, params: PhysicalParams,
     if (base.mu, base.lam, base.K) != (1.0, 1.0, 1.0):
         raise AssemblyError("parameter rescaling requires a unit-parameter assembly")
     parts = {}
-    for name, (rf, cf, sign, blk) in system.parts.items():
+    for name, blk in system.parts.items():
         s = _TERMS[name].scale(params)
-        parts[name] = (rf, cf, sign, blk if s == 1.0 else s * blk)
+        parts[name] = blk if s == 1.0 else s * blk
     return replace(system, matrix=compose_matrix(parts, system.layout), params=params,
                    rhs=system.rhs if rhs is None else rhs, parts=parts)
 
@@ -615,12 +541,11 @@ def with_params(system: BlockSystem, params: PhysicalParams,
 # helpers for property tests and norms over whole background cells
 
 def full_cell_matrix(space: FeSpace, kind: str = "mass",
-                     cells: np.ndarray | None = None,
-                     order: int | None = None) -> sp.csr_matrix:
+                     cells: np.ndarray | None = None) -> sp.csr_matrix:
     """Mass or stiffness over entire background cells (no cut restriction)."""
     if kind not in ("mass", "stiff"):
         raise ConfigurationError(f"unknown kind {kind!r}")
-    ref, w = tensor_square(2 * space.degree + 1 if order is None else order)
+    ref, w = tensor_square(2 * space.degree + 1)
     mesh = space.active.mesh
     cells = space.active.active_cells if cells is None else np.asarray(cells)
     pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref

@@ -8,6 +8,8 @@ triangulated, and the zero-chords become embedded-boundary segments.
 Boundary quadrature points carry outward unit normals (from the analytic
 gradient of whichever level set governs the local cut) and a part tag that
 separates the Dirichlet boundary (outer) from the stress boundary (hole).
+`build_cut_rules` turns the clips that classification stored into the rules,
+so the sub-grid depth is chosen once, by `mesh.classify`.
 """
 
 from __future__ import annotations
@@ -372,7 +374,6 @@ class CutRule:
     in `cut`, keyed by background cell index.
     """
 
-    order: int
     subdiv: int
     h: float
     ref_pts: np.ndarray
@@ -394,22 +395,23 @@ class CutRule:
         return m
 
 
-def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5,
-                    subdiv: int = 3) -> CutRule:
-    """Generate quadrature for every active cell of a classified mesh."""
+def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -> CutRule:
+    """Generate quadrature for every active cell of a classified mesh.
+
+    Cut cells reuse the clip `classify` stored for them, at the sub-grid
+    depth the classification used.
+    """
     mesh = active.mesh
     h = mesh.h
     ref, w = tensor_square(order)
-    rule = CutRule(order=order, subdiv=subdiv, h=h, ref_pts=ref, int_wts=w * h * h)
+    rule = CutRule(subdiv=active.subdiv, h=h, ref_pts=ref, int_wts=w * h * h)
 
     for c in active.cut_cells:
         lo = mesh.cell_origin(int(c))
         clip = active.clip_for(int(c))
-        if clip is None or clip.subdiv < subdiv:
-            clip = clip_cell(lo, h, dom, subdiv)
         cell = (lo, lo + h)
-        vp, vw = cut_volume_rule(cell, dom, order, subdiv, clip=clip)
-        bp, bw, bn, bt = cut_surface_rule(cell, dom, order, subdiv, clip=clip)
+        vp, vw = cut_volume_rule(cell, dom, order, clip=clip)
+        bp, bw, bn, bt = cut_surface_rule(cell, dom, order, clip=clip)
         if len(vp) == 0 and len(bp) == 0:
             raise GeometryResolutionError(
                 f"cut cell {int(c)} produced an empty rule; classification is stale"

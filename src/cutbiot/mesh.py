@@ -132,7 +132,6 @@ class ActiveMesh:
     interior_cells: np.ndarray
     cut_cells: np.ndarray
     ghost_facets: np.ndarray
-    n_probe: int
     subdiv: int
     _clips: dict = field(default_factory=dict, repr=False)
 
@@ -202,7 +201,6 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
         interior_cells=interior,
         cut_cells=cut,
         ghost_facets=ghost,
-        n_probe=n_probe,
         subdiv=subdiv,
         _clips=clips,
     )

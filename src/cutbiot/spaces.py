@@ -3,9 +3,11 @@
 Each space is Q_k on the active cells with equispaced nodes; degrees of
 freedom exist exactly at lattice nodes touched by at least one active cell
 and are numbered deterministically (lexicographic in the node lattice, y
-index major).  Basis evaluation extrapolates naturally outside [0,1]^2,
-which cut-cell quadrature relies on.  Spaces are immutable and evaluation
-is pure.
+index major).  A space holds its dof maps and its reference basis; fields
+are evaluated at physical points only through `forms.tabulate`, which maps
+the points into their cells.  The reference basis extrapolates naturally
+outside [0,1]^2, which cut-cell quadrature relies on.  Spaces are immutable
+and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class RefLagrangeBasis:
         self._dcoeffs = [np.column_stack(coeffs)]
         for _ in range(degree):
             self._dcoeffs.append(P.polyder(self._dcoeffs[-1], axis=0))
-
-    @property
-    def n_basis_1d(self) -> int:
-        return self.degree + 1
 
     @property
     def n_basis(self) -> int:
@@ -108,7 +106,6 @@ class FeSpace:
         used = np.unique(lattice)
         self.n_nodes = len(used)
         self.n_dofs = ncomp * self.n_nodes
-        self._node_of_dof = used
         self.cell_dofs = np.searchsorted(used, lattice)
 
         gxu, gyu = used % nn, used // nn
@@ -133,15 +130,6 @@ class FeSpace:
         expanded = 2 * scalar_dofs[..., None] + np.arange(2)
         return expanded.reshape(*scalar_dofs.shape[:-1], -1)
 
-    def eval_basis(self, c: int, pts_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar basis values and physical gradients at local points of cell c."""
-        vals, gref = self.basis.tabulate(np.atleast_2d(pts_local))
-        return vals, gref / self.h
-
-    def local_coords(self, c: int, pts: np.ndarray) -> np.ndarray:
-        lo = self.active.mesh.cell_origin(c)
-        return (np.atleast_2d(pts) - lo) / self.h
-
     def interpolate(self, f) -> np.ndarray:
         """Nodal interpolant: dof value = f at the node coordinates."""
         vals = np.asarray(f(self.node_coords), dtype=float)
@@ -157,14 +145,6 @@ class FeSpace:
 def build_space(active: ActiveMesh, degree: int, ncomp: int = 1) -> FeSpace:
     """Q_degree space over the active cells with deterministic dof numbering."""
     return FeSpace(active, degree, ncomp)
-
-
-def eval_basis(space: FeSpace, c: int, pts_local: np.ndarray):
-    return space.eval_basis(c, pts_local)
-
-
-def interpolate(space: FeSpace, f) -> np.ndarray:
-    return space.interpolate(f)
 
 
 @dataclass(frozen=True)

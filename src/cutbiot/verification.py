@@ -6,7 +6,9 @@ divergence (and hence the total pressure) carries an explicit lambda
 dependence.  All derivatives are closed forms; the source terms f and g are
 written out independently so the strong-form residual genuinely checks the
 hand-coded calculus.  Error norms are weighted sums of pointwise error
-densities over the same quadrature table and basis tabulation as assembly.
+densities over the same quadrature table and basis tabulation as assembly;
+`field_values` is the one evaluation of a discrete field from that
+tabulation, also used for the CLI's point output.
 """
 
 from __future__ import annotations
@@ -167,8 +169,12 @@ class ErrorReport:
         }
 
 
-def _field_coeffs(x: np.ndarray, layout: FieldLayout):
-    return x[layout.s_u], x[layout.s_t], x[layout.s_f]
+def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.ndarray,
+                 cols: dict) -> np.ndarray:
+    """[v, dv/dx, dv/dy] (nc, nq, 3) of one scalar field with node coefficients
+    `coeffs`, from the stack B that `tabulate` yields for `cells`."""
+    c = coeffs[space.cell_dofs[space._cell_row[cells]]][:, :, None]
+    return np.concatenate([B[:, :, cols[kind, space.degree]] @ c for kind in "Nxy"], axis=-1)
 
 
 def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
@@ -184,7 +190,7 @@ def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
         raise ConfigurationError("spaces for error evaluation must share a mesh")
     prm = case.params
     h = rules.h
-    xu, xt, xf = _field_coeffs(x, layout)
+    xu, xt, xf = x[layout.s_u], x[layout.s_t], x[layout.s_f]
     active = space_u.active
     spaces = (space_u, space_t, space_f)
     cols = tabulation_columns(spaces)
@@ -195,10 +201,9 @@ def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
 
             def err(space, coeffs, value, grad=None):
                 """Value (nc, nq) and gradient (nc, nq, 2) errors of one scalar field."""
-                c = coeffs[space.cell_dofs[space._cell_row[g.cells]]][:, :, None]
-                vals = [B[:, :, cols[kind, space.degree]] @ c for kind in "Nxy"]
-                return value.reshape(shape) - vals[0][..., 0], None if grad is None \
-                    else grad.reshape(*shape, 2) - np.concatenate(vals[1:], axis=-1)
+                v = field_values(space, coeffs, g.cells, B, cols)
+                return value.reshape(shape) - v[..., 0], None if grad is None \
+                    else grad.reshape(*shape, 2) - v[..., 1:]
 
             u, grad_u = case.u(p), case.grad_u(p)
             (e_u0, g_u0), (e_u1, g_u1) = (err(space_u, xu[i::2], u[:, i], grad_u[:, i])
@@ -263,17 +268,3 @@ def galerkin_residual(system: BlockSystem, x: np.ndarray) -> float:
     penalties.
     """
     return float(np.abs(system.matrix @ x - system.rhs).max())
-
-
-def eval_fields(x: np.ndarray, space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
-                layout: FieldLayout, c: int, pts_local: np.ndarray):
-    """Discrete (u, p_T, p_F) at local points of one active cell."""
-    xu, xt, xf = _field_coeffs(x, layout)
-    du = space_u.vector_dofs(space_u.dofs_on_cell(c))
-    Nu, _ = space_u.eval_basis(c, pts_local)
-    Nt, _ = space_t.eval_basis(c, pts_local)
-    Nf, _ = space_f.eval_basis(c, pts_local)
-    u = np.column_stack([Nu @ xu[du[0::2]], Nu @ xu[du[1::2]]])
-    pT = Nt @ xt[space_t.dofs_on_cell(c)]
-    pF = Nf @ xf[space_f.dofs_on_cell(c)]
-    return u, pT, pF

@@ -29,7 +29,7 @@ def _discretize(n, subdiv=3):
     dom = make_flower_domain()
     mesh = build_mesh([-1, -1], [1, 1], n)
     active = classify(mesh, dom, subdiv=subdiv)
-    rules = build_cut_rules(active, dom, order=5, subdiv=subdiv)
+    rules = build_cut_rules(active, dom, order=5)
     su = build_space(active, 2, ncomp=2)
     st = build_space(active, 1)
     sf = build_space(active, 2)
@@ -39,6 +39,11 @@ def _discretize(n, subdiv=3):
 @pytest.fixture(scope="session")
 def flower_domain():
     return make_flower_domain()
+
+
+@pytest.fixture(scope="session")
+def disc12():
+    return _discretize(12)
 
 
 @pytest.fixture(scope="session")

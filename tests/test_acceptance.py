@@ -227,7 +227,7 @@ def test_criterion_5_assembly(disc32, params, stab):
                              params, stab)
     sym = system.symmetry_defect()
     check("5", sym <= 1e-12, f"symmetry defect {sym:.2e} (<= 1e-12)")
-    nnz = system.block_nnz("u", "pF") + system.block_nnz("pF", "u")
+    nnz = system.block("u", "pF").count_nonzero() + system.block("pF", "u").count_nonzero()
     check("5", nnz == 0, f"(u, pF) coupling block nnz = {nnz} (exactly empty)")
 
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))

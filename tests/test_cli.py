@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,17 @@ def test_single_level_ladder_exit_code(tmp_path):
     cfg = _write(tmp_path, "short.json", {"convergence": {"ladder": [16]}})
     code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_sweep_empty_deltas_rejected(tmp_path):
+    # only null selects the default translation family; an empty list is an error
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_dict({"sweep": {"deltas": []}})
+    cfg = _write(tmp_path, "empty.json", {"sweep": {"deltas": []}})
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads((tmp_path / "o" / "error.json").read_text())["error"] == \
+        "ConfigurationError"
 
 
 def test_solve_writes_summary_and_points(tmp_path):
@@ -177,10 +190,14 @@ def test_parallel_workers_match_serial(tmp_path):
 
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"mesh": {"n": 8}})
+    # the child imports the same cutbiot, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cutbiot.cli", "solve", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "solution.json").exists()
 

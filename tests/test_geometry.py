@@ -102,7 +102,7 @@ def test_subdivision_refinement_monotone(flower_domain):
         act = classify(mesh, flower_domain, subdiv=m)
         from cutbiot.geometry import build_cut_rules
 
-        rules = build_cut_rules(act, flower_domain, subdiv=m)
+        rules = build_cut_rules(act, flower_domain)
         errs.append(abs(rules.total_volume(act) - OMEGA_AREA))
     assert errs[0] > errs[1] > errs[2]
 

@@ -1,0 +1,102 @@
+"""Property tests over random parameters, fields and cut positions.
+
+Each property is checked on hypothesis-drawn inputs with a fixed derandomized
+example sequence, at N <= 12 so the module stays fast.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, assemble_ghost,
+                           assemble_system, ghost_seminorm, with_params, without_ghost)
+from cutbiot.geometry import make_flower_domain
+from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.spaces import build_space
+
+FIELDS = ("u", "pT", "pF")
+
+# log-uniform material parameters over the paper's ranges and beyond
+params_st = st.builds(lambda m, l, k: PhysicalParams(mu=10.0 ** m, lam=10.0 ** l, K=10.0 ** k),
+                      st.floats(-2, 2), st.floats(0, 9), st.floats(-9, 1))
+
+
+def examples(n: int):
+    """A fixed, derandomized sequence of n examples with no time limit."""
+    return settings(derandomize=True, deadline=None, database=None, max_examples=n)
+
+
+def _max_abs(m) -> float:
+    return float(np.abs(m.data).max()) if m.nnz else 0.0
+
+
+@pytest.fixture(scope="module")
+def unit(disc12):
+    d = disc12
+    return assemble_system(d.su, d.st, d.sf, d.rules, PhysicalParams(1.0, 1.0, 1.0),
+                           StabilizationParams())
+
+
+@examples(20)
+@given(prm=params_st)
+def test_with_params_matches_direct_assembly(disc12, unit, prm):
+    d = disc12
+    direct = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams())
+    scaled = with_params(unit, prm)
+    assert _max_abs(direct.matrix - scaled.matrix) <= 1e-14 * _max_abs(direct.matrix)
+
+
+@examples(10)
+@given(prm=params_st)
+def test_without_ghost_matches_unstabilized_assembly(disc12, prm):
+    d = disc12
+    full = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams())
+    direct = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams(),
+                             include_ghost=False)
+    bare = without_ghost(full)
+    assert set(bare.parts) == set(direct.parts)
+    assert _max_abs(bare.matrix - direct.matrix) == 0.0
+
+
+@examples(20)
+@given(prm=params_st, stabilized=st.booleans())
+def test_block_is_signed_sum_of_placed_parts(unit, prm, stabilized):
+    system = with_params(unit if stabilized else without_ghost(unit), prm)
+    for r in FIELDS:
+        for c in FIELDS:
+            want = 0.0 * system.block(r, c)
+            for name, blk in system.parts.items():
+                term = _TERMS[name]
+                if (term.row, term.col) == (r, c):
+                    want = want + term.sign * blk
+                elif (term.col, term.row) == (r, c):  # mirrored off-diagonal term
+                    want = want + term.sign * blk.T
+            got = system.block(r, c)
+            assert got.shape == want.shape
+            assert _max_abs(got - want) <= 1e-14 * _max_abs(system.matrix)
+
+
+@examples(30)
+@given(n=st.integers(6, 12), delta=st.floats(0.0, 0.3), degree=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ghost_seminorm_quadratic_form_and_annihilation(n, delta, degree, seed):
+    cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
+    act = classify(build_mesh(cfg.box_lo, cfg.box_hi, n), make_flower_domain())
+    space = build_space(act, degree)
+    rng = np.random.default_rng(seed)
+
+    # the direct jump sum is the square root of the assembled quadratic form
+    w = rng.standard_normal(space.n_dofs)
+    G = assemble_ghost(space, act, 1.0, degree, 1.0)
+    assert ghost_seminorm(space, act, w, degree) == pytest.approx(np.sqrt(w @ (G @ w)),
+                                                                  rel=1e-10)
+
+    # a global Q_degree polynomial has no jumps across any facet
+    coef = rng.standard_normal((degree + 1, degree + 1))
+    v = space.interpolate(lambda p: sum(coef[i, j] * p[:, 0] ** i * p[:, 1] ** j
+                                        for i in range(degree + 1)
+                                        for j in range(degree + 1)))
+    assert ghost_seminorm(space, act, v, degree) < 1e-10 * np.abs(v).max()

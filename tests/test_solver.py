@@ -17,7 +17,7 @@ from cutbiot.verification import make_case
 def _toy_system(matrix, rhs):
     n = matrix.shape[0]
     return BlockSystem(matrix=sp.csr_matrix(matrix), rhs=rhs,
-                       layout=FieldLayout(n, 0, 0), h=1.0, params=None, stab=None)
+                       layout=FieldLayout(n, 0, 0), params=None)
 
 
 def test_identity_system():

@@ -6,7 +6,7 @@ import pytest
 from cutbiot.errors import ConfigurationError
 from cutbiot.geometry import CircleLevelSet, ConstantLevelSet, LevelSetDomain
 from cutbiot.mesh import build_mesh, classify
-from cutbiot.spaces import FieldLayout, build_space, eval_basis, interpolate, make_layout
+from cutbiot.spaces import FieldLayout, build_space, make_layout
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +38,14 @@ def test_dof_count_circle_matches_node_membership():
 
 def test_q1_center_values(fullbox4):
     s = build_space(fullbox4, 1)
-    vals, _ = eval_basis(s, 0, np.array([[0.5, 0.5]]))
+    vals, _ = s.basis.tabulate(np.array([[0.5, 0.5]]))
     assert np.allclose(vals, 0.25)
 
 
 def test_q2_kronecker(fullbox4):
     s = build_space(fullbox4, 2)
     loc = np.array([[a / 2, b / 2] for b in range(3) for a in range(3)])
-    vals, _ = eval_basis(s, 0, loc)
+    vals, _ = s.basis.tabulate(loc)
     assert np.abs(vals - np.eye(9)).max() < 1e-13
 
 
@@ -53,22 +53,23 @@ def test_partition_of_unity_and_gradient_sum(fullbox4):
     s = build_space(fullbox4, 2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 1.5, (200, 2))  # extrapolation permitted
-    vals, grads = eval_basis(s, 3, pts)
+    vals, grads = s.basis.tabulate(pts)
+    grads = grads / s.h
     assert np.abs(vals.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(grads.sum(axis=1)).max() < 1e-10
 
 
 def test_interpolate_constant_and_linear(fullbox4):
     s1 = build_space(fullbox4, 1)
-    vec = interpolate(s1, lambda p: np.full(len(p), 7.5))
+    vec = s1.interpolate(lambda p: np.full(len(p), 7.5))
     assert np.allclose(vec, 7.5)
     f = lambda p: 1.5 * p[:, 0] - 0.25 * p[:, 1] + 2.0
-    vec = interpolate(s1, f)
+    vec = s1.interpolate(f)
     mesh = fullbox4.mesh
     rng = np.random.default_rng(1)
     for c in (0, 5, 15):
         pts = rng.random((30, 2))
-        vals, _ = eval_basis(s1, c, pts)
+        vals, _ = s1.basis.tabulate(pts)
         phys = mesh.cell_origin(c) + mesh.h * pts
         assert np.abs(vals @ vec[s1.dofs_on_cell(c)] - f(phys)).max() < 1e-12
 
@@ -83,11 +84,11 @@ def test_polynomial_reproduction(disc16):
                    for i in range(3) for j in range(3))
 
     s = disc16.sf
-    vec = interpolate(s, q2poly)
+    vec = s.interpolate(q2poly)
     mesh = disc16.mesh
     for c in disc16.active.active_cells[::7]:
         pts = rng.random((100, 2))
-        vals, _ = eval_basis(s, int(c), pts)
+        vals, _ = s.basis.tabulate(pts)
         phys = mesh.cell_origin(int(c)) + mesh.h * pts
         err = np.abs(vals @ vec[s.dofs_on_cell(int(c))] - q2poly(phys)).max()
         assert err < 1e-10
@@ -111,8 +112,8 @@ def test_continuity_across_facets(disc16):
         else:
             loc0 = np.column_stack([t, np.ones_like(t)])
             loc1 = np.column_stack([t, np.zeros_like(t)])
-        v0, _ = eval_basis(s, c0, loc0)
-        v1, _ = eval_basis(s, c1, loc1)
+        v0, _ = s.basis.tabulate(loc0)
+        v1, _ = s.basis.tabulate(loc1)
         d0 = vec[s.dofs_on_cell(c0)]
         d1 = vec[s.dofs_on_cell(c1)]
         assert np.abs(v0 @ d0 - v1 @ d1).max() < 1e-10
@@ -131,12 +132,12 @@ def test_interpolation_l2_rate(flower_domain):
         act = classify(mesh, flower_domain)
         rules = build_cut_rules(act, flower_domain)
         s = build_space(act, 2)
-        vec = interpolate(s, f)
+        vec = s.interpolate(f)
         # L2 error over the physical domain via quadrature
         err2 = 0.0
         ref = rules.ref_pts
         cells = act.interior_cells
-        vals, _ = s.eval_basis(int(act.active_cells[0]), ref)
+        vals, _ = s.basis.tabulate(ref)
         for c in cells:
             lo = mesh.cell_origin(int(c))
             diff = vals @ vec[s.dofs_on_cell(int(c))] - f(lo + mesh.h * ref)
@@ -144,7 +145,7 @@ def test_interpolation_l2_rate(flower_domain):
         for c, r in rules.cut.items():
             if not len(r.vol_wts):
                 continue
-            v, _ = s.eval_basis(c, s.local_coords(c, r.vol_pts))
+            v, _ = s.basis.tabulate((r.vol_pts - mesh.cell_origin(c)) / s.h)
             diff = v @ vec[s.dofs_on_cell(c)] - f(r.vol_pts)
             err2 += float((diff ** 2) @ r.vol_wts)
         errs.append(np.sqrt(err2))
