@@ -279,6 +279,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "cells": {"active": int(active.n_active), "cut": int(len(active.cut_cells)),
                   "interior": int(len(active.interior_cells))},
         "rel_residual": report.rel_residual,
+        "factorization": {"ordering": report.ordering, "factor_nnz": report.factor_nnz},
         "kappa": kappa,
         "solution_norms": norms,
         "errors": err.as_dict(),

@@ -1,14 +1,19 @@
 """Direct solution of the assembled system and conditioning estimates.
 
-Uses a pivoted sparse LU factorization (adequate for the symmetric
-indefinite saddle-point matrices at desk scale) and always verifies the
-relative residual.  The condition estimate combines extremal singular-value
-estimates of the matrix and of its inverse through the factorization;
-everything is deterministic, including the Lanczos start vectors.
+The `(u, p_T, p_F)` matrix is symmetric, so the sparse LU first orders it
+by multiple minimum degree on A+Aᵀ in SuperLU's symmetric mode, with
+diagonal pivots.  Every solution is checked for finite entries and a
+relative residual of at most `RESIDUAL_TOL`; when that attempt fails the
+check, or SuperLU raises, the factor is freed and the system is factored
+again with COLAMD and partial pivoting, under the same check.  The
+condition estimate combines extremal singular-value estimates of the
+matrix and of its inverse through the factorization; everything is
+deterministic, including the Lanczos start vectors.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .forms import BlockSystem
+
+logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-9
 
@@ -29,32 +36,65 @@ class SolveReport:
     rel_residual: float
     n: int
     factor_nnz: int
+    ordering: str  # "MMD_AT_PLUS_A" (symmetric attempt) or "COLAMD" (fallback)
     kappa: float | None = None
     _lu: object = field(default=None, repr=False)
 
 
-def _factorize(matrix: sp.spmatrix):
+def _symmetric_lu(matrix: sp.csc_matrix):
+    """Minimum-degree ordering on A+Aᵀ, symmetric mode, diagonal pivots."""
+    return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _check(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> tuple[float, str | None]:
+    """Relative residual of `x` and why it is rejected, or None if it passes."""
+    if not np.all(np.isfinite(x)):
+        return float("nan"), "solution contains non-finite entries (singular system)"
+    bnorm = np.linalg.norm(b)
+    rnorm = np.linalg.norm(a @ x - b)
+    rel = float(rnorm / bnorm if bnorm > 0 else rnorm)
+    if rel > RESIDUAL_TOL:
+        return rel, f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}"
+    return rel, None
+
+
+def _factorize(a: sp.spmatrix, b: np.ndarray):
+    """Factor `a` and solve `a x = b`: the symmetric attempt, else COLAMD.
+
+    Returns `(lu, x, rel, failure, ordering)`, where `failure` is the
+    fallback's reason for rejecting `x` (None if it passes).
+    """
+    csc = a.tocsc()
     try:
-        return spla.splu(matrix.tocsc())
+        lu = _symmetric_lu(csc)
     except RuntimeError as exc:  # SuperLU reports the failing pivot here
+        failure = f"sparse factorization failed: {exc}"
+    else:
+        x = lu.solve(b)
+        rel, failure = _check(a, b, x)
+        if failure is None:
+            return lu, x, rel, None, "MMD_AT_PLUS_A"
+    logger.warning("symmetric MMD_AT_PLUS_A factorization rejected (%s); "
+                   "refactoring with COLAMD and partial pivoting", failure)
+    lu = x = None  # free the rejected factor before the fallback is made
+    try:
+        lu = spla.splu(csc)
+    except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    x = lu.solve(b)
+    rel, failure = _check(a, b, x)
+    return lu, x, rel, failure, "COLAMD"
 
 
 def solve(system: BlockSystem) -> SolveReport:
     """Factor and solve; raises SolverError on breakdown or a bad residual."""
-    a, b = system.matrix, system.rhs
-    lu = _factorize(a)
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("solution contains non-finite entries (singular system)")
-    bnorm = np.linalg.norm(b)
-    rnorm = np.linalg.norm(a @ x - b)
-    rel = rnorm / bnorm if bnorm > 0 else rnorm
-    if rel > RESIDUAL_TOL:
-        raise SolverError(f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    nnz = int(lu.L.nnz + lu.U.nnz)
-    return SolveReport(x=x, rel_residual=float(rel), n=a.shape[0],
-                       factor_nnz=nnz, _lu=lu)
+    a = system.matrix
+    lu, x, rel, failure, ordering = _factorize(a, system.rhs)
+    if failure is not None:
+        raise SolverError(failure)
+    return SolveReport(x=x, rel_residual=rel, n=a.shape[0],
+                       factor_nnz=int(lu.L.nnz + lu.U.nnz), ordering=ordering, _lu=lu)
 
 
 def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
@@ -90,7 +130,7 @@ def estimate_condition(system: BlockSystem, lu=None, tol: float = 1e-2) -> float
     a = system.matrix
     n = a.shape[0]
     if lu is None:
-        lu = _factorize(a)
+        lu = _factorize(a, system.rhs)[0]
     sigma_max = _extremal_magnitude(lambda v: a @ v, n, tol)
     inv_max = _extremal_magnitude(lu.solve, n, tol)
     if not np.isfinite(inv_max) or inv_max <= 0:

@@ -85,6 +85,8 @@ def test_solve_writes_summary_and_points(tmp_path):
     assert summary["dofs"]["total"] == summary["dofs"]["u"] + \
         summary["dofs"]["pT"] + summary["dofs"]["pF"]
     assert summary["kappa"] > 1.0
+    assert summary["factorization"]["ordering"] == "MMD_AT_PLUS_A"
+    assert summary["factorization"]["factor_nnz"] > 0
     pts = (tmp_path / "out" / "solution_points.csv").read_text().splitlines()
     assert pts[0] == "x,y,ux,uy,pT,pF"
     assert len(pts) > 10
@@ -136,6 +138,20 @@ def test_sweep_rows(tmp_path):
         fields = line.split(",")
         assert fields[1] in ("true", "false")
         assert fields[-1] in ("ok", "failed")
+
+
+def test_sweep_nearly_singular_translations_solve(tmp_path):
+    # j = 29 and 34 of the paper's family: the unstabilized arm is nearly singular
+    cfg = RunConfig.from_dict({"mesh": {"subdiv": 3},
+                               "sweep": {"n": 60, "deltas": [0.4495, 0.527]}})
+    assert cmd_sweep(cfg, tmp_path / "sw") == 0
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["solver_status"] for r in rows] == ["ok"] * 4
+    stabilized = [float(r["kappa"]) for r in rows if r["stabilized"] == "true"]
+    unstabilized = [float(r["kappa"]) for r in rows if r["stabilized"] == "false"]
+    assert min(unstabilized) > 100 * float(np.median(stabilized))
 
 
 def test_sweep_row_recomputable_by_solve(tmp_path):

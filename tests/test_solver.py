@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import gc
+import logging
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from cutbiot import solver
 from cutbiot.errors import SolverError
-from cutbiot.forms import BlockSystem, FieldLayout, assemble_system
+from cutbiot.forms import BlockSystem, FieldLayout, PhysicalParams, assemble_system
 from cutbiot.geometry import ConstantLevelSet, LevelSetDomain, build_cut_rules, \
     make_flower_domain
 from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
@@ -96,3 +102,86 @@ def test_condition_stable_across_translations(flower_domain, stab):
         rep = solve(system)
         kappas.append(estimate_condition(system, lu=rep._lu))
     assert max(kappas) / min(kappas) <= 10.0
+
+
+def _trig_system(disc, prm, stab):
+    case = make_case(prm, "trig")
+    return assemble_system(disc.su, disc.st, disc.sf, disc.rules, prm, stab,
+                           case.boundary_data())
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e8])
+@pytest.mark.parametrize("K", [1.0, 1e-8])
+def test_symmetric_ordering_passes_and_fills_less(disc16, stab, lam, K):
+    system = _trig_system(disc16, PhysicalParams(mu=1.0, lam=lam, K=K), stab)
+    rep = solve(system)
+    assert rep.ordering == "MMD_AT_PLUS_A"
+    assert rep.rel_residual <= 1e-9
+    colamd = spla.splu(system.matrix.tocsc())
+    assert rep.factor_nnz < colamd.L.nnz + colamd.U.nnz
+
+
+class _OffsetLU:
+    """A factor whose solutions are shifted by a constant, so they miss the check."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return self._lu.solve(b) + 1e-3
+
+
+def test_fallback_when_symmetric_factorization_raises(monkeypatch, caplog, disc16,
+                                                      params, stab):
+    def failing(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "_symmetric_lu", failing)
+    system = _trig_system(disc16, params, stab)
+    with caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
+        rep = solve(system)
+    assert rep.ordering == "COLAMD"
+    assert rep.rel_residual <= 1e-9
+    assert "Factor is exactly singular" in caplog.text
+
+
+def test_fallback_when_symmetric_solution_misses_residual(monkeypatch, caplog, disc16,
+                                                          params, stab):
+    rejected = []
+
+    def offset(matrix):
+        lu = _OffsetLU(real_splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)))
+        rejected.append(weakref.ref(lu))
+        return lu
+
+    def fallback_splu(matrix, *args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in rejected), "rejected factor still alive"
+        return real_splu(matrix, *args, **kwargs)
+
+    real_splu = spla.splu
+    monkeypatch.setattr(solver, "_symmetric_lu", offset)
+    monkeypatch.setattr(solver.spla, "splu", fallback_splu)
+    system = _trig_system(disc16, params, stab)
+    with caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
+        rep = solve(system)
+    assert len(rejected) == 1
+    assert rep.ordering == "COLAMD"
+    assert rep.rel_residual <= 1e-9
+    assert "relative residual" in caplog.text
+
+
+def test_condition_estimate_factors_through_solve_path(monkeypatch, disc16, params, stab):
+    system = _trig_system(disc16, params, stab)
+    attempts = []
+
+    def counting(matrix):
+        attempts.append(matrix.shape)
+        return real(matrix)
+
+    real = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu", counting)
+    kappa = estimate_condition(system)
+    assert attempts == [system.matrix.shape]
+    assert kappa == pytest.approx(estimate_condition(system, lu=solve(system)._lu), rel=1e-8)
