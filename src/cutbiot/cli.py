@@ -267,7 +267,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "pT_L2": float(np.sqrt(xt @ (m_t @ xt))),
         "pF_L2": float(np.sqrt(xf @ (m_f @ xf))),
     }
-    err = error_norms(report.x, case, su, st, sf, rules, stab, layout)
+    err = error_norms(report.x, case, su, st, sf, rules, stab)
     summary = {
         "n": n,
         "h": rules.h,
@@ -317,10 +317,9 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
     """All (lambda, K) runs of one refinement level, sharing the assembly."""
     cfg = RunConfig(raw=cfg_dict)
     conv = cfg.raw["convergence"]
-    _, _, active, rules, su, st, sf, layout = _discretize(
-        cfg, n, subdiv=conv["subdiv"])
+    _, _, active, rules, su, st, sf, _ = _discretize(cfg, n, subdiv=conv["subdiv"])
     stab = cfg.stab()
-    unit = assemble_system(su, st, sf, rules, PhysicalParams(1.0, 1.0, 1.0), stab,
+    base = assemble_system(su, st, sf, rules, cfg.params(), stab,
                            include_ghost=cfg.stabilized)
     rows = []
     for lam in conv["lambdas"]:
@@ -328,9 +327,9 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
             params = cfg.params(lam=lam, K=K)
             case = make_case(params, cfg.raw["case"])
             rhs = assemble_rhs(su, st, sf, rules, params, stab, case.boundary_data())
-            system = with_params(unit, params, rhs=rhs)
+            system = with_params(base, params, rhs=rhs)
             report = solve(system)
-            err = error_norms(report.x, case, su, st, sf, rules, stab, layout)
+            err = error_norms(report.x, case, su, st, sf, rules, stab)
             rows.append({"N": n, "h": rules.h, "lambda": lam, "K": K,
                          "residual": report.rel_residual, **err.as_dict()})
             # free this factorization before the next one is made
@@ -393,11 +392,27 @@ def sweep_deltas(cfg: RunConfig) -> list[float]:
     return [sw["stride"] * j * sw["delta_step"] for j in range(1, sw["count"] + 1)]
 
 
+def _sweep_row(delta: float, stab_on: bool, exc: Exception | None = None) -> dict:
+    """One arm's row, empty; marked failed with the error's class and message if given."""
+    row = {"delta": delta, "stabilized": stab_on, "err_u_star": None,
+           "err_pT_star": None, "err_pF_star": None, "err_u_L2": None,
+           "kappa": None, "solver_status": "ok", "error": "", "message": ""}
+    if exc is not None:
+        row.update(solver_status="failed", error=type(exc).__name__, message=str(exc))
+    return row
+
+
 def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
-    """Stabilized and unstabilized runs for one translated configuration."""
+    """Stabilized and unstabilized runs for one translated configuration.
+
+    A geometry failure at this translation fails both arms; the sweep goes on.
+    """
     cfg = RunConfig(raw=cfg_dict)
     n = cfg.raw["sweep"]["n"]
-    _, _, active, rules, su, st, sf, layout = _discretize(cfg, n, delta=delta)
+    try:
+        _, _, active, rules, su, st, sf, _ = _discretize(cfg, n, delta=delta)
+    except GeometryError as exc:
+        return [_sweep_row(delta, stab_on, exc) for stab_on in (True, False)]
     params, stab = cfg.params(), cfg.stab()
     case = make_case(params, cfg.raw["case"])
     stabilized = assemble_system(su, st, sf, rules, params, stab,
@@ -405,17 +420,15 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
     rows = []
     for stab_on in (True, False):
         system = stabilized if stab_on else without_ghost(stabilized)
-        row = {"delta": delta, "stabilized": stab_on, "err_u_star": None,
-               "err_pT_star": None, "err_pF_star": None, "err_u_L2": None,
-               "kappa": None, "solver_status": "ok", "error": "", "message": ""}
+        row = _sweep_row(delta, stab_on)
         try:
             report = solve(system)
             row["kappa"] = estimate_condition(system, lu=report._lu)
-            err = error_norms(report.x, case, su, st, sf, rules, stab, layout)
+            err = error_norms(report.x, case, su, st, sf, rules, stab)
             row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
                         "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})
         except SolverError as exc:
-            row.update(solver_status="failed", error=type(exc).__name__, message=str(exc))
+            row = _sweep_row(delta, stab_on, exc)
         rows.append(row)
         # free this factorization before the next one is made
         report = system = None

@@ -15,9 +15,9 @@ each block one COO scatter.  Ghost facets of equal orientation share one
 jump matrix, and one walk over them serves the assembled penalty and the
 direct seminorm.  `_TERMS` is the only record of where each term goes in the
 3x3 system (row, column, sign), how it scales with the material parameters
-and whether it is a ghost penalty; `BlockSystem.parts` holds the bare blocks
-and every composed matrix is read from them through that table.  Assembly is
-single-threaded and bitwise deterministic.
+and whether it is a ghost penalty.  `BlockSystem.parts` holds the blocks at
+mu = lambda = K = 1 and only `compose_matrix` applies material parameters to
+them.  Assembly is single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -222,12 +222,12 @@ def _form(space_r: FeSpace, space_c: FeSpace, cells, loc, scalar: bool = False):
     return _scatter(n, [(_dofs(space_r, cells, scalar), _dofs(space_c, cells, scalar), loc)])
 
 
-def _bilinear_parts(rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
+def _bilinear_parts(rules: CutRule, stab: StabilizationParams,
                     su: FeSpace, st: FeSpace, sf: FeSpace) -> dict:
-    """Every non-ghost block of the system, from one Gram per table."""
+    """Every non-ghost block of the system at unit parameters, from one Gram per table."""
     vol, dr, sr = (_Gram(quadrature_table(su.active, rules, tag), (su, st, sf))
                    for tag in (None, TAG_DIRICHLET, TAG_STRESS))
-    mu, K, lam, h = params.mu, params.K, params.lam, rules.h
+    h = rules.h
     (N, x, y), t, (Nf, xf, yf) = _keys(su), ("N", st.degree), _keys(sf)
     xx, yy, P = vol(x, x), vol(y, y), dr(N, N)
     # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
@@ -235,19 +235,19 @@ def _bilinear_parts(rules: CutRule, params: PhysicalParams, stab: StabilizationP
                   [0.5 * dr(x, N, 2), 0.5 * dr(x, N, 1) + dr(y, N, 2)]])
     flux = sr(xf, Nf, 1) + sr(yf, Nf, 2)
     return {
-        "a1_strain": _form(su, su, vol.cells, mu * np.block(
+        "a1_strain": _form(su, su, vol.cells, np.block(
             [[xx + 0.5 * yy, 0.5 * vol(y, x)], [0.5 * vol(x, y), yy + 0.5 * xx]])),
-        "a1_nitsche": _form(su, su, dr.cells, -mu * (F + F.transpose(0, 2, 1))),
-        "a1_penalty": _form(su, su, dr.cells, (stab.gamma_u * mu / h)
+        "a1_nitsche": _form(su, su, dr.cells, -(F + F.transpose(0, 2, 1))),
+        "a1_penalty": _form(su, su, dr.cells, (stab.gamma_u / h)
                             * np.block([[P, 0.0 * P], [0.0 * P, P]])),
         "b1_vol": _form(st, su, vol.cells, -np.block([vol(t, x), vol(t, y)])),
         "b1_bnd": _form(st, su, dr.cells, np.block([dr(t, N, 1), dr(t, N, 2)])),
-        "a2_mass": _form(st, st, vol.cells, vol(t, t) / lam),
-        "b2_mass": _form(st, sf, vol.cells, vol(t, Nf) / lam),
-        "a3_stiff": _form(sf, sf, vol.cells, K * (vol(xf, xf) + vol(yf, yf))),
-        "a3_nitsche": _form(sf, sf, sr.cells, -K * (flux + flux.transpose(0, 2, 1))),
-        "a3_penalty": _form(sf, sf, sr.cells, (stab.gamma_p * K / h) * sr(Nf, Nf)),
-        "a3_mass": _form(sf, sf, vol.cells, (2.0 / lam) * vol(Nf, Nf)),
+        "a2_mass": _form(st, st, vol.cells, vol(t, t)),
+        "b2_mass": _form(st, sf, vol.cells, vol(t, Nf)),
+        "a3_stiff": _form(sf, sf, vol.cells, vol(xf, xf) + vol(yf, yf)),
+        "a3_nitsche": _form(sf, sf, sr.cells, -(flux + flux.transpose(0, 2, 1))),
+        "a3_penalty": _form(sf, sf, sr.cells, (stab.gamma_p / h) * sr(Nf, Nf)),
+        "a3_mass": _form(sf, sf, vol.cells, 2.0 * vol(Nf, Nf)),
     }
 
 
@@ -294,19 +294,18 @@ def _ghost_facet_matrix(degree: int, axis: int, ghost_order: int) -> np.ndarray:
     return G
 
 
-def _ghost_walk(space: FeSpace, active: ActiveMesh, ghost_order: int) -> list:
+def _ghost_walk(space: FeSpace, ghost_order: int) -> list:
     """(axis, dofs) per facet orientation and component over the ghost facets.
 
     `dofs` (nfacets, 2*nloc) lists the plus cell's dofs, then the minus
     cell's, in the column order of `_ghost_jump_rows`.
     """
-    if active is not space.active:
-        raise AssemblyError("space and active mesh do not match")
     if ghost_order > space.degree:
         raise ConfigurationError(
             f"ghost_order {ghost_order} exceeds space degree {space.degree}; "
             "higher normal-derivative jumps vanish identically"
         )
+    active = space.active
     fc = active.mesh.facet_cells[active.ghost_facets]
     fax = active.mesh.facet_axis[active.ghost_facets]
     walk = []
@@ -321,37 +320,34 @@ def _ghost_walk(space: FeSpace, active: ActiveMesh, ghost_order: int) -> list:
     return walk
 
 
-def assemble_ghost(space: FeSpace, active: ActiveMesh, scaling: float,
-                   ghost_order: int, gamma: float) -> sp.csr_matrix:
-    """Facet ghost penalty over the ghost set, scaled by `scaling * gamma`.
+def assemble_ghost(space: FeSpace, ghost_order: int, gamma: float) -> sp.csr_matrix:
+    """Facet ghost penalty over the space's ghost facets, scaled by `gamma`.
 
     Penalizes squared jumps of normal derivatives of orders 1..ghost_order
     with weights h^(2j-1) per order j.
     """
-    walk = _ghost_walk(space, active, ghost_order)
+    walk = _ghost_walk(space, ghost_order)
     n = space.n_dofs
-    if not walk or gamma == 0.0 or scaling == 0.0:
+    if not walk or gamma == 0.0:
         return sp.csr_matrix((n, n))
     return _scatter((n, n), [
-        (dofs, dofs, gamma * scaling * _ghost_facet_matrix(space.degree, axis, ghost_order))
+        (dofs, dofs, gamma * _ghost_facet_matrix(space.degree, axis, ghost_order))
         for axis, dofs in walk])
 
 
-def ghost_seminorm(space: FeSpace, active: ActiveMesh, v: np.ndarray,
-                   ghost_order: int, gamma: float = 1.0,
-                   scaling: float = 1.0) -> float:
+def ghost_seminorm(space: FeSpace, v: np.ndarray, ghost_order: int) -> float:
     """|v|_g evaluated through the facet jumps directly.
 
     Numerically exact annihilation for globally smooth fields: jumps cancel
     before squaring, unlike the quadratic form of the assembled matrix.
     """
     acc = 0.0
-    for axis, dofs in _ghost_walk(space, active, ghost_order):
+    for axis, dofs in _ghost_walk(space, ghost_order):
         for j in range(1, ghost_order + 1):
             rows, w = _ghost_jump_rows(space.degree, axis, j)
             jumps = v[dofs] @ rows.T  # (nfacets, nq)
             acc += float(np.einsum("fq,q->", jumps ** 2, w))
-    return math.sqrt(gamma * scaling * acc)
+    return math.sqrt(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +397,7 @@ class _Term(NamedTuple):
     row: str
     col: str
     sign: float
-    scale: Callable[[PhysicalParams], float]  # material factor the block is linear in
+    scale: Callable[[PhysicalParams], float]  # material factor the unit block is linear in
     ghost: bool
 
 
@@ -428,10 +424,10 @@ _TERMS = {
 class BlockSystem:
     """Assembled sparse symmetric system with per-term bookkeeping.
 
-    `parts` maps a term name to its bare block, the form in its natural
-    orientation; `_TERMS` places it.  `matrix` is the signed sum of the
-    placed blocks, off-diagonal ones also entering transposed at the
-    mirrored position.
+    `parts` maps a term name to its block at unit material parameters, the
+    form in its natural orientation; `_TERMS` places and scales it.
+    `matrix` is the signed, scaled sum of the placed blocks at `params`,
+    off-diagonal ones also entering transposed at the mirrored position.
     """
 
     matrix: sp.csr_matrix
@@ -470,39 +466,38 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     if not (space_u.active is space_t.active is space_f.active):
         raise AssemblyError("spaces must share one active mesh")
     layout = make_layout(space_u, space_t, space_f)
-    active = space_u.active
-    h, lam = rules.h, params.lam
-    parts = _bilinear_parts(rules, params, stab, space_u, space_t, space_f)
+    h = rules.h
+    parts = _bilinear_parts(rules, stab, space_u, space_t, space_f)
 
     if include_ghost:
         go_u = min(space_u.degree, stab.ghost_order)
         go_t = min(space_t.degree, stab.ghost_order)
         go_f = min(space_f.degree, stab.ghost_order)
-        parts["g1"] = assemble_ghost(space_u, active, params.mu, go_u, stab.gamma_g_u)
-        parts["g2"] = assemble_ghost(space_t, active, h * h, go_t, stab.gamma_g_p)
-        g3_unit = assemble_ghost(space_f, active, 1.0, go_f, stab.gamma_g_u)
-        parts["g3_1"] = params.K * g3_unit
-        parts["g3_2"] = (h * h / lam) * g3_unit
+        parts["g1"] = assemble_ghost(space_u, go_u, stab.gamma_g_u)
+        parts["g2"] = assemble_ghost(space_t, go_t, h * h * stab.gamma_g_p)
+        parts["g3_1"] = assemble_ghost(space_f, go_f, stab.gamma_g_u)
+        parts["g3_2"] = (h * h) * parts["g3_1"]
 
     rhs = np.zeros(layout.total) if bdata is None else \
         assemble_rhs(space_u, space_t, space_f, rules, params, stab, bdata)
-    return BlockSystem(matrix=compose_matrix(parts, layout), rhs=rhs, layout=layout,
+    return BlockSystem(matrix=compose_matrix(parts, layout, params), rhs=rhs, layout=layout,
                        params=params, parts=parts)
 
 
-def compose_matrix(parts: dict, layout: FieldLayout) -> sp.csr_matrix:
-    """Signed sum of the blocks placed by `_TERMS`; off-diagonal ones enter twice (mirrored)."""
+def compose_matrix(parts: dict, layout: FieldLayout, params: PhysicalParams) -> sp.csr_matrix:
+    """Unit blocks placed by `_TERMS` times sign and scale, off-diagonal ones also mirrored."""
     rr, cc, vv = [], [], []
     for name in sorted(parts):
         term, coo = _TERMS[name], parts[name].tocoo()
         rows, cols = coo.row + layout.offset(term.row), coo.col + layout.offset(term.col)
+        vals = term.sign * term.scale(params) * coo.data
         rr.append(rows)
         cc.append(cols)
-        vv.append(term.sign * coo.data)
+        vv.append(vals)
         if term.row != term.col:
             rr.append(cols)
             cc.append(rows)
-            vv.append(term.sign * coo.data)
+            vv.append(vals)
     return sp.coo_matrix(
         (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
         shape=(layout.total, layout.total),
@@ -516,25 +511,19 @@ def without_ghost(system: BlockSystem) -> BlockSystem:
     cut-translation sweep to run the unstabilized arm without reassembly.
     """
     kept = {name: blk for name, blk in system.parts.items() if not _TERMS[name].ghost}
-    return replace(system, matrix=compose_matrix(kept, system.layout), parts=kept)
+    return replace(system, matrix=compose_matrix(kept, system.layout, system.params),
+                   parts=kept)
 
 
 def with_params(system: BlockSystem, params: PhysicalParams,
-                rhs: np.ndarray | None = None) -> BlockSystem:
-    """Rescale a system assembled at unit parameters to new (mu, lambda, K).
+                rhs: np.ndarray) -> BlockSystem:
+    """The same system at new (mu, lambda, K), composed from its unit blocks.
 
-    Every material parameter enters each term linearly, so blocks rescale
-    exactly; the caller must have assembled at mu = lambda = K = 1.
+    The load vector depends on the parameters through the Nitsche terms and
+    the case data, so the caller supplies the one assembled at `params`.
     """
-    base = system.params
-    if (base.mu, base.lam, base.K) != (1.0, 1.0, 1.0):
-        raise AssemblyError("parameter rescaling requires a unit-parameter assembly")
-    parts = {}
-    for name, blk in system.parts.items():
-        s = _TERMS[name].scale(params)
-        parts[name] = blk if s == 1.0 else s * blk
-    return replace(system, matrix=compose_matrix(parts, system.layout), params=params,
-                   rhs=system.rhs if rhs is None else rhs, parts=parts)
+    return replace(system, matrix=compose_matrix(system.parts, system.layout, params),
+                   params=params, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ triangulated, and the zero-chords become embedded-boundary segments.
 Boundary quadrature points carry outward unit normals (from the analytic
 gradient of whichever level set governs the local cut) and a part tag that
 separates the Dirichlet boundary (outer) from the stress boundary (hole).
-`build_cut_rules` turns the clips that classification stored into the rules,
-so the sub-grid depth is chosen once, by `mesh.classify`.
+A cut rule is made only from a stored `CellClip`: `mesh.classify` clips
+each cut cell once, choosing its sub-grid depth, and `build_cut_rules` turns
+those clips into volume and surface rules through `cut_volume_rule` and
+`cut_surface_rule`.
 """
 
 from __future__ import annotations
@@ -283,24 +285,12 @@ def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> Cel
     )
 
 
-def cut_volume_rule(cell: tuple[np.ndarray, np.ndarray], dom: LevelSetDomain,
-                    order: int = 5, subdiv: int = 3,
-                    clip: CellClip | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the cell-inside-domain region.
+def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature for the inside part of one clipped cell.
 
-    Uncut inside cells get the plain tensor Gauss rule; cut cells map a
-    triangle rule onto each inside sub-triangle of the clip.  Returns
-    physical points (n,2) and positive weights summing to ~|cell ∩ domain|.
+    Maps a triangle rule onto each inside sub-triangle of the clip.  Returns
+    physical points (n,2) and positive weights summing to |clip.tris|.
     """
-    lo, hi = np.asarray(cell[0], float), np.asarray(cell[1], float)
-    h = float(hi[0] - lo[0])
-    if clip is None:
-        clip = clip_cell(lo, h, dom, subdiv)
-    if len(clip.tris) == 0:
-        return np.zeros((0, 2)), np.zeros(0)
-    if len(clip.segs) == 0 and clip.area >= (1.0 - SLIVER_FRACTION) * h * h:
-        ref, w = tensor_square(order)
-        return lo + h * ref, w * h * h
     ref, w = triangle_rule(order)
     tris = clip.tris
     v0 = tris[:, 0][:, None, :]
@@ -311,27 +301,17 @@ def cut_volume_rule(cell: tuple[np.ndarray, np.ndarray], dom: LevelSetDomain,
     return pts.reshape(-1, 2), wts.ravel()
 
 
-def cut_surface_rule(cell: tuple[np.ndarray, np.ndarray], dom: LevelSetDomain,
-                     order: int = 5, subdiv: int = 3, clip: CellClip | None = None,
+def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature for the embedded boundary inside one cell.
+    """Quadrature for the embedded boundary chords of one clipped cell.
 
     Returns (points, weights, outward unit normals, part tags).  Normals come
     from the analytic gradient of the governing level set; tags separate the
     outer (Dirichlet) and hole (stress) parts.  Raises GeometryConflictError
     when both level sets vanish at the same point.
     """
-    lo, hi = np.asarray(cell[0], float), np.asarray(cell[1], float)
-    h = float(hi[0] - lo[0])
-    if clip is None:
-        clip = clip_cell(lo, h, dom, subdiv)
     segs = clip.segs
-    if len(segs) == 0:
-        z = np.zeros(0)
-        return np.zeros((0, 2)), z, np.zeros((0, 2)), z.astype(np.int8)
-
-    mids = segs.mean(axis=1)
-    seg_branch = dom.branch(mids)
+    seg_branch = dom.branch(segs.mean(axis=1))
 
     t, w = gauss_1d(order)
     a = segs[:, 0][:, None, :]
@@ -342,12 +322,11 @@ def cut_surface_rule(cell: tuple[np.ndarray, np.ndarray], dom: LevelSetDomain,
     branch = np.repeat(seg_branch, len(t))
 
     if dom.hole is not None:
-        v1 = dom.outer.value(pts)
-        v2 = dom.hole.value(pts)
-        if np.any((np.abs(v1) < GRAD_FLOOR) & (np.abs(v2) < GRAD_FLOOR)):
+        both = (np.abs(dom.outer.value(pts)) < GRAD_FLOOR) & \
+            (np.abs(dom.hole.value(pts)) < GRAD_FLOOR)
+        if np.any(both):
             raise GeometryConflictError(
-                f"both level sets vanish inside cell at {lo.tolist()}"
-            )
+                f"both level sets vanish at {pts[np.argmax(both)].tolist()}")
     normals = dom.outward_normal(pts, branch)
     tags = np.where(branch == 1, TAG_DIRICHLET, TAG_STRESS).astype(np.int8)
     return pts, wts, normals, tags
@@ -374,7 +353,6 @@ class CutRule:
     in `cut`, keyed by background cell index.
     """
 
-    subdiv: int
     h: float
     ref_pts: np.ndarray
     int_wts: np.ndarray
@@ -401,17 +379,14 @@ def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -
     Cut cells reuse the clip `classify` stored for them, at the sub-grid
     depth the classification used.
     """
-    mesh = active.mesh
-    h = mesh.h
+    h = active.mesh.h
     ref, w = tensor_square(order)
-    rule = CutRule(subdiv=active.subdiv, h=h, ref_pts=ref, int_wts=w * h * h)
+    rule = CutRule(h=h, ref_pts=ref, int_wts=w * h * h)
 
     for c in active.cut_cells:
-        lo = mesh.cell_origin(int(c))
         clip = active.clip_for(int(c))
-        cell = (lo, lo + h)
-        vp, vw = cut_volume_rule(cell, dom, order, clip=clip)
-        bp, bw, bn, bt = cut_surface_rule(cell, dom, order, clip=clip)
+        vp, vw = cut_volume_rule(clip, order)
+        bp, bw, bn, bt = cut_surface_rule(clip, dom, order)
         if len(vp) == 0 and len(bp) == 0:
             raise GeometryResolutionError(
                 f"cut cell {int(c)} produced an empty rule; classification is stale"

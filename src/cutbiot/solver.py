@@ -3,12 +3,14 @@
 The `(u, p_T, p_F)` matrix is symmetric, so the sparse LU first orders it
 by multiple minimum degree on A+Aᵀ in SuperLU's symmetric mode, with
 diagonal pivots.  Every solution is checked for finite entries and a
-relative residual of at most `RESIDUAL_TOL`; when that attempt fails the
-check, or SuperLU raises, the factor is freed and the system is factored
-again with COLAMD and partial pivoting, under the same check.  The
-condition estimate combines extremal singular-value estimates of the
-matrix and of its inverse through the factorization; everything is
-deterministic, including the Lanczos start vectors.
+relative residual of at most `RESIDUAL_TOL`; any linear factor solves a
+zero right-hand side, so there the factor must also solve a fixed non-zero
+probe.  When that attempt fails the check, or SuperLU raises, the factor is
+freed and the system is factored again with COLAMD and partial pivoting,
+under the same check.  The condition estimate combines extremal
+singular-value estimates of the matrix and of its inverse through the
+factorization; everything is deterministic, including the Lanczos start
+vectors and the probe.
 """
 
 from __future__ import annotations
@@ -34,10 +36,8 @@ class SolveReport:
 
     x: np.ndarray
     rel_residual: float
-    n: int
     factor_nnz: int
     ordering: str  # "MMD_AT_PLUS_A" (symmetric attempt) or "COLAMD" (fallback)
-    kappa: float | None = None
     _lu: object = field(default=None, repr=False)
 
 
@@ -47,16 +47,25 @@ def _symmetric_lu(matrix: sp.csc_matrix):
                      options=dict(SymmetricMode=True))
 
 
-def _check(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> tuple[float, str | None]:
-    """Relative residual of `x` and why it is rejected, or None if it passes."""
+def _probe(n: int) -> np.ndarray:
+    """Fixed non-zero vector: the factor check's probe and the Lanczos start."""
+    return np.sin(np.arange(1, n + 1, dtype=float))
+
+
+def _solve_checked(a: sp.spmatrix, lu, b: np.ndarray):
+    """Solve `a x = b` with `lu`: `(x, rel, failure)`, failure None if `x` passes.
+
+    Any linear factor solves a zero `b`, so there the factor must also solve `_probe`.
+    """
+    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
-        return float("nan"), "solution contains non-finite entries (singular system)"
+        return x, float("nan"), "solution contains non-finite entries (singular system)"
     bnorm = np.linalg.norm(b)
     rnorm = np.linalg.norm(a @ x - b)
     rel = float(rnorm / bnorm if bnorm > 0 else rnorm)
     if rel > RESIDUAL_TOL:
-        return rel, f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}"
-    return rel, None
+        return x, rel, f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}"
+    return x, rel, None if bnorm > 0 else _solve_checked(a, lu, _probe(len(b)))[2]
 
 
 def _factorize(a: sp.spmatrix, b: np.ndarray):
@@ -71,8 +80,7 @@ def _factorize(a: sp.spmatrix, b: np.ndarray):
     except RuntimeError as exc:  # SuperLU reports the failing pivot here
         failure = f"sparse factorization failed: {exc}"
     else:
-        x = lu.solve(b)
-        rel, failure = _check(a, b, x)
+        x, rel, failure = _solve_checked(a, lu, b)
         if failure is None:
             return lu, x, rel, None, "MMD_AT_PLUS_A"
     logger.warning("symmetric MMD_AT_PLUS_A factorization rejected (%s); "
@@ -82,24 +90,22 @@ def _factorize(a: sp.spmatrix, b: np.ndarray):
         lu = spla.splu(csc)
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(b)
-    rel, failure = _check(a, b, x)
+    x, rel, failure = _solve_checked(a, lu, b)
     return lu, x, rel, failure, "COLAMD"
 
 
 def solve(system: BlockSystem) -> SolveReport:
     """Factor and solve; raises SolverError on breakdown or a bad residual."""
-    a = system.matrix
-    lu, x, rel, failure, ordering = _factorize(a, system.rhs)
+    lu, x, rel, failure, ordering = _factorize(system.matrix, system.rhs)
     if failure is not None:
         raise SolverError(failure)
-    return SolveReport(x=x, rel_residual=rel, n=a.shape[0],
+    return SolveReport(x=x, rel_residual=rel,
                        factor_nnz=int(lu.L.nnz + lu.U.nnz), ordering=ordering, _lu=lu)
 
 
 def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
     """Largest |eigenvalue| of a symmetric operator, deterministic Lanczos."""
-    v0 = np.sin(np.arange(1, n + 1, dtype=float))
+    v0 = _probe(n)
     v0 /= np.linalg.norm(v0)
     if n <= 64:
         A = np.column_stack([op_matvec(e) for e in np.eye(n)])
@@ -126,11 +132,14 @@ def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
 
 
 def estimate_condition(system: BlockSystem, lu=None, tol: float = 1e-2) -> float:
-    """Spectral condition number estimate, accurate to a few percent."""
+    """Spectral condition number estimate, accurate to a few percent.
+
+    Without `lu` the factor comes from `solve`, so an unchecked factor raises SolverError.
+    """
     a = system.matrix
     n = a.shape[0]
     if lu is None:
-        lu = _factorize(a, system.rhs)[0]
+        lu = solve(system)._lu
     sigma_max = _extremal_magnitude(lambda v: a @ v, n, tol)
     inv_max = _extremal_magnitude(lu.solve, n, tol)
     if not np.isfinite(inv_max) or inv_max <= 0:

@@ -23,7 +23,7 @@ from .errors import ConfigurationError
 from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
                     quadrature_table, tabulate, tabulation_columns)
 from .geometry import TAG_DIRICHLET, TAG_STRESS, CutRule
-from .spaces import FeSpace, FieldLayout
+from .spaces import FeSpace, make_layout
 
 PI = math.pi
 
@@ -179,7 +179,7 @@ def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.nd
 
 def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
                 space_t: FeSpace, space_f: FeSpace, rules: CutRule,
-                stab: StabilizationParams, layout: FieldLayout) -> ErrorReport:
+                stab: StabilizationParams) -> ErrorReport:
     """Quadrature evaluation of all error norms against the analytic fields.
 
     One pass per table (volume, Dirichlet part, stress part) over the same
@@ -190,6 +190,7 @@ def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
         raise ConfigurationError("spaces for error evaluation must share a mesh")
     prm = case.params
     h = rules.h
+    layout = make_layout(space_u, space_t, space_f)
     xu, xt, xf = x[layout.s_u], x[layout.s_t], x[layout.s_f]
     active = space_u.active
     spaces = (space_u, space_t, space_f)

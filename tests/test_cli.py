@@ -14,7 +14,7 @@ import pytest
 from cutbiot import cli
 from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
-from cutbiot.errors import ConfigurationError, SolverError
+from cutbiot.errors import ConfigurationError, GeometryResolutionError, SolverError
 
 SOLVE_CFG = {"mesh": {"n": 12},
              "output": {"write_points": True, "write_matrix": True,
@@ -316,3 +316,23 @@ def test_sweep_failures_sidecar(monkeypatch, tmp_path):
     assert sweep[0] == "delta,stabilized,err_u_star,err_pT_star,err_pF_star," \
         "err_u_L2,kappa,solver_status"
     assert [line.split(",")[-1] for line in sweep[1:]] == ["ok", "failed", "ok", "failed"]
+
+
+def test_sweep_geometry_failure_fails_both_arms(monkeypatch, tmp_path):
+    real_rules = cli.build_cut_rules
+
+    def unresolved_at_second_delta(active, dom, order):
+        if active.mesh.box_lo[0] > -1.0 + 0.2 * active.mesh.h:  # delta 0.3, not 0.1
+            raise GeometryResolutionError("level set not resolved at subdivision 6")
+        return real_rules(active, dom, order)
+
+    monkeypatch.setattr(cli, "build_cut_rules", unresolved_at_second_delta)
+    assert main(["sweep", "--config", str(_write(tmp_path, "s.json", SWEEP_CFG)),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "sweep_failures.csv").read_text().splitlines()
+    assert lines == ["delta,stabilized,error,message",
+                     "0.3,true,GeometryResolutionError,level set not resolved at subdivision 6",
+                     "0.3,false,GeometryResolutionError,level set not resolved at subdivision 6"]
+    sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in sweep[1:]] == ["ok", "ok", "failed", "failed"]
+    assert sweep[3] == "0.3,true,,,,,,failed"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutbiot.errors import AssemblyError, ConfigurationError
-from cutbiot.forms import (BoundaryData, PhysicalParams, StabilizationParams,
+from cutbiot.forms import (_TERMS, BoundaryData, PhysicalParams, StabilizationParams,
                            assemble_ghost, assemble_rhs, assemble_system,
                            full_cell_matrix, mass_matrix, with_params, without_ghost)
 from cutbiot.geometry import (ConstantLevelSet, LevelSetDomain, build_cut_rules,
@@ -34,10 +34,16 @@ def _bare(su, st, sf, rules, params, stab=StabilizationParams()):
     return assemble_system(su, st, sf, rules, params, stab, include_ghost=False)
 
 
+def _scaled(system, name):
+    """One term's block at the system's parameters: its unit block times its scale."""
+    return system.parts[name] * _TERMS[name].scale(system.params)
+
+
 def _a3(disc_spaces, rules, params, stab):
     """(a3_1, a3_2): the Darcy part with its Nitsche terms, and the 2/lambda mass."""
-    parts = _bare(*disc_spaces, rules, params, stab).parts
-    return parts["a3_stiff"] + parts["a3_nitsche"] + parts["a3_penalty"], parts["a3_mass"]
+    sys_ = _bare(*disc_spaces, rules, params, stab)
+    return (_scaled(sys_, "a3_stiff") + _scaled(sys_, "a3_nitsche")
+            + _scaled(sys_, "a3_penalty"), _scaled(sys_, "a3_mass"))
 
 
 def test_a1_rigid_translation_zero(fullbox, params, stab):
@@ -85,28 +91,28 @@ def test_b1_divergence_value(disc16):
 
 def test_a2_box_and_domain(fullbox, disc16):
     act, rules, su, st, sf = fullbox
-    a2 = _bare(su, st, sf, rules, PhysicalParams(lam=2.0)).parts["a2_mass"]
+    a2 = _scaled(_bare(su, st, sf, rules, PhysicalParams(lam=2.0)), "a2_mass")
     ones = np.ones(st.n_dofs)
     assert ones @ (a2 @ ones) == pytest.approx(2.0, rel=1e-12)
-    a2d = _bare(disc16.su, disc16.st, disc16.sf, disc16.rules,
-                PhysicalParams(lam=1.0)).parts["a2_mass"]
+    a2d = _scaled(_bare(disc16.su, disc16.st, disc16.sf, disc16.rules,
+                        PhysicalParams(lam=1.0)), "a2_mass")
     ones = np.ones(disc16.st.n_dofs)
     assert ones @ (a2d @ ones) == pytest.approx(OMEGA_AREA, abs=1e-3)
 
 
 def test_a2_lambda_scaling(disc16):
     spaces = disc16.su, disc16.st, disc16.sf
-    a_unit = _bare(*spaces, disc16.rules, PhysicalParams(lam=1.0)).parts["a2_mass"]
-    a_big = _bare(*spaces, disc16.rules, PhysicalParams(lam=1e8)).parts["a2_mass"]
+    a_unit = _scaled(_bare(*spaces, disc16.rules, PhysicalParams(lam=1.0)), "a2_mass")
+    a_big = _scaled(_bare(*spaces, disc16.rules, PhysicalParams(lam=1e8)), "a2_mass")
     diff = (a_big - 1e-8 * a_unit)
     assert np.abs(diff.data).max() <= 1e-22 if diff.nnz else True
 
 
 def test_b2_scaling_and_oracle(disc16):
     spaces = disc16.su, disc16.st, disc16.sf
-    b2_tiny = _bare(*spaces, disc16.rules, PhysicalParams(lam=1e16)).parts["b2_mass"]
+    b2_tiny = _scaled(_bare(*spaces, disc16.rules, PhysicalParams(lam=1e16)), "b2_mass")
     assert np.abs(b2_tiny.data).max() <= 1e-16 * 4.0  # area-bounded local mass
-    b2 = _bare(*spaces, disc16.rules, PhysicalParams(lam=3.0)).parts["b2_mass"]
+    b2 = _scaled(_bare(*spaces, disc16.rules, PhysicalParams(lam=3.0)), "b2_mass")
     rng = np.random.default_rng(6)
     pf = rng.standard_normal(disc16.sf.n_dofs)
     qt = rng.standard_normal(disc16.st.n_dofs)
@@ -140,7 +146,7 @@ def test_a3_term_scalings(disc16, stab):
     def a3_blocks(prm):
         sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab,
                                include_ghost=False)
-        return sys_.parts
+        return {name: _scaled(sys_, name) for name in sys_.parts}
 
     base = a3_blocks(PhysicalParams(lam=1.0, K=1.0))
     scaled = a3_blocks(PhysicalParams(lam=1e8, K=1e-8))
@@ -170,15 +176,15 @@ def test_ghost_annihilates_global_polynomials(disc16):
                    for i in range(3) for j in range(3))
 
     v = disc16.sf.interpolate(q2poly)
-    assert ghost_seminorm(disc16.sf, disc16.active, v, 2) < 1e-10 * np.abs(v).max()
+    assert ghost_seminorm(disc16.sf, v, 2) < 1e-10 * np.abs(v).max()
 
     vu = disc16.su.interpolate(lambda p: np.column_stack([q2poly(p), p[:, 0] * p[:, 1]]))
-    assert ghost_seminorm(disc16.su, disc16.active, vu, 2) < 1e-10 * np.abs(vu).max()
+    assert ghost_seminorm(disc16.su, vu, 2) < 1e-10 * np.abs(vu).max()
 
     # the seminorm agrees with the assembled quadratic form on generic fields
-    g = assemble_ghost(disc16.sf, disc16.active, 1.0, 2, 1.0)
+    g = assemble_ghost(disc16.sf, 2, 1.0)
     w = rng.standard_normal(disc16.sf.n_dofs)
-    assert ghost_seminorm(disc16.sf, disc16.active, w, 2) == \
+    assert ghost_seminorm(disc16.sf, w, 2) == \
         pytest.approx(np.sqrt(w @ (g @ w)), rel=1e-10)
 
 
@@ -194,7 +200,7 @@ def test_ghost_single_facet_value():
     assert len(act.ghost_facets) == 3  # two vertical + one between cut cells
     s1 = build_space(act, 1)
     gamma = 0.37
-    g = assemble_ghost(s1, act, 1.0, 1, gamma)
+    g = assemble_ghost(s1, 1, gamma)
     v = s1.interpolate(lambda p: np.maximum(p[:, 0] - 0.5, 0.0))
     h = mesh.h
     assert v @ (g @ v) == pytest.approx(2.0 * gamma * h * h, rel=1e-12)
@@ -206,7 +212,7 @@ def test_ghost_weak_consistency_decay(flower_domain):
         mesh = build_mesh([-1, -1], [1, 1], n)
         act = classify(mesh, flower_domain)
         s = build_space(act, 2)
-        g = assemble_ghost(s, act, 1.0, 2, 1.0)
+        g = assemble_ghost(s, 2, 1.0)
         v = s.interpolate(lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
         vals.append(np.sqrt(v @ (g @ v)))
     assert vals[0] > vals[1] > vals[2]
@@ -214,14 +220,11 @@ def test_ghost_weak_consistency_decay(flower_domain):
 
 def test_ghost_order_validation(disc16):
     with pytest.raises(ConfigurationError):
-        assemble_ghost(disc16.st, disc16.active, 1.0, 2, 1.0)  # Q1 has no 2nd jumps
-    with pytest.raises(AssemblyError):
-        other = classify(build_mesh([-1, -1], [1, 1], 8), make_flower_domain())
-        assemble_ghost(disc16.st, other, 1.0, 1, 1.0)
+        assemble_ghost(disc16.st, 2, 1.0)  # Q1 has no 2nd jumps
 
 
 def test_ghost_positive_semidefinite(disc16):
-    g = assemble_ghost(disc16.st, disc16.active, 1.0, 1, 0.01)
+    g = assemble_ghost(disc16.st, 1, 0.01)
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(disc16.st.n_dofs)
@@ -291,7 +294,7 @@ def test_parameter_rescaling_matches_direct(disc16, stab):
                            PhysicalParams(1.0, 1.0, 1.0), stab)
     prm = PhysicalParams(mu=2.5, lam=1e8, K=1e-8)
     direct = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab)
-    scaled = with_params(unit, prm)
+    scaled = with_params(unit, prm, direct.rhs)
     d = (direct.matrix - scaled.matrix).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) <= \
         1e-14 * np.abs(direct.matrix.data).max()
@@ -310,23 +313,23 @@ def test_without_ghost_removes_only_ghost_terms(disc16, params, stab):
 def test_ghost_per_field_scalings(disc16, params, stab):
     # gradient-type forms take the bare facet sum, mass-type forms an extra
     # h^2: mu for u, h^2 for p_T, K + h^2/lambda for p_F
-    sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, params, stab)
     h = disc16.rules.h
     go_f = min(disc16.sf.degree, stab.ghost_order)
-    g_f = assemble_ghost(disc16.sf, disc16.active, 1.0, go_f, stab.gamma_g_u)
-    expected = {
-        "g1": assemble_ghost(disc16.su, disc16.active, 1.0,
-                             min(disc16.su.degree, stab.ghost_order), stab.gamma_g_u),
-        "g2": h * h * assemble_ghost(disc16.st, disc16.active, 1.0,
-                                     min(disc16.st.degree, stab.ghost_order),
-                                     stab.gamma_g_p),
-        "g3_1": g_f,
-        "g3_2": h * h * g_f,
-    }
-    for name, want in expected.items():
-        d = (sys_.parts[name] - want).tocoo()
-        assert (np.abs(d.data).max() if d.nnz else 0.0) <= \
-            1e-14 * np.abs(want.data).max(), name
+    g_f = assemble_ghost(disc16.sf, go_f, stab.gamma_g_u)
+    g_u = assemble_ghost(disc16.su, min(disc16.su.degree, stab.ghost_order), stab.gamma_g_u)
+    g_t = assemble_ghost(disc16.st, min(disc16.st.degree, stab.ghost_order), stab.gamma_g_p)
+    for prm in (params, PhysicalParams(mu=2.5, lam=4.0, K=0.3)):
+        sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab)
+        expected = {
+            "g1": prm.mu * g_u,
+            "g2": h * h * g_t,
+            "g3_1": prm.K * g_f,
+            "g3_2": (h * h / prm.lam) * g_f,
+        }
+        for name, want in expected.items():
+            d = (_scaled(sys_, name) - want).tocoo()
+            assert (np.abs(d.data).max() if d.nnz else 0.0) <= \
+                1e-14 * np.abs(want.data).max(), name
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +376,8 @@ def test_extension_and_inverse_inequalities_across_cuts(stab):
         s_full = full_cell_matrix(st, "stiff")
         s_int = full_cell_matrix(st, "stiff", cells=act.interior_cells)
         m_full = full_cell_matrix(st, "mass")
-        g2 = assemble_ghost(st, act, h * h, 1, stab.gamma_g_p)
-        g_unit = assemble_ghost(st, act, 1.0, 1, 1.0)
+        g2 = assemble_ghost(st, 1, h * h * stab.gamma_g_p)
+        g_unit = assemble_ghost(st, 1, 1.0)
         c_ext = c_inv = 0.0
         for _ in range(100):
             v = rng.standard_normal(st.n_dofs)

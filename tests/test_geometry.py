@@ -2,19 +2,58 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutbiot.errors import (ConfigurationError, GeometryConflictError,
                             GeometryResolutionError)
+from cutbiot.forms import quadrature_table
 from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
-                              LevelSetDomain, clip_cell, cut_surface_rule,
+                              LevelSetDomain, build_cut_rules, clip_cell, cut_surface_rule,
                               cut_volume_rule, flower_levelset, make_flower_domain,
                               TAG_DIRICHLET, TAG_STRESS)
-from cutbiot.mesh import build_mesh, classify
+from cutbiot.mesh import CellTag, build_mesh, classify
 
 from oracles import CIRCLE_LENGTH, FLOWER_AREA, OMEGA_AREA, flower_arclength, \
     montecarlo_area
 
-UNIT_CELL = (np.zeros(2), np.ones(2))
+# random straight cuts through the unit cell: the normal's angle, a point the
+# cut passes through, and the sub-grid depth of the clip
+halfplane_cut = dict(theta=st.floats(0.0, 2.0 * np.pi), px=st.floats(0.05, 0.95),
+                     py=st.floats(0.05, 0.95), subdiv=st.integers(1, 4))
+halfplane_examples = settings(derandomize=True, deadline=None, database=None,
+                              max_examples=60)
+MONOMIALS = [(i, j) for i in range(6) for j in range(6 - i)]  # degree <= 5
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(6)  # exact to degree 11 on a segment
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
+
+
+def _halfplane(theta, px, py, subdiv):
+    """The clip of the unit cell by {n.(x - p) < 0}, its domain and the unit normal n."""
+    n = np.array([np.cos(theta), np.sin(theta)])
+    dom = LevelSetDomain(AffineLevelSet(n[0], n[1], -(n[0] * px + n[1] * py)))
+    return clip_cell(np.zeros(2), 1.0, dom, subdiv), dom, n
+
+
+def _square_cut(n, p):
+    """Oracle: the CCW polygon {x in [0,1]^2 : n.(x - p) <= 0} and its two chord ends."""
+    square = [np.array(v, dtype=float) for v in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+    poly = []
+    for a, b in zip(square, square[1:] + square[:1]):
+        fa, fb = n @ (a - p), n @ (b - p)
+        if fa <= 0:
+            poly.append(a)
+        if fa < 0 < fb or fb < 0 < fa:
+            poly.append(a + fa / (fa - fb) * (b - a))
+    on = [v for v in poly if abs(n @ (v - p)) <= 1e-14]
+    ends = max(((a, b) for a in on for b in on), key=lambda e: np.hypot(*(e[1] - e[0])))
+    return poly, ends
+
+
+def _segment_moment(a, b, f):
+    """Integral over t in [0,1] of f at a + t (b - a), exact for polynomials of degree <= 11."""
+    pts = a + _GL_T[:, None] * (b - a)
+    return float(_GL_W @ f(pts))
 
 
 def test_flower_levelset_values():
@@ -46,28 +85,52 @@ def test_gradients_match_finite_differences(ls):
     assert np.abs(ls.grad(pts) - np.column_stack([gx, gy])).max() < 1e-7
 
 
-def test_halfplane_volume_exact():
-    dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))
-    pts, wts = cut_volume_rule(UNIT_CELL, dom, order=5, subdiv=3)
-    assert wts.sum() == pytest.approx(0.5, abs=1e-14)
+@halfplane_examples
+@given(**halfplane_cut)
+@example(theta=0.0, px=0.5, py=0.5, subdiv=3)  # the vertical cut x = 0.5
+def test_halfplane_volume_exact(theta, px, py, subdiv):
+    clip, _, n = _halfplane(theta, px, py, subdiv)
+    pts, wts = cut_volume_rule(clip, order=5)
+    poly, _ = _square_cut(n, np.array([px, py]))
+    area = 0.5 * sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(poly, poly[1:] + poly[:1]))
+    assert wts.sum() == pytest.approx(area, abs=1e-14)
     assert np.all(wts > 0)
-    assert np.all(pts[:, 0] <= 0.5 + 1e-12)
+    assert np.all((pts - [px, py]) @ n <= 1e-12)  # every point in the inside half
+    # divergence theorem: the integral of x^i y^j is the flux of (x^(i+1) y^j/(i+1), 0)
+    for i, j in MONOMIALS:
+        exact = sum((b[1] - a[1]) * _segment_moment(
+            a, b, lambda q: q[:, 0] ** (i + 1) * q[:, 1] ** j / (i + 1))
+            for a, b in zip(poly, poly[1:] + poly[:1]))
+        assert wts @ (pts[:, 0] ** i * pts[:, 1] ** j) == pytest.approx(exact, abs=1e-12), (i, j)
 
 
-def test_halfplane_surface_exact():
-    dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))
-    pts, wts, normals, tags = cut_surface_rule(UNIT_CELL, dom, order=5, subdiv=3)
-    assert wts.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.allclose(pts[:, 0], 0.5)
-    assert np.allclose(normals, [1.0, 0.0])
+@halfplane_examples
+@given(**halfplane_cut)
+@example(theta=0.0, px=0.5, py=0.5, subdiv=3)  # the vertical cut x = 0.5
+def test_halfplane_surface_exact(theta, px, py, subdiv):
+    clip, dom, n = _halfplane(theta, px, py, subdiv)
+    pts, wts, normals, tags = cut_surface_rule(clip, dom, order=5)
+    _, (a, b) = _square_cut(n, np.array([px, py]))
+    length = np.hypot(*(b - a))
+    assert wts.sum() == pytest.approx(length, abs=1e-13)
+    assert np.abs((pts - [px, py]) @ n).max() <= 1e-12  # every point on the cut
+    assert np.all(wts > 0)
+    assert np.abs(np.hypot(normals[:, 0], normals[:, 1]) - 1.0).max() < 1e-14
+    assert np.abs(normals - n).max() < 1e-14
     assert np.all(tags == TAG_DIRICHLET)
+    for i, j in MONOMIALS:
+        exact = length * _segment_moment(a, b, lambda q: q[:, 0] ** i * q[:, 1] ** j)
+        assert wts @ (pts[:, 0] ** i * pts[:, 1] ** j) == pytest.approx(exact, abs=1e-12), (i, j)
 
 
 def test_full_cell_tensor_rule():
+    # cells wholly inside are interior and carry the reference tensor rule
     dom = LevelSetDomain(ConstantLevelSet(-1.0))
-    pts, wts = cut_volume_rule(UNIT_CELL, dom, order=5)
-    assert len(pts) == 9  # 3x3 tensor Gauss for degree 5
-    assert wts.sum() == pytest.approx(1.0)
+    act = classify(build_mesh([0, 0], [1, 1], 2), dom)
+    assert np.all(act.tags == CellTag.INTERIOR) and len(act.cut_cells) == 0
+    [group] = quadrature_table(act, build_cut_rules(act, dom, order=5))
+    assert group.wts.shape == (4, 9)  # 3x3 tensor Gauss for degree 5
+    assert group.wts.sum() == pytest.approx(1.0)
 
 
 def test_cut_area_against_analytic_and_montecarlo(disc32):
@@ -80,19 +143,18 @@ def test_cut_area_against_analytic_and_montecarlo(disc32):
 def test_boundary_lengths(flower_domain):
     mesh = build_mesh([-1, -1], [1, 1], 64)
     act = classify(mesh, flower_domain)
-    from cutbiot.geometry import build_cut_rules
-
     rules = build_cut_rules(act, flower_domain)
     assert rules.boundary_length(TAG_DIRICHLET) == pytest.approx(CIRCLE_LENGTH, abs=1e-3)
     assert rules.boundary_length(TAG_STRESS) == pytest.approx(flower_arclength(), abs=1e-3)
 
 
-def test_geometric_conservation(disc32):
+def test_geometric_conservation(disc16, disc32):
     # divergence theorem on a constant field over the closed total boundary;
     # tolerance scales with the square of the sub-grid resolution
-    h_sub = disc32.mesh.h / 2 ** disc32.rules.subdiv
-    moment = disc32.rules.boundary_moment()
-    assert np.abs(moment).max() <= 10.0 * h_sub ** 2
+    for disc in (disc16, disc32):
+        h_sub = disc.mesh.h / 2 ** disc.active.subdiv
+        moment = disc.rules.boundary_moment()
+        assert np.abs(moment).max() <= 10.0 * h_sub ** 2, disc.n
 
 
 def test_subdivision_refinement_monotone(flower_domain):
@@ -100,8 +162,6 @@ def test_subdivision_refinement_monotone(flower_domain):
     errs = []
     for m in (2, 3, 4):
         act = classify(mesh, flower_domain, subdiv=m)
-        from cutbiot.geometry import build_cut_rules
-
         rules = build_cut_rules(act, flower_domain)
         errs.append(abs(rules.total_volume(act) - OMEGA_AREA))
     assert errs[0] > errs[1] > errs[2]
@@ -146,8 +206,6 @@ def test_zero_sets_separated(flower_domain):
     # sampled min of the other level set over each boundary part exceeds h
     mesh = build_mesh([-1, -1], [1, 1], 64)
     act = classify(mesh, flower_domain)
-    from cutbiot.geometry import build_cut_rules
-
     rules = build_cut_rules(act, flower_domain)
     gap = np.inf
     for r in rules.cut.values():
@@ -164,7 +222,7 @@ def test_geometry_conflict_error():
     # both zero sets coincide along x=0.5: ambiguous boundary part
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5), AffineLevelSet(-1.0, 0.0, 0.5))
     with pytest.raises(GeometryConflictError):
-        cut_surface_rule(UNIT_CELL, dom, order=5, subdiv=3)
+        cut_surface_rule(clip_cell(np.zeros(2), 1.0, dom, 3), dom, order=5)
 
 
 class _Wiggle:

@@ -41,11 +41,14 @@ def unit(disc12):
 
 
 @examples(20)
-@given(prm=params_st)
-def test_with_params_matches_direct_assembly(disc12, unit, prm):
+@given(prm=params_st, base=st.one_of(st.none(), params_st))
+def test_with_params_matches_direct_assembly(disc12, unit, prm, base):
+    # any base system rescales, the unit one or one assembled at other parameters
     d = disc12
+    if base is not None:
+        base = assemble_system(d.su, d.st, d.sf, d.rules, base, StabilizationParams())
     direct = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams())
-    scaled = with_params(unit, prm)
+    scaled = with_params(unit if base is None else base, prm, direct.rhs)
     assert _max_abs(direct.matrix - scaled.matrix) <= 1e-14 * _max_abs(direct.matrix)
 
 
@@ -64,16 +67,17 @@ def test_without_ghost_matches_unstabilized_assembly(disc12, prm):
 @examples(20)
 @given(prm=params_st, stabilized=st.booleans())
 def test_block_is_signed_sum_of_placed_parts(unit, prm, stabilized):
-    system = with_params(unit if stabilized else without_ghost(unit), prm)
+    system = with_params(unit if stabilized else without_ghost(unit), prm, unit.rhs)
     for r in FIELDS:
         for c in FIELDS:
             want = 0.0 * system.block(r, c)
             for name, blk in system.parts.items():
                 term = _TERMS[name]
+                factor = term.sign * term.scale(prm)
                 if (term.row, term.col) == (r, c):
-                    want = want + term.sign * blk
+                    want = want + factor * blk
                 elif (term.col, term.row) == (r, c):  # mirrored off-diagonal term
-                    want = want + term.sign * blk.T
+                    want = want + factor * blk.T
             got = system.block(r, c)
             assert got.shape == want.shape
             assert _max_abs(got - want) <= 1e-14 * _max_abs(system.matrix)
@@ -90,13 +94,12 @@ def test_ghost_seminorm_quadratic_form_and_annihilation(n, delta, degree, seed):
 
     # the direct jump sum is the square root of the assembled quadratic form
     w = rng.standard_normal(space.n_dofs)
-    G = assemble_ghost(space, act, 1.0, degree, 1.0)
-    assert ghost_seminorm(space, act, w, degree) == pytest.approx(np.sqrt(w @ (G @ w)),
-                                                                  rel=1e-10)
+    G = assemble_ghost(space, degree, 1.0)
+    assert ghost_seminorm(space, w, degree) == pytest.approx(np.sqrt(w @ (G @ w)), rel=1e-10)
 
     # a global Q_degree polynomial has no jumps across any facet
     coef = rng.standard_normal((degree + 1, degree + 1))
     v = space.interpolate(lambda p: sum(coef[i, j] * p[:, 0] ** i * p[:, 1] ** j
                                         for i in range(degree + 1)
                                         for j in range(degree + 1)))
-    assert ghost_seminorm(space, act, v, degree) < 1e-10 * np.abs(v).max()
+    assert ghost_seminorm(space, v, degree) < 1e-10 * np.abs(v).max()

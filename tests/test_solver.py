@@ -55,7 +55,7 @@ def test_manufactured_solve_residual(disc16, params, stab):
                              params, stab, case.boundary_data())
     rep = solve(system)
     assert rep.rel_residual <= 1e-9
-    assert rep.n == disc16.layout.total
+    assert len(rep.x) == disc16.layout.total
     assert rep.factor_nnz > 0
 
 
@@ -131,6 +131,13 @@ class _OffsetLU:
         return self._lu.solve(b) + 1e-3
 
 
+class _DoublingLU(_OffsetLU):
+    """A linear but wrong factor: it solves a zero right-hand side exactly."""
+
+    def solve(self, b):
+        return 2.0 * self._lu.solve(b)
+
+
 def test_fallback_when_symmetric_factorization_raises(monkeypatch, caplog, disc16,
                                                       params, stab):
     def failing(matrix):
@@ -145,13 +152,15 @@ def test_fallback_when_symmetric_factorization_raises(monkeypatch, caplog, disc1
     assert "Factor is exactly singular" in caplog.text
 
 
+@pytest.mark.parametrize("bad_lu, with_load", [(_OffsetLU, True), (_DoublingLU, False)],
+                         ids=["offset", "zero_rhs_linear"])
 def test_fallback_when_symmetric_solution_misses_residual(monkeypatch, caplog, disc16,
-                                                          params, stab):
+                                                          params, stab, bad_lu, with_load):
     rejected = []
 
-    def offset(matrix):
-        lu = _OffsetLU(real_splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)))
+    def bad_symmetric(matrix):
+        lu = bad_lu(real_splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)))
         rejected.append(weakref.ref(lu))
         return lu
 
@@ -161,9 +170,10 @@ def test_fallback_when_symmetric_solution_misses_residual(monkeypatch, caplog, d
         return real_splu(matrix, *args, **kwargs)
 
     real_splu = spla.splu
-    monkeypatch.setattr(solver, "_symmetric_lu", offset)
+    monkeypatch.setattr(solver, "_symmetric_lu", bad_symmetric)
     monkeypatch.setattr(solver.spla, "splu", fallback_splu)
-    system = _trig_system(disc16, params, stab)
+    system = _trig_system(disc16, params, stab) if with_load else \
+        assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, params, stab)
     with caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
         rep = solve(system)
     assert len(rejected) == 1
@@ -185,3 +195,17 @@ def test_condition_estimate_factors_through_solve_path(monkeypatch, disc16, para
     kappa = estimate_condition(system)
     assert attempts == [system.matrix.shape]
     assert kappa == pytest.approx(estimate_condition(system, lu=solve(system)._lu), rel=1e-8)
+
+
+def test_condition_estimate_rejects_unverified_factors(monkeypatch, disc16, params, stab):
+    # both attempts make factors that fail the residual check; the estimate
+    # must not run on either of them
+    real_splu = spla.splu
+    monkeypatch.setattr(solver, "_symmetric_lu", lambda matrix: _OffsetLU(real_splu(matrix)))
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda matrix, *a, **kw: _OffsetLU(real_splu(matrix, *a, **kw)))
+    system = _trig_system(disc16, params, stab)
+    with pytest.raises(SolverError):
+        solve(system)
+    with pytest.raises(SolverError):
+        estimate_condition(system)

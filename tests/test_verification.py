@@ -103,8 +103,7 @@ def test_error_norm_of_unit_field_is_area(disc16, stab):
     # |1|_L2(Omega)^2 = |Omega|
     case = _FieldCase(p_f=lambda p: np.ones(len(p)))
     x = np.zeros(disc16.layout.total)
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules,
-                      stab, disc16.layout)
+    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
     assert rep.pF_L2 ** 2 == pytest.approx(OMEGA_AREA, abs=1e-3)
 
 
@@ -130,8 +129,7 @@ def test_error_norms_zero_for_representable_fields(disc16, stab):
     x = np.concatenate([disc16.su.interpolate(u_poly),
                         disc16.st.interpolate(pt_poly),
                         disc16.sf.interpolate(pf_poly)])
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules,
-                      stab, disc16.layout)
+    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
     for v in (rep.u_star, rep.u_L2, rep.pT_star, rep.pF_star, rep.pF_L2):
         assert v < 1e-10
 
@@ -141,8 +139,7 @@ def test_lambda_weight_in_f_norm(disc16, stab):
     case = _FieldCase(p_f=lambda p: np.ones(len(p)),
                       params=PhysicalParams(lam=1e8, K=0.0))
     x = np.zeros(disc16.layout.total)
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules,
-                      stab, disc16.layout)
+    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
     assert rep.pF_F <= 1e-4 * rep.pF_L2 + 1e-15
 
 
@@ -151,8 +148,7 @@ def test_starred_norms_dominate(disc16, params, stab):
     system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                              params, stab, case.boundary_data())
     rep = solve(system)
-    err = error_norms(rep.x, case, disc16.su, disc16.st, disc16.sf, disc16.rules,
-                      stab, disc16.layout)
+    err = error_norms(rep.x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
     assert err.u_star >= err.u_V
     assert err.pT_star >= err.pT_L2
     assert err.pF_star >= err.pF_F
@@ -198,7 +194,7 @@ def test_divergence_variant_rates(flower_domain, stab):
     # the lambda-sensitive manufactured case keeps optimal starred rates
     from cutbiot.geometry import build_cut_rules
     from cutbiot.mesh import build_mesh, classify
-    from cutbiot.spaces import build_space, make_layout
+    from cutbiot.spaces import build_space
 
     prm = PhysicalParams(mu=1.0, lam=10.0, K=1.0)
     case = make_case(prm, "trig_div")
@@ -208,10 +204,9 @@ def test_divergence_variant_rates(flower_domain, stab):
         act = classify(mesh, flower_domain)
         rules = build_cut_rules(act, flower_domain)
         su, st, sf = build_space(act, 2, 2), build_space(act, 1), build_space(act, 2)
-        lay = make_layout(su, st, sf)
         system = assemble_system(su, st, sf, rules, prm, stab, case.boundary_data())
         rep = solve(system)
-        err = error_norms(rep.x, case, su, st, sf, rules, stab, lay)
+        err = error_norms(rep.x, case, su, st, sf, rules, stab)
         for k in seq:
             seq[k].append((rules.h, getattr(err, {"u_star": "u_star",
                                                   "pT_star": "pT_star",
