@@ -267,7 +267,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "pT_L2": float(np.sqrt(xt @ (m_t @ xt))),
         "pF_L2": float(np.sqrt(xf @ (m_f @ xf))),
     }
-    err = error_norms(report.x, case, su, st, sf, rules, stab)
+    [err] = error_norms(report.x[None], [case], su, st, sf, rules, stab)
     summary = {
         "n": n,
         "h": rules.h,
@@ -294,7 +294,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         mid = QuadGroup(cells, centers[inside][:, None, :], np.ones((len(cells), 1)))
         [(_, B)] = tabulate([mid], (su, st, sf))
         cols = tabulation_columns((su, st, sf))
-        vals = [field_values(s, c, cells, B, cols)[:, 0, 0]
+        vals = [field_values(s, c[None], cells, B, cols)[0, :, 0, 0]
                 for s, c in ((su, xu[0::2]), (su, xu[1::2]), (st, xt), (sf, xf))]
         _write_csv(out_dir / "solution_points.csv", ["x", "y", "ux", "uy", "pT", "pF"],
                    np.column_stack([centers[inside], *vals]).tolist())
@@ -314,27 +314,31 @@ _ERR_NAMES = ["err_u_star", "err_u_L2", "err_pT_star", "err_pT_L2", "err_pF_star
 
 
 def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
-    """All (lambda, K) runs of one refinement level, sharing the assembly."""
+    """All (lambda, K) runs of one refinement level, sharing the assembly.
+
+    One `assemble_rhs` call builds the load vectors of every (lambda, K) pair
+    and one `error_norms` call measures every solution; only the solves run
+    one pair at a time.
+    """
     cfg = RunConfig(raw=cfg_dict)
     conv = cfg.raw["convergence"]
     _, _, active, rules, su, st, sf, _ = _discretize(cfg, n, subdiv=conv["subdiv"])
     stab = cfg.stab()
     base = assemble_system(su, st, sf, rules, cfg.params(), stab,
                            include_ghost=cfg.stabilized)
-    rows = []
-    for lam in conv["lambdas"]:
-        for K in conv["Ks"]:
-            params = cfg.params(lam=lam, K=K)
-            case = make_case(params, cfg.raw["case"])
-            rhs = assemble_rhs(su, st, sf, rules, params, stab, case.boundary_data())
-            system = with_params(base, params, rhs=rhs)
-            report = solve(system)
-            err = error_norms(report.x, case, su, st, sf, rules, stab)
-            rows.append({"N": n, "h": rules.h, "lambda": lam, "K": K,
-                         "residual": report.rel_residual, **err.as_dict()})
-            # free this factorization before the next one is made
-            report = system = None
-    return rows
+    combos = [(lam, K) for lam in conv["lambdas"] for K in conv["Ks"]]
+    cases = [make_case(cfg.params(lam=lam, K=K), cfg.raw["case"]) for lam, K in combos]
+    rhs = assemble_rhs(su, st, sf, rules, stab,
+                       [(case.params, case.boundary_data()) for case in cases])
+    xs, residuals = [], []
+    for case, b in zip(cases, rhs):
+        report = solve(with_params(base, case.params, rhs=b))
+        xs.append(report.x)
+        residuals.append(report.rel_residual)
+        report = None  # free this factorization before the next one is made
+    errs = error_norms(np.array(xs), cases, su, st, sf, rules, stab)
+    return [{"N": n, "h": rules.h, "lambda": lam, "K": K, "residual": res, **err.as_dict()}
+            for (lam, K), res, err in zip(combos, residuals, errs)]
 
 
 def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
@@ -405,7 +409,9 @@ def _sweep_row(delta: float, stab_on: bool, exc: Exception | None = None) -> dic
 def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
     """Stabilized and unstabilized runs for one translated configuration.
 
-    A geometry failure at this translation fails both arms; the sweep goes on.
+    The solved arms are measured by one `error_norms` call; a failed arm
+    keeps empty errors.  A geometry failure at this translation fails both
+    arms; the sweep goes on.
     """
     cfg = RunConfig(raw=cfg_dict)
     n = cfg.raw["sweep"]["n"]
@@ -417,21 +423,25 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
     case = make_case(params, cfg.raw["case"])
     stabilized = assemble_system(su, st, sf, rules, params, stab,
                                  case.boundary_data(), include_ghost=True)
-    rows = []
+    rows, solved, xs = [], [], []
     for stab_on in (True, False):
         system = stabilized if stab_on else without_ghost(stabilized)
         row = _sweep_row(delta, stab_on)
         try:
             report = solve(system)
             row["kappa"] = estimate_condition(system, lu=report._lu)
-            err = error_norms(report.x, case, su, st, sf, rules, stab)
-            row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
-                        "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})
+            solved.append(row)
+            xs.append(report.x)
         except SolverError as exc:
             row = _sweep_row(delta, stab_on, exc)
         rows.append(row)
         # free this factorization before the next one is made
         report = system = None
+    if xs:
+        for row, err in zip(solved, error_norms(np.array(xs), [case] * len(xs),
+                                                su, st, sf, rules, stab)):
+            row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
+                        "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})
     return rows
 
 

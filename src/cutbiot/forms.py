@@ -11,20 +11,22 @@ boundary points also their normal and part tag.  Cells with equal point
 counts form a group, tabulated once per degree as [N, dN/dx, dN/dy]; a
 bilinear form is a slice or sum of the per-cell Gram matrices of that stack
 (one batched matmul per group), a load term a weighted moment of it, and
-each block one COO scatter.  Ghost facets of equal orientation share one
-jump matrix, and one walk over them serves the assembled penalty and the
-direct seminorm.  `_TERMS` is the only record of where each term goes in the
-3x3 system (row, column, sign), how it scales with the material parameters
-and whether it is a ghost penalty.  `BlockSystem.parts` holds the blocks at
-mu = lambda = K = 1 and only `compose_matrix` applies material parameters to
-them.  Assembly is single-threaded and bitwise deterministic.
+each block one COO scatter.  `assemble_rhs` builds a stack of load vectors,
+one per (params, data) pair, from one tabulation of each table.  Ghost
+facets of equal orientation share one jump matrix, and one walk over them
+serves the assembled penalty and the direct seminorm.  `_TERMS` is the only
+record of where each term goes in the 3x3 system (row, column, sign), how it
+scales with the material parameters and whether it is a ghost penalty.
+`BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
+`compose_matrix` applies material parameters to them.  Assembly is
+single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,7 +189,7 @@ class _Gram:
             grams.append(np.matmul(rows[:, None] * W[:, :, None, :], B[:, None]))
             cells.append(g.cells)
         self.cells = np.concatenate(cells)
-        # an empty table has room for every row index and weight
+        # an empty table has room for every column key and weight
         self.G = np.concatenate(grams) if grams else np.zeros((0, 3, m, m))
 
     def __call__(self, a, b, k: int = 0) -> np.ndarray:
@@ -354,39 +356,52 @@ def ghost_seminorm(space: FeSpace, v: np.ndarray, ghost_order: int) -> float:
 # right-hand side
 
 def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
-                 rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
-                 bdata: BoundaryData) -> np.ndarray:
-    """Load vector (L1, L2, L3) stacked over the field layout.
+                 rules: CutRule, stab: StabilizationParams,
+                 loads: Sequence[tuple[PhysicalParams, BoundaryData]]) -> np.ndarray:
+    """Load vectors (L1, L2, L3) over the field layout, one row per (params, bdata) load.
 
     Each load term is a moment of pointwise data against tabulation columns,
     weighted on the boundary parts by a normal component where the term has one.
+    Each table is built and tabulated once; its Gram holds three data rows
+    per load, rows 3s..3s+2 belonging to load s.
     """
+    if not loads:
+        raise ConfigurationError("assemble_rhs needs at least one load")
     layout = make_layout(space_u, space_t, space_f)
-    rhs = np.zeros(layout.total)
-    mu, K, h = params.mu, params.K, rules.h
-    pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
+    rhs = np.zeros((len(loads), layout.total))
+    h = rules.h
     off_t, off_f = layout.offset("pT"), layout.offset("pF")
     (Nu, xu, yu), (Nt, _, _), (Nf, xf, yf) = _keys(space_u), _keys(space_t), _keys(space_f)
-    sources = {None: lambda p, n: [*bdata.f(p).T, bdata.g(p)],
-               TAG_DIRICHLET: lambda p, n: [*bdata.u_D(p).T, bdata.g_N(p, n)],
-               TAG_STRESS: lambda p, n: [*bdata.sigma_N(p, n).T, bdata.p_FD(p)]}
-    for tag, data in sources.items():
-        m = _Gram(quadrature_table(space_u.active, rules, tag),
-                  (space_u, space_t, space_f), data)
-        if tag is None:  # L1: (f, v); L3: (g, q_F)
-            loads = [(space_u, 0, np.block([m(0, Nu), m(1, Nu)])), (space_f, off_f, m(2, Nf))]
-        elif tag == TAG_DIRICHLET:
-            # L1: -(u_D, mu eps(v) n) + gamma_u mu / h (u_D, v); L2: (u_D . n, q_T);
-            # L3: -(g_N, q_F)
-            loads = [(space_u, 0, np.block([
-                -mu * (m(0, xu, 1) + 0.5 * m(0, yu, 2) + 0.5 * m(1, yu, 1)) + pen_u * m(0, Nu),
-                -mu * (0.5 * m(0, xu, 2) + 0.5 * m(1, xu, 1) + m(1, yu, 2)) + pen_u * m(1, Nu)])),
-                (space_t, off_t, m(0, Nt, 1) + m(1, Nt, 2)), (space_f, off_f, -m(2, Nf))]
-        else:  # L1: (sigma_N, v); L3: +(p_FD, K grad q . n) - gamma_p K / h (p_FD, q)
-            loads = [(space_u, 0, np.block([m(0, Nu), m(1, Nu)])),
-                     (space_f, off_f, K * (m(2, xf, 1) + m(2, yf, 2)) - pen_f * m(2, Nf))]
-        for space, offset, vals in loads:
-            np.add.at(rhs, offset + _dofs(space, m.cells).ravel(), vals.ravel())
+    sources = {None: lambda b, p, n: [*b.f(p).T, b.g(p)],
+               TAG_DIRICHLET: lambda b, p, n: [*b.u_D(p).T, b.g_N(p, n)],
+               TAG_STRESS: lambda b, p, n: [*b.sigma_N(p, n).T, b.p_FD(p)]}
+    for tag, source in sources.items():
+        groups = quadrature_table(space_u.active, rules, tag)
+        if not groups:  # no points, no load; an empty Gram has no data rows to index
+            continue
+        m = _Gram(groups, (space_u, space_t, space_f),
+                  lambda p, n: [row for _, b in loads for row in source(b, p, n)])
+        for s, (params, _) in enumerate(loads):
+            mu, K = params.mu, params.K
+            pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
+            i, j, k = 3 * s, 3 * s + 1, 3 * s + 2
+            if tag is None:  # L1: (f, v); L3: (g, q_F)
+                terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
+                         (space_f, off_f, m(k, Nf))]
+            elif tag == TAG_DIRICHLET:
+                # L1: -(u_D, mu eps(v) n) + gamma_u mu / h (u_D, v); L2: (u_D . n, q_T);
+                # L3: -(g_N, q_F)
+                terms = [(space_u, 0, np.block([
+                    -mu * (m(i, xu, 1) + 0.5 * m(i, yu, 2) + 0.5 * m(j, yu, 1))
+                    + pen_u * m(i, Nu),
+                    -mu * (0.5 * m(i, xu, 2) + 0.5 * m(j, xu, 1) + m(j, yu, 2))
+                    + pen_u * m(j, Nu)])),
+                    (space_t, off_t, m(i, Nt, 1) + m(j, Nt, 2)), (space_f, off_f, -m(k, Nf))]
+            else:  # L1: (sigma_N, v); L3: +(p_FD, K grad q . n) - gamma_p K / h (p_FD, q)
+                terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
+                         (space_f, off_f, K * (m(k, xf, 1) + m(k, yf, 2)) - pen_f * m(k, Nf))]
+            for space, offset, vals in terms:
+                np.add.at(rhs[s], offset + _dofs(space, m.cells).ravel(), vals.ravel())
     return rhs
 
 
@@ -479,7 +494,7 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
         parts["g3_2"] = (h * h) * parts["g3_1"]
 
     rhs = np.zeros(layout.total) if bdata is None else \
-        assemble_rhs(space_u, space_t, space_f, rules, params, stab, bdata)
+        assemble_rhs(space_u, space_t, space_f, rules, stab, [(params, bdata)])[0]
     return BlockSystem(matrix=compose_matrix(parts, layout, params), rhs=rhs, layout=layout,
                        params=params, parts=parts)
 

@@ -6,9 +6,11 @@ divergence (and hence the total pressure) carries an explicit lambda
 dependence.  All derivatives are closed forms; the source terms f and g are
 written out independently so the strong-form residual genuinely checks the
 hand-coded calculus.  Error norms are weighted sums of pointwise error
-densities over the same quadrature table and basis tabulation as assembly;
-`field_values` is the one evaluation of a discrete field from that
-tabulation, also used for the CLI's point output.
+densities over the same quadrature table and basis tabulation as assembly.
+`error_norms` measures a stack of solutions, each against its own case, in
+one pass: every point group is tabulated once and all solutions are
+evaluated against that one stack.  `field_values` is the one evaluation of
+discrete fields from that tabulation, also used for the CLI's point output.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -171,46 +174,58 @@ class ErrorReport:
 
 def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.ndarray,
                  cols: dict) -> np.ndarray:
-    """[v, dv/dx, dv/dy] (nc, nq, 3) of one scalar field with node coefficients
-    `coeffs`, from the stack B that `tabulate` yields for `cells`."""
-    c = coeffs[space.cell_dofs[space._cell_row[cells]]][:, :, None]
-    return np.concatenate([B[:, :, cols[kind, space.degree]] @ c for kind in "Nxy"], axis=-1)
+    """[v, dv/dx, dv/dy] (S, nc, nq, 3) of S scalar fields with node coefficients
+    `coeffs` (S, n), from the stack B that `tabulate` yields for `cells`."""
+    c = coeffs[:, space.cell_dofs[space._cell_row[cells]]].transpose(1, 2, 0)  # (nc, nloc, S)
+    return np.stack([(B[:, :, cols[kind, space.degree]] @ c).transpose(2, 0, 1)
+                     for kind in "Nxy"], axis=-1)
 
 
-def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
+def error_norms(xs: np.ndarray, cases: Sequence[ManufacturedCase], space_u: FeSpace,
                 space_t: FeSpace, space_f: FeSpace, rules: CutRule,
-                stab: StabilizationParams) -> ErrorReport:
-    """Quadrature evaluation of all error norms against the analytic fields.
+                stab: StabilizationParams) -> list[ErrorReport]:
+    """Quadrature evaluation of all error norms, one report per solution.
 
-    One pass per table (volume, Dirichlet part, stress part) over the same
-    point-count groups the assembly uses; each norm is a weighted sum of a
+    `xs` (S, total) stacks S solutions, row s measured against the analytic
+    fields of `cases[s]`.  One pass per table (volume, Dirichlet part, stress
+    part) over the same point-count groups the assembly uses tabulates each
+    group once for all S solutions; each norm is a weighted sum of a
     pointwise error density.
     """
     if space_u.active is not space_t.active or space_u.active is not space_f.active:
         raise ConfigurationError("spaces for error evaluation must share a mesh")
-    prm = case.params
-    h = rules.h
     layout = make_layout(space_u, space_t, space_f)
-    xu, xt, xf = x[layout.s_u], x[layout.s_t], x[layout.s_f]
-    active = space_u.active
+    if len(xs) != len(cases) or not len(cases):
+        raise ConfigurationError(
+            f"need one solution per case and at least one, got {len(xs)} and {len(cases)}")
+    if any(np.shape(x) != (layout.total,) for x in xs):
+        raise ConfigurationError(f"solutions must have shape ({layout.total},), "
+                                 f"got {[np.shape(x) for x in xs]}")
+    xs = np.asarray(xs, dtype=float)
+    xu, xt, xf = xs[:, layout.s_u], xs[:, layout.s_t], xs[:, layout.s_f]
+    h = rules.h
     spaces = (space_u, space_t, space_f)
     cols = tabulation_columns(spaces)
-    acc = defaultdict(float)
+    acc = defaultdict(lambda: np.zeros(len(cases)))  # summed densities, one entry per solution
     for tag in (None, TAG_DIRICHLET, TAG_STRESS):
-        for g, B in tabulate(quadrature_table(active, rules, tag), spaces):
-            p, shape = g.pts.reshape(-1, 2), g.wts.shape
+        for g, B in tabulate(quadrature_table(space_u.active, rules, tag), spaces):
+            p, shape = g.pts.reshape(-1, 2), (len(cases), *g.wts.shape)
+
+            def exact(field):
+                """One analytic field of every case at the group's points, (S, nc, nq, ...)."""
+                vals = np.stack([getattr(case, field)(p) for case in cases])
+                return vals.reshape(*shape, *vals.shape[2:])
 
             def err(space, coeffs, value, grad=None):
-                """Value (nc, nq) and gradient (nc, nq, 2) errors of one scalar field."""
+                """Value (S, nc, nq) and gradient (S, nc, nq, 2) errors of one scalar field."""
                 v = field_values(space, coeffs, g.cells, B, cols)
-                return value.reshape(shape) - v[..., 0], None if grad is None \
-                    else grad.reshape(*shape, 2) - v[..., 1:]
+                return value - v[..., 0], None if grad is None else grad - v[..., 1:]
 
-            u, grad_u = case.u(p), case.grad_u(p)
-            (e_u0, g_u0), (e_u1, g_u1) = (err(space_u, xu[i::2], u[:, i], grad_u[:, i])
+            u, grad_u = exact("u"), exact("grad_u")
+            (e_u0, g_u0), (e_u1, g_u1) = (err(space_u, xu[:, i::2], u[..., i], grad_u[..., i, :])
                                           for i in (0, 1))
-            e_t, _ = err(space_t, xt, case.p_T(p))
-            e_f, g_f = err(space_f, xf, case.p_F(p), case.grad_p_F(p))
+            e_t, _ = err(space_t, xt, exact("p_T"))
+            e_f, g_f = err(space_f, xf, exact("p_F"), exact("grad_p_F"))
             if tag is None:
                 e12 = 0.5 * (g_u0[..., 1] + g_u1[..., 0])
                 dens = {"strain": g_u0[..., 0] ** 2 + g_u1[..., 1] ** 2 + 2.0 * e12 ** 2,
@@ -223,21 +238,18 @@ def error_norms(x: np.ndarray, case: ManufacturedCase, space_u: FeSpace,
             else:
                 dens = {"pen_F": e_f ** 2, "flux_F": (g_f * g.normals).sum(-1) ** 2}
             for key, d in dens.items():
-                acc[key] += float((d * g.wts).sum())
+                acc[key] += (d * g.wts).sum(axis=(1, 2))
 
-    mu, lam, K = prm.mu, prm.lam, prm.K
+    mu, lam, K = (np.array([getattr(case.params, name) for case in cases])
+                  for name in ("mu", "lam", "K"))
     uV2 = mu * acc["strain"] + stab.gamma_u * mu / h * acc["pen_u"]
-    u_star2 = uV2 + mu * h * acc["flux_u"]
-    pT_star2 = acc["TL2"] + h * acc["T_bnd"]
     pF_F2 = K * acc["gradF"] + stab.gamma_p * K / h * acc["pen_F"] + acc["FL2"] / lam
-    pF_star2 = pF_F2 + K * h * acc["flux_F"]
-    return ErrorReport(
-        h=h, lam=lam, K=K,
-        u_V=math.sqrt(uV2), u_star=math.sqrt(u_star2), u_L2=math.sqrt(acc["uL2"]),
-        pT_L2=math.sqrt(acc["TL2"]), pT_star=math.sqrt(pT_star2),
-        pF_F=math.sqrt(pF_F2), pF_star=math.sqrt(pF_star2),
-        pF_L2=math.sqrt(acc["FL2"]),
-    )
+    squares = {"u_V": uV2, "u_star": uV2 + mu * h * acc["flux_u"], "u_L2": acc["uL2"],
+               "pT_L2": acc["TL2"], "pT_star": acc["TL2"] + h * acc["T_bnd"],
+               "pF_F": pF_F2, "pF_star": pF_F2 + K * h * acc["flux_F"], "pF_L2": acc["FL2"]}
+    return [ErrorReport(h=h, lam=case.params.lam, K=case.params.K,
+                        **{name: math.sqrt(sq[s]) for name, sq in squares.items()})
+            for s, case in enumerate(cases)]
 
 
 def eoc(levels: list[tuple[float, float]]) -> list[float]:

@@ -42,6 +42,11 @@ def flower_domain():
 
 
 @pytest.fixture(scope="session")
+def disc8():
+    return _discretize(8)
+
+
+@pytest.fixture(scope="session")
 def disc12():
     return _discretize(12)
 

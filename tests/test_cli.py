@@ -336,3 +336,58 @@ def test_sweep_geometry_failure_fails_both_arms(monkeypatch, tmp_path):
     sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[-1] for line in sweep[1:]] == ["ok", "ok", "failed", "failed"]
     assert sweep[3] == "0.3,true,,,,,,failed"
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace cli.<name> by a wrapper that records the size of each call's stack."""
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(len(result))
+        return result
+
+    monkeypatch.setattr(cli, name, counted)
+
+
+def test_one_rhs_and_one_norm_pass_per_level_and_translation(monkeypatch, tmp_path):
+    rhs_calls, norm_calls = [], []
+    _counting(monkeypatch, "assemble_rhs", rhs_calls)
+    _counting(monkeypatch, "error_norms", norm_calls)
+    conv = {"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0, 1e8], "Ks": [1.0, 1e-8],
+                            "subdiv": 2}}
+    assert cmd_convergence(RunConfig.from_dict(conv), tmp_path / "conv") == 0
+    assert rhs_calls == [4, 4, 4] and norm_calls == [4, 4, 4]
+    rhs_calls.clear()
+    norm_calls.clear()
+    assert cmd_sweep(RunConfig.from_dict(SWEEP_CFG), tmp_path / "sw") == 0
+    assert rhs_calls == []  # the sweep's load vector comes with assemble_system
+    assert norm_calls == [2, 2]
+
+
+def test_failed_arm_left_out_of_the_norm_stack(monkeypatch, tmp_path):
+    norm_calls = []
+    _counting(monkeypatch, "error_norms", norm_calls)
+    real_solve = cli.solve
+
+    def failing_unstabilized(system):
+        if "g1" not in system.parts:
+            raise SolverError("relative residual 2.000e-08 exceeds 1e-09")
+        return real_solve(system)
+
+    monkeypatch.setattr(cli, "solve", failing_unstabilized)
+    assert cmd_sweep(RunConfig.from_dict(SWEEP_CFG), tmp_path / "sw") == 0
+    assert norm_calls == [1, 1]
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    for row in rows:
+        errors = [row[name] for name in ("err_u_star", "err_pT_star", "err_pF_star",
+                                         "err_u_L2")]
+        if row["stabilized"] == "true":
+            assert row["solver_status"] == "ok" and all(float(e) > 0.0 for e in errors)
+        else:
+            assert row["solver_status"] == "failed" and errors == ["", "", "", ""]
+    failures = (tmp_path / "sw" / "sweep_failures.csv").read_text().splitlines()
+    assert failures[1:] == [f"{d},false,SolverError,relative residual 2.000e-08 exceeds 1e-09"
+                            for d in (0.1, 0.3)]

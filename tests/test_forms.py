@@ -235,8 +235,8 @@ def test_ghost_positive_semidefinite(disc16):
 # right-hand side
 
 def test_rhs_zero_data(disc16, params, stab):
-    rhs = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, params,
-                       stab, BoundaryData.zero())
+    [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
+                         [(params, BoundaryData.zero())])
     assert np.all(rhs == 0.0)
 
 
@@ -245,13 +245,18 @@ def test_rhs_constant_force(disc16, params, stab):
     bd = BoundaryData.zero()
     bdata = BoundaryData(f=lambda p: np.tile(c, (len(p), 1)), g=bd.g, u_D=bd.u_D,
                          g_N=bd.g_N, sigma_N=bd.sigma_N, p_FD=bd.p_FD)
-    rhs = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, params,
-                       stab, bdata)
+    [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
+                         [(params, bdata)])
     lay = disc16.layout
     lu = rhs[lay.s_u]
     assert lu[0::2].sum() == pytest.approx(c[0] * OMEGA_AREA, abs=1e-3 * abs(c[0]))
     assert lu[1::2].sum() == pytest.approx(c[1] * OMEGA_AREA, abs=1e-3 * abs(c[1]))
     assert np.all(rhs[lay.s_t] == 0.0)
+
+
+def test_rhs_needs_a_load(disc16, stab):
+    with pytest.raises(ConfigurationError, match="at least one load"):
+        assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab, [])
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,20 @@ example sequence, at N <= 12 so the module stays fast.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, assemble_ghost,
-                           assemble_system, ghost_seminorm, with_params, without_ghost)
-from cutbiot.geometry import make_flower_domain
+                           assemble_rhs, assemble_system, ghost_seminorm, with_params,
+                           without_ghost)
+from cutbiot.geometry import build_cut_rules, make_flower_domain
 from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
-from cutbiot.spaces import build_space
+from cutbiot.spaces import build_space, make_layout
+from cutbiot.verification import CASE_NAMES, error_norms, make_case
 
 FIELDS = ("u", "pT", "pF")
 
@@ -103,3 +107,47 @@ def test_ghost_seminorm_quadratic_form_and_annihilation(n, delta, degree, seed):
                                         for i in range(degree + 1)
                                         for j in range(degree + 1)))
     assert ghost_seminorm(space, v, degree) < 1e-10 * np.abs(v).max()
+
+
+@functools.lru_cache(maxsize=None)
+def _spaces(n: int):
+    dom = make_flower_domain()
+    act = classify(build_mesh((-1.0, -1.0), (1.0, 1.0), n), dom, subdiv=2)
+    spaces = build_space(act, 2, ncomp=2), build_space(act, 1), build_space(act, 2)
+    return (*spaces, build_cut_rules(act, dom), make_layout(*spaces).total)
+
+
+@examples(8)
+@given(n=st.sampled_from([8, 12]), prms=st.lists(params_st, min_size=1, max_size=4),
+       names=st.lists(st.sampled_from(CASE_NAMES), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_loads_and_norms_match_single_calls(n, prms, names, seed):
+    su, st_, sf, rules, total = _spaces(n)
+    stab = StabilizationParams()
+    cases = [make_case(prm, name) for prm, name in zip(prms, names)]
+    loads = [(case.params, case.boundary_data()) for case in cases]
+    xs = np.random.default_rng(seed).standard_normal((len(cases), total))
+    perm = np.random.default_rng(seed).permutation(len(cases))
+
+    # each row of the stack is the one-load vector
+    rhs = assemble_rhs(su, st_, sf, rules, stab, loads)
+    assert rhs.shape == (len(cases), total)
+    for row, load in zip(rhs, loads):
+        [one] = assemble_rhs(su, st_, sf, rules, stab, [load])
+        assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+
+    # each report of the stack is the one-solution report
+    reports = error_norms(xs, cases, su, st_, sf, rules, stab)
+    for x, case, rep in zip(xs, cases, reports):
+        [one] = error_norms(x[None], [case], su, st_, sf, rules, stab)
+        assert (rep.h, rep.lam, rep.K) == (one.h, one.lam, one.K)
+        for name, value in vars(one).items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12), name
+
+    # permuting the stack permutes the outputs
+    rhs_p = assemble_rhs(su, st_, sf, rules, stab, [loads[i] for i in perm])
+    assert np.abs(rhs_p - rhs[perm]).max() <= 1e-14 * np.abs(rhs).max()
+    reports_p = error_norms(xs[perm], [cases[i] for i in perm], su, st_, sf, rules, stab)
+    for rep_p, i in zip(reports_p, perm):
+        for name, value in vars(reports[i]).items():
+            assert getattr(rep_p, name) == pytest.approx(value, rel=1e-12), name

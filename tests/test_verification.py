@@ -103,7 +103,8 @@ def test_error_norm_of_unit_field_is_area(disc16, stab):
     # |1|_L2(Omega)^2 = |Omega|
     case = _FieldCase(p_f=lambda p: np.ones(len(p)))
     x = np.zeros(disc16.layout.total)
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
+    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
+                        stab)
     assert rep.pF_L2 ** 2 == pytest.approx(OMEGA_AREA, abs=1e-3)
 
 
@@ -129,7 +130,8 @@ def test_error_norms_zero_for_representable_fields(disc16, stab):
     x = np.concatenate([disc16.su.interpolate(u_poly),
                         disc16.st.interpolate(pt_poly),
                         disc16.sf.interpolate(pf_poly)])
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
+    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
+                        stab)
     for v in (rep.u_star, rep.u_L2, rep.pT_star, rep.pF_star, rep.pF_L2):
         assert v < 1e-10
 
@@ -139,7 +141,8 @@ def test_lambda_weight_in_f_norm(disc16, stab):
     case = _FieldCase(p_f=lambda p: np.ones(len(p)),
                       params=PhysicalParams(lam=1e8, K=0.0))
     x = np.zeros(disc16.layout.total)
-    rep = error_norms(x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
+    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
+                        stab)
     assert rep.pF_F <= 1e-4 * rep.pF_L2 + 1e-15
 
 
@@ -148,11 +151,31 @@ def test_starred_norms_dominate(disc16, params, stab):
     system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                              params, stab, case.boundary_data())
     rep = solve(system)
-    err = error_norms(rep.x, case, disc16.su, disc16.st, disc16.sf, disc16.rules, stab)
+    [err] = error_norms(rep.x[None], [case], disc16.su, disc16.st, disc16.sf,
+                        disc16.rules, stab)
     assert err.u_star >= err.u_V
     assert err.pT_star >= err.pT_L2
     assert err.pF_star >= err.pF_F
     assert all(v >= 0 for v in vars(err).values() if isinstance(v, float))
+
+
+def test_error_norms_needs_one_case_per_solution(disc8, params, stab):
+    d, case = disc8, make_case(params)
+    for xs, cases in ((np.zeros((2, d.layout.total)), [case]),
+                      (np.zeros((1, d.layout.total)), [case, case]),
+                      (np.zeros((0, d.layout.total)), [])):
+        with pytest.raises(ConfigurationError, match="one solution per case"):
+            error_norms(xs, cases, d.su, d.st, d.sf, d.rules, stab)
+
+
+@pytest.mark.parametrize("extra", [-5, 7])
+def test_error_norms_rejects_wrong_solution_length(disc8, params, stab, extra):
+    # 801 entries used to raise a bare IndexError, 813 to pass with the tail ignored
+    d = disc8
+    assert d.layout.total == 806
+    x = np.zeros((1, d.layout.total + extra))
+    with pytest.raises(ConfigurationError, match="shape \\(806,\\)"):
+        error_norms(x, [make_case(params)], d.su, d.st, d.sf, d.rules, stab)
 
 
 def test_eoc_formula():
@@ -206,7 +229,7 @@ def test_divergence_variant_rates(flower_domain, stab):
         su, st, sf = build_space(act, 2, 2), build_space(act, 1), build_space(act, 2)
         system = assemble_system(su, st, sf, rules, prm, stab, case.boundary_data())
         rep = solve(system)
-        err = error_norms(rep.x, case, su, st, sf, rules, stab)
+        [err] = error_norms(rep.x[None], [case], su, st, sf, rules, stab)
         for k in seq:
             seq[k].append((rules.h, getattr(err, {"u_star": "u_star",
                                                   "pT_star": "pT_star",
