@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -95,8 +96,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "ladder": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-                "lambdas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "Ks": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "lambdas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                            "minItems": 1, "uniqueItems": True},
+                "Ks": {"type": "array", "items": {"type": "number", "minimum": 0},
+                       "minItems": 1, "uniqueItems": True},
                 "subdiv": {"type": "integer", "minimum": 1, "maximum": 6},
             },
         },
@@ -140,6 +143,13 @@ DEFAULT_CONFIG = {
 }
 
 
+def _finite(text: str) -> float:  # a JSON number, or NaN, Infinity, -Infinity
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"non-finite number {text} in config")
+    return value
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = {}
     for key, val in base.items():
@@ -162,17 +172,15 @@ class RunConfig:
             jsonschema.validate(data, CONFIG_SCHEMA)
         except jsonschema.ValidationError as exc:
             raise ConfigurationError(f"invalid config: {exc.message}") from exc
-        merged = _merge(DEFAULT_CONFIG, data)
-        geo = merged["geometry"]
-        if geo["r1"] >= geo["r0"]:
-            raise ConfigurationError(
-                f"invalid flower: r1={geo['r1']} must be smaller than r0={geo['r0']}")
-        return cls(raw=merged)
+        cfg = cls(raw=_merge(DEFAULT_CONFIG, data))
+        cfg.domain()  # the flower checks its own radii
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(), parse_constant=_finite,
+                              parse_float=_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
@@ -252,7 +260,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     dom, mesh, active, rules, su, st, sf, layout = _discretize(
         cfg, n, delta=cfg.raw["mesh"]["delta"])
     params, stab = cfg.params(), cfg.stab()
-    case = make_case(params, cfg.raw["case"])
+    case = make_case(cfg.raw["case"])
     system = assemble_system(su, st, sf, rules, params, stab, case.boundary_data(),
                              include_ghost=cfg.stabilized)
     report = solve(system)
@@ -267,7 +275,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "pT_L2": float(np.sqrt(xt @ (m_t @ xt))),
         "pF_L2": float(np.sqrt(xf @ (m_f @ xf))),
     }
-    [err] = error_norms(report.x[None], [case], su, st, sf, rules, stab)
+    [err] = error_norms(report.x[None], [params], case, su, st, sf, rules, stab)
     summary = {
         "n": n,
         "h": rules.h,
@@ -326,19 +334,18 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
     stab = cfg.stab()
     base = assemble_system(su, st, sf, rules, cfg.params(), stab,
                            include_ghost=cfg.stabilized)
-    combos = [(lam, K) for lam in conv["lambdas"] for K in conv["Ks"]]
-    cases = [make_case(cfg.params(lam=lam, K=K), cfg.raw["case"]) for lam, K in combos]
-    rhs = assemble_rhs(su, st, sf, rules, stab,
-                       [(case.params, case.boundary_data()) for case in cases])
+    params = [cfg.params(lam=lam, K=K) for lam in conv["lambdas"] for K in conv["Ks"]]
+    case = make_case(cfg.raw["case"])
+    rhs = assemble_rhs(su, st, sf, rules, stab, params, case.boundary_data())
     xs, residuals = [], []
-    for case, b in zip(cases, rhs):
-        report = solve(with_params(base, case.params, rhs=b))
+    for prm, b in zip(params, rhs):
+        report = solve(with_params(base, prm, rhs=b))
         xs.append(report.x)
         residuals.append(report.rel_residual)
         report = None  # free this factorization before the next one is made
-    errs = error_norms(np.array(xs), cases, su, st, sf, rules, stab)
-    return [{"N": n, "h": rules.h, "lambda": lam, "K": K, "residual": res, **err.as_dict()}
-            for (lam, K), res, err in zip(combos, residuals, errs)]
+    errs = error_norms(np.array(xs), params, case, su, st, sf, rules, stab)
+    return [{"N": n, "h": rules.h, "lambda": prm.lam, "K": prm.K, "residual": res,
+             **err.as_dict()} for prm, res, err in zip(params, residuals, errs)]
 
 
 def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
@@ -420,7 +427,7 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
     except GeometryError as exc:
         return [_sweep_row(delta, stab_on, exc) for stab_on in (True, False)]
     params, stab = cfg.params(), cfg.stab()
-    case = make_case(params, cfg.raw["case"])
+    case = make_case(cfg.raw["case"])
     stabilized = assemble_system(su, st, sf, rules, params, stab,
                                  case.boundary_data(), include_ghost=True)
     rows, solved, xs = [], [], []
@@ -438,7 +445,7 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
         # free this factorization before the next one is made
         report = system = None
     if xs:
-        for row, err in zip(solved, error_norms(np.array(xs), [case] * len(xs),
+        for row, err in zip(solved, error_norms(np.array(xs), [params] * len(xs), case,
                                                 su, st, sf, rules, stab)):
             row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
                         "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})

@@ -11,8 +11,8 @@ boundary points also their normal and part tag.  Cells with equal point
 counts form a group, tabulated once per degree as [N, dN/dx, dN/dy]; a
 bilinear form is a slice or sum of the per-cell Gram matrices of that stack
 (one batched matmul per group), a load term a weighted moment of it, and
-each block one COO scatter.  `assemble_rhs` builds a stack of load vectors,
-one per (params, data) pair, from one tabulation of each table.  Ghost
+each block one COO scatter.  `assemble_rhs` builds the load vectors of one
+data object, one per parameter set, from one tabulation of each table.  Ghost
 facets of equal orientation share one jump matrix, and one walk over them
 serves the assembled penalty and the direct seminorm.  `_TERMS` is the only
 record of where each term goes in the 3x3 system (row, column, sign), how it
@@ -85,24 +85,25 @@ class StabilizationParams:
 class BoundaryData:
     """Problem data: volume sources and traces on the boundary parts.
 
-    Normal-dependent data (g_N, sigma_N) receive (points, normals).
+    Normal-dependent data (g_N, sigma_N) receive (points, normals); f, g, g_N
+    and sigma_N also receive the `PhysicalParams` last, u_D and p_FD do not.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, PhysicalParams], np.ndarray]
+    g: Callable[[np.ndarray, PhysicalParams], np.ndarray]
     u_D: Callable[[np.ndarray], np.ndarray]
-    g_N: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma_N: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g_N: Callable[[np.ndarray, np.ndarray, PhysicalParams], np.ndarray]
+    sigma_N: Callable[[np.ndarray, np.ndarray, PhysicalParams], np.ndarray]
     p_FD: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def zero(cls) -> "BoundaryData":
         return cls(
-            f=lambda p: np.zeros((len(p), 2)),
-            g=lambda p: np.zeros(len(p)),
+            f=lambda p, prm: np.zeros((len(p), 2)),
+            g=lambda p, prm: np.zeros(len(p)),
             u_D=lambda p: np.zeros((len(p), 2)),
-            g_N=lambda p, n: np.zeros(len(p)),
-            sigma_N=lambda p, n: np.zeros((len(p), 2)),
+            g_N=lambda p, n, prm: np.zeros(len(p)),
+            sigma_N=lambda p, n, prm: np.zeros((len(p), 2)),
             p_FD=lambda p: np.zeros(len(p)),
         )
 
@@ -357,32 +358,32 @@ def ghost_seminorm(space: FeSpace, v: np.ndarray, ghost_order: int) -> float:
 
 def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                  rules: CutRule, stab: StabilizationParams,
-                 loads: Sequence[tuple[PhysicalParams, BoundaryData]]) -> np.ndarray:
-    """Load vectors (L1, L2, L3) over the field layout, one row per (params, bdata) load.
+                 params: Sequence[PhysicalParams], bdata: BoundaryData) -> np.ndarray:
+    """Load vectors (L1, L2, L3) over the field layout, one row per parameter set.
 
     Each load term is a moment of pointwise data against tabulation columns,
     weighted on the boundary parts by a normal component where the term has one.
     Each table is built and tabulated once; its Gram holds three data rows
-    per load, rows 3s..3s+2 belonging to load s.
+    per parameter set, rows 3s..3s+2 belonging to `params[s]`.
     """
-    if not loads:
-        raise ConfigurationError("assemble_rhs needs at least one load")
+    if not params:
+        raise ConfigurationError("assemble_rhs needs at least one parameter set")
     layout = make_layout(space_u, space_t, space_f)
-    rhs = np.zeros((len(loads), layout.total))
+    rhs = np.zeros((len(params), layout.total))
     h = rules.h
     off_t, off_f = layout.offset("pT"), layout.offset("pF")
     (Nu, xu, yu), (Nt, _, _), (Nf, xf, yf) = _keys(space_u), _keys(space_t), _keys(space_f)
-    sources = {None: lambda b, p, n: [*b.f(p).T, b.g(p)],
-               TAG_DIRICHLET: lambda b, p, n: [*b.u_D(p).T, b.g_N(p, n)],
-               TAG_STRESS: lambda b, p, n: [*b.sigma_N(p, n).T, b.p_FD(p)]}
+    sources = {None: lambda p, n, prm: [*bdata.f(p, prm).T, bdata.g(p, prm)],
+               TAG_DIRICHLET: lambda p, n, prm: [*bdata.u_D(p).T, bdata.g_N(p, n, prm)],
+               TAG_STRESS: lambda p, n, prm: [*bdata.sigma_N(p, n, prm).T, bdata.p_FD(p)]}
     for tag, source in sources.items():
         groups = quadrature_table(space_u.active, rules, tag)
         if not groups:  # no points, no load; an empty Gram has no data rows to index
             continue
         m = _Gram(groups, (space_u, space_t, space_f),
-                  lambda p, n: [row for _, b in loads for row in source(b, p, n)])
-        for s, (params, _) in enumerate(loads):
-            mu, K = params.mu, params.K
+                  lambda p, n: [row for prm in params for row in source(p, n, prm)])
+        for s, prm in enumerate(params):
+            mu, K = prm.mu, prm.K
             pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
             i, j, k = 3 * s, 3 * s + 1, 3 * s + 2
             if tag is None:  # L1: (f, v); L3: (g, q_F)
@@ -478,8 +479,6 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     forms take the bare sum, mass-type forms an extra h^2.  Dropping
     `include_ghost` removes exactly the ghost-penalty terms.
     """
-    if not (space_u.active is space_t.active is space_f.active):
-        raise AssemblyError("spaces must share one active mesh")
     layout = make_layout(space_u, space_t, space_f)
     h = rules.h
     parts = _bilinear_parts(rules, stab, space_u, space_t, space_f)
@@ -494,7 +493,7 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
         parts["g3_2"] = (h * h) * parts["g3_1"]
 
     rhs = np.zeros(layout.total) if bdata is None else \
-        assemble_rhs(space_u, space_t, space_f, rules, stab, [(params, bdata)])[0]
+        assemble_rhs(space_u, space_t, space_f, rules, stab, [params], bdata)[0]
     return BlockSystem(matrix=compose_matrix(parts, layout, params), rhs=rhs, layout=layout,
                        params=params, parts=parts)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import ConfigurationError
+from .errors import AssemblyError, ConfigurationError
 from .mesh import ActiveMesh
 
 
@@ -176,4 +176,7 @@ class FieldLayout:
 
 
 def make_layout(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace) -> FieldLayout:
+    """The (u, p_T, p_F) layout of three spaces, which must share one active mesh."""
+    if not (space_u.active is space_t.active is space_f.active):
+        raise AssemblyError("spaces must share one active mesh")
     return FieldLayout(space_u.n_dofs, space_t.n_dofs, space_f.n_dofs)

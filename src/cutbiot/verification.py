@@ -5,12 +5,13 @@ adds a quadratic bulge to the first displacement component so that the
 divergence (and hence the total pressure) carries an explicit lambda
 dependence.  All derivatives are closed forms; the source terms f and g are
 written out independently so the strong-form residual genuinely checks the
-hand-coded calculus.  Error norms are weighted sums of pointwise error
-densities over the same quadrature table and basis tabulation as assembly.
-`error_norms` measures a stack of solutions, each against its own case, in
-one pass: every point group is tabulated once and all solutions are
-evaluated against that one stack.  `field_values` is the one evaluation of
-discrete fields from that tabulation, also used for the CLI's point output.
+hand-coded calculus.  A case holds no material parameters; a field that
+depends on them takes them last.  Error norms are weighted sums of pointwise
+error densities over the same quadrature table and basis tabulation as
+assembly.  `error_norms` measures S solutions of one case, one per parameter
+set, in one pass that tabulates each point group and evaluates each
+parameter-free field once.  `field_values` is the one evaluation of discrete
+fields from that tabulation, also used for the CLI's point output.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ PI = math.pi
 class ManufacturedCase:
     """Analytic solution triple with derived data for the one-step system."""
 
-    def __init__(self, params: PhysicalParams, bulge: bool = False, name: str = "trig"):
-        self.params = params
+    def __init__(self, bulge: bool = False, name: str = "trig"):
         self.bulge = bulge
         self.name = name
 
@@ -83,19 +83,19 @@ class ManufacturedCase:
     def lap_p_F(self, p):
         return -2.0 * PI * PI * self.p_F(p)
 
-    def p_T(self, p):
-        return self.p_F(p) - self.params.lam * self.div_u(p)
+    def p_T(self, p, prm: PhysicalParams):
+        return self.p_F(p) - prm.lam * self.div_u(p)
 
-    def grad_p_T(self, p):
+    def grad_p_T(self, p, prm: PhysicalParams):
         g = self.grad_p_F(p)
         if self.bulge:
             g = g.copy()
-            g[:, 0] -= 2.0 * self.params.lam
+            g[:, 0] -= 2.0 * prm.lam
         return g
 
     # sources, written out explicitly ------------------------------------
-    def f(self, p):
-        mu, lam = self.params.mu, self.params.lam
+    def f(self, p, prm: PhysicalParams):
+        mu, lam = prm.mu, prm.lam
         x, y = p[:, 0], p[:, 1]
         f0 = 0.5 * mu * PI * PI * np.cos(PI * y) + PI * np.cos(PI * x) * np.sin(PI * y)
         f1 = 0.5 * mu * PI * PI * np.sin(PI * x) + PI * np.sin(PI * x) * np.cos(PI * y)
@@ -103,8 +103,8 @@ class ManufacturedCase:
             f0 = f0 - 2.0 * mu - 2.0 * lam
         return np.column_stack([f0, f1])
 
-    def g(self, p):
-        lam, K = self.params.lam, self.params.K
+    def g(self, p, prm: PhysicalParams):
+        lam, K = prm.lam, prm.K
         pf = np.sin(PI * p[:, 0]) * np.sin(PI * p[:, 1])
         out = -(1.0 / lam + 2.0 * PI * PI * K) * pf
         if self.bulge:
@@ -112,36 +112,33 @@ class ManufacturedCase:
         return out
 
     # traces and data ------------------------------------------------------
-    def sigma_N(self, p, normals):
-        t = self.params.mu * self.eps_u(p) - self.p_T(p)[:, None, None] * np.eye(2)
+    def sigma_N(self, p, normals, prm: PhysicalParams):
+        t = prm.mu * self.eps_u(p) - self.p_T(p, prm)[:, None, None] * np.eye(2)
         return np.einsum("nij,nj->ni", t, normals)
 
-    def g_N(self, p, normals):
-        return self.params.K * np.einsum("nk,nk->n", self.grad_p_F(p), normals)
+    def g_N(self, p, normals, prm: PhysicalParams):
+        return prm.K * np.einsum("nk,nk->n", self.grad_p_F(p), normals)
 
     def boundary_data(self) -> BoundaryData:
         return BoundaryData(f=self.f, g=self.g, u_D=self.u, g_N=self.g_N,
                             sigma_N=self.sigma_N, p_FD=self.p_F)
 
-    def strong_residuals(self, p):
+    def strong_residuals(self, p, prm: PhysicalParams):
         """Pointwise residuals of the three strong equations; ~0 by calculus."""
-        prm = self.params
-        r1 = -prm.mu * self.div_eps_u(p) + self.grad_p_T(p) - self.f(p)
-        r2 = -self.div_u(p) - self.p_T(p) / prm.lam + self.p_F(p) / prm.lam
-        r3 = (self.p_T(p) - 2.0 * self.p_F(p)) / prm.lam \
-            + prm.K * self.lap_p_F(p) - self.g(p)
+        r1 = -prm.mu * self.div_eps_u(p) + self.grad_p_T(p, prm) - self.f(p, prm)
+        r2 = -self.div_u(p) - self.p_T(p, prm) / prm.lam + self.p_F(p) / prm.lam
+        r3 = (self.p_T(p, prm) - 2.0 * self.p_F(p)) / prm.lam \
+            + prm.K * self.lap_p_F(p) - self.g(p, prm)
         return r1, r2, r3
 
 
 CASE_NAMES = ("trig", "trig_div")
 
 
-def make_case(params: PhysicalParams, name: str = "trig") -> ManufacturedCase:
+def make_case(name: str = "trig") -> ManufacturedCase:
     """Manufactured cases: `trig` (divergence-free) and `trig_div` (lambda-sensitive)."""
-    if name == "trig":
-        return ManufacturedCase(params, bulge=False, name=name)
-    if name == "trig_div":
-        return ManufacturedCase(params, bulge=True, name=name)
+    if name in CASE_NAMES:
+        return ManufacturedCase(bulge=name == "trig_div", name=name)
     raise ConfigurationError(f"unknown manufactured case {name!r}")
 
 
@@ -152,9 +149,6 @@ def make_case(params: PhysicalParams, name: str = "trig") -> ManufacturedCase:
 class ErrorReport:
     """Discrete-norm, starred-norm and L2 errors for one solve."""
 
-    h: float
-    lam: float
-    K: float
     u_V: float
     u_star: float
     u_L2: float
@@ -181,23 +175,22 @@ def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.nd
                      for kind in "Nxy"], axis=-1)
 
 
-def error_norms(xs: np.ndarray, cases: Sequence[ManufacturedCase], space_u: FeSpace,
-                space_t: FeSpace, space_f: FeSpace, rules: CutRule,
+def error_norms(xs: np.ndarray, params: Sequence[PhysicalParams], case: ManufacturedCase,
+                space_u: FeSpace, space_t: FeSpace, space_f: FeSpace, rules: CutRule,
                 stab: StabilizationParams) -> list[ErrorReport]:
     """Quadrature evaluation of all error norms, one report per solution.
 
-    `xs` (S, total) stacks S solutions, row s measured against the analytic
-    fields of `cases[s]`.  One pass per table (volume, Dirichlet part, stress
-    part) over the same point-count groups the assembly uses tabulates each
-    group once for all S solutions; each norm is a weighted sum of a
-    pointwise error density.
+    `xs` (S, total) stacks S solutions, row s measured against `case` at
+    `params[s]` in the norms weighted by those parameters.  One pass per
+    table (volume, Dirichlet part, stress part) over the same point-count
+    groups the assembly uses tabulates each group once for all S solutions
+    and evaluates each parameter-free field of the case once, p_T once per
+    parameter set; each norm is a weighted sum of a pointwise error density.
     """
-    if space_u.active is not space_t.active or space_u.active is not space_f.active:
-        raise ConfigurationError("spaces for error evaluation must share a mesh")
     layout = make_layout(space_u, space_t, space_f)
-    if len(xs) != len(cases) or not len(cases):
-        raise ConfigurationError(
-            f"need one solution per case and at least one, got {len(xs)} and {len(cases)}")
+    if len(xs) != len(params) or not len(params):
+        raise ConfigurationError(f"need one solution per parameter set and at least one, "
+                                 f"got {len(xs)} and {len(params)}")
     if any(np.shape(x) != (layout.total,) for x in xs):
         raise ConfigurationError(f"solutions must have shape ({layout.total},), "
                                  f"got {[np.shape(x) for x in xs]}")
@@ -206,26 +199,26 @@ def error_norms(xs: np.ndarray, cases: Sequence[ManufacturedCase], space_u: FeSp
     h = rules.h
     spaces = (space_u, space_t, space_f)
     cols = tabulation_columns(spaces)
-    acc = defaultdict(lambda: np.zeros(len(cases)))  # summed densities, one entry per solution
+    acc = defaultdict(lambda: np.zeros(len(params)))  # summed densities, one per solution
     for tag in (None, TAG_DIRICHLET, TAG_STRESS):
         for g, B in tabulate(quadrature_table(space_u.active, rules, tag), spaces):
-            p, shape = g.pts.reshape(-1, 2), (len(cases), *g.wts.shape)
+            p = g.pts.reshape(-1, 2)
 
-            def exact(field):
-                """One analytic field of every case at the group's points, (S, nc, nq, ...)."""
-                vals = np.stack([getattr(case, field)(p) for case in cases])
-                return vals.reshape(*shape, *vals.shape[2:])
+            def exact(field, *prm):
+                """One analytic field at the group's points, (nc, nq, ...)."""
+                vals = field(p, *prm)
+                return vals.reshape(*g.wts.shape, *vals.shape[1:])
 
             def err(space, coeffs, value, grad=None):
                 """Value (S, nc, nq) and gradient (S, nc, nq, 2) errors of one scalar field."""
                 v = field_values(space, coeffs, g.cells, B, cols)
                 return value - v[..., 0], None if grad is None else grad - v[..., 1:]
 
-            u, grad_u = exact("u"), exact("grad_u")
+            u, grad_u = exact(case.u), exact(case.grad_u)
             (e_u0, g_u0), (e_u1, g_u1) = (err(space_u, xu[:, i::2], u[..., i], grad_u[..., i, :])
                                           for i in (0, 1))
-            e_t, _ = err(space_t, xt, exact("p_T"))
-            e_f, g_f = err(space_f, xf, exact("p_F"), exact("grad_p_F"))
+            e_t, _ = err(space_t, xt, np.stack([exact(case.p_T, prm) for prm in params]))
+            e_f, g_f = err(space_f, xf, exact(case.p_F), exact(case.grad_p_F))
             if tag is None:
                 e12 = 0.5 * (g_u0[..., 1] + g_u1[..., 0])
                 dens = {"strain": g_u0[..., 0] ** 2 + g_u1[..., 1] ** 2 + 2.0 * e12 ** 2,
@@ -240,16 +233,14 @@ def error_norms(xs: np.ndarray, cases: Sequence[ManufacturedCase], space_u: FeSp
             for key, d in dens.items():
                 acc[key] += (d * g.wts).sum(axis=(1, 2))
 
-    mu, lam, K = (np.array([getattr(case.params, name) for case in cases])
-                  for name in ("mu", "lam", "K"))
+    mu, lam, K = np.array([(prm.mu, prm.lam, prm.K) for prm in params]).T
     uV2 = mu * acc["strain"] + stab.gamma_u * mu / h * acc["pen_u"]
     pF_F2 = K * acc["gradF"] + stab.gamma_p * K / h * acc["pen_F"] + acc["FL2"] / lam
     squares = {"u_V": uV2, "u_star": uV2 + mu * h * acc["flux_u"], "u_L2": acc["uL2"],
                "pT_L2": acc["TL2"], "pT_star": acc["TL2"] + h * acc["T_bnd"],
                "pF_F": pF_F2, "pF_star": pF_F2 + K * h * acc["flux_F"], "pF_L2": acc["FL2"]}
-    return [ErrorReport(h=h, lam=case.params.lam, K=case.params.K,
-                        **{name: math.sqrt(sq[s]) for name, sq in squares.items()})
-            for s, case in enumerate(cases)]
+    return [ErrorReport(**{name: math.sqrt(sq[s]) for name, sq in squares.items()})
+            for s in range(len(params))]
 
 
 def eoc(levels: list[tuple[float, float]]) -> list[float]:

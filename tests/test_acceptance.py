@@ -269,7 +269,7 @@ def test_criterion_6_galerkin_residual(disc16, params):
     results = []
     for scale in (1.0, 2.0):
         stab = StabilizationParams(gamma_u=40.0 * scale, gamma_p=40.0 * scale)
-        case = make_case(params, "trig")
+        case = make_case("trig")
         system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                                  params, stab, case.boundary_data())
         rep = solve(system)

@@ -59,6 +59,25 @@ def test_invalid_flower_exit_code(tmp_path):
     assert "invalid flower" in err["message"]
 
 
+@pytest.mark.parametrize("text", ['{"params": {"mu": NaN}}', '{"params": {"lam": Infinity}}',
+                                  '{"params": {"K": -Infinity}}', '{"params": {"lam": 1e999}}'])
+def test_non_finite_config_numbers_rejected(tmp_path, text):
+    # NaN mu used to pass the schema and end in a singular factor (exit 3)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError" and "non-finite" in err["message"]
+
+
+@pytest.mark.parametrize("conv", [{"lambdas": [1.0, 1.0]}, {"lambdas": [1.0, -1.0]},
+                                  {"lambdas": [0.0]}, {"Ks": [1e-8, 1e-8]}, {"Ks": [-1.0]}])
+def test_bad_parameter_lists_rejected_on_load(conv):
+    # repeated lambdas used to fail only after the whole ladder, in `eoc`
+    with pytest.raises(ConfigurationError, match="invalid config"):
+        RunConfig.from_dict({"convergence": conv})
+
+
 def test_single_level_ladder_exit_code(tmp_path):
     cfg = _write(tmp_path, "short.json", {"convergence": {"ladder": [16]}})
     code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -351,18 +370,22 @@ def _counting(monkeypatch, name, calls):
 
 
 def test_one_rhs_and_one_norm_pass_per_level_and_translation(monkeypatch, tmp_path):
-    rhs_calls, norm_calls = [], []
+    rhs_calls, norm_calls, cases = [], [], []
     _counting(monkeypatch, "assemble_rhs", rhs_calls)
     _counting(monkeypatch, "error_norms", norm_calls)
+    real_case = cli.make_case
+    monkeypatch.setattr(cli, "make_case", lambda name: cases.append(name) or real_case(name))
     conv = {"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0, 1e8], "Ks": [1.0, 1e-8],
                             "subdiv": 2}}
     assert cmd_convergence(RunConfig.from_dict(conv), tmp_path / "conv") == 0
     assert rhs_calls == [4, 4, 4] and norm_calls == [4, 4, 4]
+    assert cases == ["trig"] * 3  # one case per level, shared by the four (lambda, K)
     rhs_calls.clear()
     norm_calls.clear()
+    cases.clear()
     assert cmd_sweep(RunConfig.from_dict(SWEEP_CFG), tmp_path / "sw") == 0
     assert rhs_calls == []  # the sweep's load vector comes with assemble_system
-    assert norm_calls == [2, 2]
+    assert norm_calls == [2, 2] and cases == ["trig"] * 2
 
 
 def test_failed_arm_left_out_of_the_norm_stack(monkeypatch, tmp_path):

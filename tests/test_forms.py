@@ -11,6 +11,7 @@ from cutbiot.geometry import (ConstantLevelSet, LevelSetDomain, build_cut_rules,
                               make_flower_domain)
 from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
 from cutbiot.spaces import build_space, make_layout
+from cutbiot.verification import error_norms, make_case
 
 from oracles import (FLOWER_AREA, OMEGA_AREA, a1_energy_by_summation,
                      fitted_biot_system, mass_pairing_by_summation)
@@ -236,17 +237,17 @@ def test_ghost_positive_semidefinite(disc16):
 
 def test_rhs_zero_data(disc16, params, stab):
     [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
-                         [(params, BoundaryData.zero())])
+                         [params], BoundaryData.zero())
     assert np.all(rhs == 0.0)
 
 
 def test_rhs_constant_force(disc16, params, stab):
     c = np.array([2.5, -1.0])
     bd = BoundaryData.zero()
-    bdata = BoundaryData(f=lambda p: np.tile(c, (len(p), 1)), g=bd.g, u_D=bd.u_D,
+    bdata = BoundaryData(f=lambda p, prm: np.tile(c, (len(p), 1)), g=bd.g, u_D=bd.u_D,
                          g_N=bd.g_N, sigma_N=bd.sigma_N, p_FD=bd.p_FD)
     [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
-                         [(params, bdata)])
+                         [params], bdata)
     lay = disc16.layout
     lu = rhs[lay.s_u]
     assert lu[0::2].sum() == pytest.approx(c[0] * OMEGA_AREA, abs=1e-3 * abs(c[0]))
@@ -255,8 +256,9 @@ def test_rhs_constant_force(disc16, params, stab):
 
 
 def test_rhs_needs_a_load(disc16, stab):
-    with pytest.raises(ConfigurationError, match="at least one load"):
-        assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab, [])
+    with pytest.raises(ConfigurationError, match="at least one parameter set"):
+        assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab, [],
+                     BoundaryData.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +294,17 @@ def test_system_layout_mismatch(disc16, params, stab):
     st_other = build_space(other, 1)
     with pytest.raises(AssemblyError):
         assemble_system(disc16.su, st_other, disc16.sf, disc16.rules, params, stab)
+    # a translated mesh of the same size gives a layout of the same length,
+    # which `assemble_rhs` used to accept without complaint
+    mc = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), 16), 0.3)
+    st_moved = build_space(classify(build_mesh(mc.box_lo, mc.box_hi, 16),
+                                    make_flower_domain()), 1)
+    d = disc16
+    x = np.zeros((1, d.su.n_dofs + st_moved.n_dofs + d.sf.n_dofs))
+    with pytest.raises(AssemblyError):
+        assemble_rhs(d.su, st_moved, d.sf, d.rules, stab, [params], BoundaryData.zero())
+    with pytest.raises(AssemblyError):
+        error_norms(x, [params], make_case(), d.su, st_moved, d.sf, d.rules, stab)
 
 
 def test_parameter_rescaling_matches_direct(disc16, stab):

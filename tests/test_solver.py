@@ -50,7 +50,7 @@ def test_zero_rhs_gives_zero_solution(disc16, params, stab):
 
 
 def test_manufactured_solve_residual(disc16, params, stab):
-    case = make_case(params, "trig")
+    case = make_case("trig")
     system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                              params, stab, case.boundary_data())
     rep = solve(system)
@@ -60,7 +60,7 @@ def test_manufactured_solve_residual(disc16, params, stab):
 
 
 def test_solve_deterministic(disc16, params, stab):
-    case = make_case(params, "trig")
+    case = make_case("trig")
     system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                              params, stab, case.boundary_data())
     x1 = solve(system).x
@@ -79,7 +79,7 @@ def test_singular_system_raises():
 
     prm, stb = PhysicalParams(), StabilizationParams()
     bd = BoundaryData.zero()
-    bdata = BoundaryData(f=lambda p: np.tile([1.0, 0.0], (len(p), 1)), g=bd.g,
+    bdata = BoundaryData(f=lambda p, prm: np.tile([1.0, 0.0], (len(p), 1)), g=bd.g,
                          u_D=bd.u_D, g_N=bd.g_N, sigma_N=bd.sigma_N, p_FD=bd.p_FD)
     system = assemble_system(su, st, sf, rules, prm, stb, bdata)
     with pytest.raises(SolverError):
@@ -90,7 +90,7 @@ def test_condition_stable_across_translations(flower_domain, stab):
     from cutbiot.forms import PhysicalParams
 
     prm = PhysicalParams()
-    case = make_case(prm, "trig")
+    case = make_case("trig")
     kappas = []
     for j in range(6):
         cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), 32), 0.11 * (j + 1))
@@ -105,7 +105,7 @@ def test_condition_stable_across_translations(flower_domain, stab):
 
 
 def _trig_system(disc, prm, stab):
-    case = make_case(prm, "trig")
+    case = make_case("trig")
     return assemble_system(disc.su, disc.st, disc.sf, disc.rules, prm, stab,
                            case.boundary_data())
 

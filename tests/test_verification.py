@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cutbiot.errors import ConfigurationError
-from cutbiot.forms import PhysicalParams, StabilizationParams, assemble_system
+from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_system,
+                           quadrature_table)
+from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS
 from cutbiot.solver import solve
 from cutbiot.verification import (ErrorReport, eoc, error_norms, galerkin_residual,
                                   make_case)
@@ -15,11 +18,11 @@ from oracles import OMEGA_AREA
 
 
 def test_trig_case_divergence_free(params):
-    case = make_case(params, "trig")
+    case = make_case("trig")
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (500, 2))
     assert np.abs(case.div_u(pts)).max() == 0.0
-    assert np.abs(case.p_T(pts) - case.p_F(pts)).max() == 0.0  # lambda drops out
+    assert np.abs(case.p_T(pts, params) - case.p_F(pts)).max() == 0.0  # lambda drops out
 
 
 @pytest.mark.parametrize("name,prm", [
@@ -29,18 +32,18 @@ def test_trig_case_divergence_free(params):
     ("trig_div", PhysicalParams(0.5, 37.0, 0.2)),
 ])
 def test_strong_residuals_vanish(name, prm):
-    case = make_case(prm, name)
+    case = make_case(name)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, (1000, 2))
-    r1, r2, r3 = case.strong_residuals(pts)
-    scale = max(1.0, np.abs(case.f(pts)).max(), np.abs(case.g(pts)).max())
+    r1, r2, r3 = case.strong_residuals(pts, prm)
+    scale = max(1.0, np.abs(case.f(pts, prm)).max(), np.abs(case.g(pts, prm)).max())
     assert np.abs(r1).max() <= 1e-10 * scale
     assert np.abs(r2).max() <= 1e-10 * scale
     assert np.abs(r3).max() <= 1e-10 * scale
 
 
-def test_derivatives_match_finite_differences(params):
-    case = make_case(params, "trig_div")
+def test_derivatives_match_finite_differences():
+    case = make_case("trig_div")
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.9, 0.9, (200, 2))
     eps = 1e-6
@@ -63,16 +66,15 @@ def test_derivatives_match_finite_differences(params):
     assert np.abs(case.lap_p_F(pts) - lap_fd).max() < 1e-3
 
 
-def test_unknown_case_rejected(params):
+def test_unknown_case_rejected():
     with pytest.raises(ConfigurationError):
-        make_case(params, "nope")
+        make_case("nope")
 
 
 class _FieldCase:
     """Duck-typed case with prescribed fields, for norm checks."""
 
-    def __init__(self, u=None, p_t=None, p_f=None, params=None):
-        self.params = params or PhysicalParams()
+    def __init__(self, u=None, p_t=None, p_f=None):
         self._u = u or (lambda p: np.zeros((len(p), 2)))
         self._pt = p_t or (lambda p: np.zeros(len(p)))
         self._pf = p_f or (lambda p: np.zeros(len(p)))
@@ -86,7 +88,7 @@ class _FieldCase:
         gy = (self._u(p + [0, eps]) - self._u(p - [0, eps])) / (2 * eps)
         return np.stack([gx, gy], axis=-1)
 
-    def p_T(self, p):
+    def p_T(self, p, prm):
         return self._pt(p)
 
     def p_F(self, p):
@@ -99,16 +101,16 @@ class _FieldCase:
         return np.column_stack([gx, gy])
 
 
-def test_error_norm_of_unit_field_is_area(disc16, stab):
+def test_error_norm_of_unit_field_is_area(disc16, params, stab):
     # |1|_L2(Omega)^2 = |Omega|
     case = _FieldCase(p_f=lambda p: np.ones(len(p)))
     x = np.zeros(disc16.layout.total)
-    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
-                        stab)
+    [rep] = error_norms(x[None], [params], case, disc16.su, disc16.st, disc16.sf,
+                        disc16.rules, stab)
     assert rep.pF_L2 ** 2 == pytest.approx(OMEGA_AREA, abs=1e-3)
 
 
-def test_error_norms_zero_for_representable_fields(disc16, stab):
+def test_error_norms_zero_for_representable_fields(disc16, params, stab):
     # exact interpolant of Q2-representable fields has zero error
     u_poly = lambda p: np.column_stack([p[:, 0] ** 2 - p[:, 1], p[:, 0] * p[:, 1]])
     pt_poly = lambda p: 1.0 - 0.5 * p[:, 1]
@@ -130,28 +132,27 @@ def test_error_norms_zero_for_representable_fields(disc16, stab):
     x = np.concatenate([disc16.su.interpolate(u_poly),
                         disc16.st.interpolate(pt_poly),
                         disc16.sf.interpolate(pf_poly)])
-    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
-                        stab)
+    [rep] = error_norms(x[None], [params], case, disc16.su, disc16.st, disc16.sf,
+                        disc16.rules, stab)
     for v in (rep.u_star, rep.u_L2, rep.pT_star, rep.pF_star, rep.pF_L2):
         assert v < 1e-10
 
 
 def test_lambda_weight_in_f_norm(disc16, stab):
     # with K=0 the F-norm collapses to lambda^{-1/2} L2
-    case = _FieldCase(p_f=lambda p: np.ones(len(p)),
-                      params=PhysicalParams(lam=1e8, K=0.0))
+    case = _FieldCase(p_f=lambda p: np.ones(len(p)))
     x = np.zeros(disc16.layout.total)
-    [rep] = error_norms(x[None], [case], disc16.su, disc16.st, disc16.sf, disc16.rules,
-                        stab)
+    [rep] = error_norms(x[None], [PhysicalParams(lam=1e8, K=0.0)], case, disc16.su,
+                        disc16.st, disc16.sf, disc16.rules, stab)
     assert rep.pF_F <= 1e-4 * rep.pF_L2 + 1e-15
 
 
 def test_starred_norms_dominate(disc16, params, stab):
-    case = make_case(params, "trig")
+    case = make_case("trig")
     system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                              params, stab, case.boundary_data())
     rep = solve(system)
-    [err] = error_norms(rep.x[None], [case], disc16.su, disc16.st, disc16.sf,
+    [err] = error_norms(rep.x[None], [params], case, disc16.su, disc16.st, disc16.sf,
                         disc16.rules, stab)
     assert err.u_star >= err.u_V
     assert err.pT_star >= err.pT_L2
@@ -160,12 +161,12 @@ def test_starred_norms_dominate(disc16, params, stab):
 
 
 def test_error_norms_needs_one_case_per_solution(disc8, params, stab):
-    d, case = disc8, make_case(params)
-    for xs, cases in ((np.zeros((2, d.layout.total)), [case]),
-                      (np.zeros((1, d.layout.total)), [case, case]),
-                      (np.zeros((0, d.layout.total)), [])):
-        with pytest.raises(ConfigurationError, match="one solution per case"):
-            error_norms(xs, cases, d.su, d.st, d.sf, d.rules, stab)
+    d = disc8
+    for xs, prms in ((np.zeros((2, d.layout.total)), [params]),
+                     (np.zeros((1, d.layout.total)), [params, params]),
+                     (np.zeros((0, d.layout.total)), [])):
+        with pytest.raises(ConfigurationError, match="one solution per parameter set"):
+            error_norms(xs, prms, make_case(), d.su, d.st, d.sf, d.rules, stab)
 
 
 @pytest.mark.parametrize("extra", [-5, 7])
@@ -175,7 +176,37 @@ def test_error_norms_rejects_wrong_solution_length(disc8, params, stab, extra):
     assert d.layout.total == 806
     x = np.zeros((1, d.layout.total + extra))
     with pytest.raises(ConfigurationError, match="shape \\(806,\\)"):
-        error_norms(x, [make_case(params)], d.su, d.st, d.sf, d.rules, stab)
+        error_norms(x, [params], make_case(), d.su, d.st, d.sf, d.rules, stab)
+
+
+class _CountingCase:
+    """A case whose analytic fields count their calls."""
+
+    def __init__(self, case):
+        self.case, self.calls = case, Counter()
+
+    def __getattr__(self, name):
+        field = getattr(self.case, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return field(*args)
+        return counted
+
+
+def test_error_norms_evaluates_parameter_free_fields_once(disc8, stab):
+    # over S = 4 parameter sets, u, grad_u, p_F and grad_p_F are evaluated once
+    # per point group, not once per parameter set; p_T once per set and group
+    d = disc8
+    prms = [PhysicalParams(lam=lam, K=K) for lam in (1.0, 1e8) for K in (1.0, 1e-8)]
+    case = _CountingCase(make_case("trig_div"))
+    error_norms(np.zeros((len(prms), d.layout.total)), prms, case, d.su, d.st, d.sf,
+                d.rules, stab)
+    groups = sum(len(quadrature_table(d.active, d.rules, tag))
+                 for tag in (None, TAG_DIRICHLET, TAG_STRESS))
+    assert groups >= 3
+    assert dict(case.calls) == {"u": groups, "grad_u": groups, "p_F": groups,
+                                "grad_p_F": groups, "p_T": len(prms) * groups}
 
 
 def test_eoc_formula():
@@ -196,7 +227,7 @@ def test_eoc_validation_and_saturation():
 
 
 def test_galerkin_residual_small_and_gamma_independent(disc16, params):
-    case = make_case(params, "trig")
+    case = make_case("trig")
     for scale in (1.0, 2.0):
         stab = StabilizationParams(gamma_u=40.0 * scale, gamma_p=40.0 * scale)
         system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
@@ -220,7 +251,7 @@ def test_divergence_variant_rates(flower_domain, stab):
     from cutbiot.spaces import build_space
 
     prm = PhysicalParams(mu=1.0, lam=10.0, K=1.0)
-    case = make_case(prm, "trig_div")
+    case = make_case("trig_div")
     seq = {"u_star": [], "pT_star": [], "pF_star": [], "pF_L2": []}
     for n in (16, 32, 64):
         mesh = build_mesh([-1, -1], [1, 1], n)
@@ -229,7 +260,7 @@ def test_divergence_variant_rates(flower_domain, stab):
         su, st, sf = build_space(act, 2, 2), build_space(act, 1), build_space(act, 2)
         system = assemble_system(su, st, sf, rules, prm, stab, case.boundary_data())
         rep = solve(system)
-        [err] = error_norms(rep.x[None], [case], su, st, sf, rules, stab)
+        [err] = error_norms(rep.x[None], [prm], case, su, st, sf, rules, stab)
         for k in seq:
             seq[k].append((rules.h, getattr(err, {"u_star": "u_star",
                                                   "pT_star": "pT_star",
