@@ -111,8 +111,8 @@ CONFIG_SCHEMA = {
                 "count": {"type": "integer", "minimum": 1},
                 "stride": {"type": "integer", "minimum": 1},
                 "delta_step": {"type": "number", "exclusiveMinimum": 0},
-                "deltas": {"type": ["array", "null"], "items": {"type": "number"},
-                           "minItems": 1},
+                "deltas": {"type": ["array", "null"],
+                           "items": {"type": "number", "minimum": 0}, "minItems": 1},
             },
         },
         "output": {
@@ -230,15 +230,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None = None):
+def _covering_box(cfg: RunConfig, n: int, delta: float) -> MeshConfig:
+    """The box translated by delta; raises unless it still covers the outer circle."""
     mc = translate_box(cfg.mesh_config(n), delta)
-    m = cfg.raw["mesh"]
-    subdiv = m["subdiv"] if subdiv is None else subdiv
     radius = cfg.raw["geometry"]["radius"]
     if max(mc.box_lo) > -radius or min(mc.box_hi) < radius:
         raise ConfigurationError(
             f"box {mc.box_lo}..{mc.box_hi} does not cover the outer circle "
             f"(radius {radius}); reduce the translation delta or refine")
+    return mc
+
+
+def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None = None):
+    mc = _covering_box(cfg, n, delta)
+    m = cfg.raw["mesh"]
+    subdiv = m["subdiv"] if subdiv is None else subdiv
     dom = cfg.domain()
     mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
     active = classify(mesh, dom, n_probe=m["n_probe"], subdiv=subdiv)
@@ -291,6 +297,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "kappa": kappa,
         "solution_norms": norms,
         "errors": err.as_dict(),
+        "quadrature": {"volume_points": sum(len(r.vol_wts) for r in rules.cut.values()),
+                       "boundary_points": sum(len(r.bnd_wts) for r in rules.cut.values())},
     }
     (out_dir / "solution.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -458,6 +466,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     deltas = sweep_deltas(cfg)
     if not deltas:
         raise ConfigurationError("sweep delta family is empty")
+    for delta in deltas:  # fail before any translation is solved
+        _covering_box(cfg, cfg.raw["sweep"]["n"], delta)
     chunks = _run_jobs(_sweep_delta_job, cfg, deltas, workers)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["delta"], not r["stabilized"]))

@@ -4,7 +4,8 @@ The physical domain is the region where an outer level set is negative and,
 if a hole is present, the hole level set is positive.  Cut cells are
 decomposed by marching triangles on a dyadic sub-grid: the combined level
 set is linearly interpolated along sub-triangle edges, the inside part is
-triangulated, and the zero-chords become embedded-boundary segments.
+triangulated, and the zero-chords become embedded-boundary segments.  Inside
+sub-squares merge into maximal quadtree blocks that carry the interior rule.
 Boundary quadrature points carry outward unit normals (from the analytic
 gradient of whichever level set governs the local cut) and a part tag that
 separates the Dirichlet boundary (outer) from the stress boundary (hole).
@@ -170,10 +171,13 @@ def make_flower_domain(radius: float = 0.95, r0: float = 0.7, r1: float = 0.18,
 class CellClip:
     """Piecewise-linear decomposition of one cell against the domain.
 
-    tris: (nt,3,2) vertices of the sub-triangles covering cell-inside-domain.
+    blocks: (nb,3) rows (x0, y0, side) of the aligned dyadic squares that
+        merge the sub-squares wholly inside the domain.
+    tris: (nt,3,2) vertices of the sub-triangles covering the rest of the inside.
     segs: (ns,2,2) endpoints of embedded-boundary chords.
     """
 
+    blocks: np.ndarray
     tris: np.ndarray
     segs: np.ndarray
     area: float
@@ -183,9 +187,9 @@ class CellClip:
 def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     """One marching-triangles pass at sub-grid depth m.
 
-    Returns (tris, segs, consistent); `consistent` is False when the sign of
-    psi at the centroid of an uncut sub-triangle contradicts its vertex
-    pattern, i.e. the boundary wiggles below the sub-grid resolution.
+    Returns (blocks, tris, segs, consistent); `consistent` is False when the
+    sign of psi at the centroid of an uncut sub-triangle contradicts its
+    vertex pattern, i.e. the boundary wiggles below the sub-grid resolution.
     """
     ns = 2 ** m
     t = np.arange(ns + 1) / ns
@@ -213,7 +217,20 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     empty = count == 0
     mixed = ~(full | empty)
 
-    tris_out = [tv[full]]
+    # a sub-square is inside when both its triangles are full; merge those
+    # into maximal aligned dyadic blocks of at most half the cell
+    levels = [full.reshape(2, ns, ns).all(axis=0)]
+    for k in range(1, m):
+        levels.append(levels[-1].reshape(ns >> k, 2, ns >> k, 2).all(axis=(1, 3)))
+    levels.append(np.zeros((1, 1), dtype=bool))  # no block spans the whole cell
+    ijs = []  # (i, j, side) in sub-squares of the blocks kept at each level
+    for k in range(m):
+        bi, bj = np.nonzero(levels[k] & ~levels[k + 1].repeat(2, 0).repeat(2, 1))
+        ijs.append((bi << k, bj << k, np.full(len(bi), 1 << k)))
+    i, j, side = (h / ns * np.concatenate(a) for a in zip(*ijs))
+    blocks = np.column_stack([lo[0] + i, lo[1] + j, side])
+
+    tris_out = [tv[full & ~np.tile(levels[0].ravel(), 2)]]
     segs_out = []
 
     if mixed.any():
@@ -242,8 +259,7 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
             tris_out.append(np.stack([a, b, q2], axis=1))
             tris_out.append(np.stack([a, q2, q1], axis=1))
 
-    tris = np.concatenate([t for t in tris_out if len(t)]) if any(len(t) for t in tris_out) \
-        else np.zeros((0, 3, 2))
+    tris = np.concatenate(tris_out)
     segs = np.concatenate(segs_out) if segs_out else np.zeros((0, 2, 2))
 
     consistent = True
@@ -253,7 +269,7 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
         sign_in = dom.psi(cent) < 0.0
         if np.any(sign_in != full[pure]):
             consistent = False
-    return tris, segs, consistent
+    return blocks, tris, segs, consistent
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -271,15 +287,15 @@ def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> Cel
     """
     lo = np.asarray(lo, dtype=float)
     for m in range(subdiv, MAX_SUBDIV + 1):
-        tris, segs, ok = _clip_subgrid(lo, h, dom, m)
+        blocks, tris, segs, ok = _clip_subgrid(lo, h, dom, m)
         if ok:
             areas = _tri_areas(tris)
-            total = float(areas.sum())
+            total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
             tris = tris[areas > 1e-14 * h * h]
             if len(segs):
                 lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
                 segs = segs[lens > 1e-12 * h]
-            return CellClip(tris, segs, total, m)
+            return CellClip(blocks, tris, segs, total, m)
     raise GeometryResolutionError(
         f"cell at {lo.tolist()} (h={h}): level set not resolved at subdivision {MAX_SUBDIV}"
     )
@@ -288,9 +304,14 @@ def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> Cel
 def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for the inside part of one clipped cell.
 
-    Maps a triangle rule onto each inside sub-triangle of the clip.  Returns
-    physical points (n,2) and positive weights summing to |clip.tris|.
+    Maps the interior cells' tensor rule onto each block and a triangle rule
+    onto each remaining sub-triangle of the clip.  Returns physical points
+    (n,2) and positive weights summing to the clipped area.
     """
+    ref, w = tensor_square(order)
+    b = clip.blocks
+    bpts = b[:, None, :2] + b[:, None, 2:] * ref[None]
+    bwts = b[:, 2:] ** 2 * w[None]
     ref, w = triangle_rule(order)
     tris = clip.tris
     v0 = tris[:, 0][:, None, :]
@@ -298,7 +319,8 @@ def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndar
     d2 = (tris[:, 2] - tris[:, 0])[:, None, :]
     pts = v0 + ref[None, :, 0:1] * d1 + ref[None, :, 1:2] * d2
     wts = 2.0 * _tri_areas(tris)[:, None] * w[None, :]
-    return pts.reshape(-1, 2), wts.ravel()
+    return (np.concatenate([bpts.reshape(-1, 2), pts.reshape(-1, 2)]),
+            np.concatenate([bwts.ravel(), wts.ravel()]))
 
 
 def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,

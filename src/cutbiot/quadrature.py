@@ -8,25 +8,31 @@ integrated exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 
+@functools.cache
 def gauss_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points/weights on [0,1], exact for degree `order`."""
     npts = max(1, math.ceil((order + 1) / 2))
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False  # cached: shared by every caller
+    return x, w
 
 
+@functools.cache
 def tensor_square(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss rule on [0,1]^2; returns points (n,2) and weights (n,)."""
     x, w = gauss_1d(order)
     X, Y = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     wts = np.outer(w, w).ravel()
+    pts.flags.writeable = wts.flags.writeable = False  # cached: shared by every caller
     return pts, wts
 
 

@@ -95,6 +95,34 @@ def test_sweep_empty_deltas_rejected(tmp_path):
         "ConfigurationError"
 
 
+def test_sweep_negative_delta_rejected_on_load():
+    # a negative translation used to fail only inside its own job, after the
+    # earlier translations had been solved
+    with pytest.raises(ConfigurationError, match="invalid config"):
+        RunConfig.from_dict({"sweep": {"n": 16, "deltas": [0.1, 0.3, -0.1]}})
+
+
+def test_sweep_uncovering_delta_fails_before_any_solve(monkeypatch, tmp_path):
+    solves = []
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda system: solves.append(1) or real_solve(system))
+    cfg = _write(tmp_path, "far.json", {"sweep": {"n": 16, "deltas": [0.1, 0.3, 5.0]}})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert err["error"] == "ConfigurationError" and "does not cover" in err["message"]
+    assert solves == []
+
+
+def test_solve_reports_quadrature_point_counts(tmp_path):
+    cfg = RunConfig.from_dict({"mesh": {"n": 12}})
+    assert cmd_solve(cfg, tmp_path / "out") == 0
+    counts = json.loads((tmp_path / "out" / "solution.json").read_text())["quadrature"]
+    rules = cli._discretize(cfg, 12)[3].cut.values()
+    assert counts == {"volume_points": sum(len(r.vol_wts) for r in rules),
+                      "boundary_points": sum(len(r.bnd_wts) for r in rules)}
+    assert counts["volume_points"] > 0 and counts["boundary_points"] > 0
+
+
 def test_solve_writes_summary_and_points(tmp_path):
     cfg = _write(tmp_path, "cfg.json", SOLVE_CFG)
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])

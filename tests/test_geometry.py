@@ -104,6 +104,54 @@ def test_halfplane_volume_exact(theta, px, py, subdiv):
         assert wts @ (pts[:, 0] ** i * pts[:, 1] ** j) == pytest.approx(exact, abs=1e-12), (i, j)
 
 
+def _check_blocks(clip, dom):
+    """The clip's blocks of the unit cell are its maximal inside quadtree squares."""
+    ns = 2 ** clip.subdiv
+    ij = clip.blocks[:, :2] * ns
+    side = clip.blocks[:, 2] * ns  # in sub-squares
+    assert np.allclose(ij, np.round(ij), rtol=0, atol=1e-9)
+    assert np.allclose(side, np.round(side), rtol=0, atol=1e-9)
+    ij, side = np.round(ij).astype(int), np.round(side).astype(int)
+    # aligned dyadic squares of at most half the cell, inside the cell
+    assert np.all((side >= 1) & (side <= ns // 2) & (side & (side - 1) == 0))
+    assert np.all(ij % side[:, None] == 0)
+    assert np.all((ij >= 0) & (ij + side[:, None] <= ns))
+    covered = np.zeros((ns, ns), dtype=int)
+    for (i, j), k in zip(ij, side):
+        covered[i:i + k, j:j + k] += 1
+        t = np.arange(k + 1)
+        corners = np.stack(np.meshgrid(i + t, j + t, indexing="ij"), axis=-1) / ns
+        assert np.all(dom.psi(corners.reshape(-1, 2)) < 0.0)
+    assert covered.max(initial=0) <= 1  # pairwise disjoint
+    for (i, j), k in zip(ij, side):  # maximal: no quadtree parent is fully covered
+        if k < ns // 2:
+            pi, pj = i - i % (2 * k), j - j % (2 * k)
+            assert not covered[pi:pi + 2 * k, pj:pj + 2 * k].all()
+
+
+@halfplane_examples
+@given(**halfplane_cut)
+def test_halfplane_blocks_maximal(theta, px, py, subdiv):
+    clip, dom, _ = _halfplane(theta, px, py, subdiv)
+    _check_blocks(clip, dom)
+
+
+@halfplane_examples
+@given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.1, 1.5),
+       hole=st.booleans(), subdiv=st.integers(1, 4))
+def test_circle_blocks_maximal(cx, cy, r, hole, subdiv):
+    circle = CircleLevelSet(r, (cx, cy))
+    dom = LevelSetDomain(ConstantLevelSet(-1.0), circle) if hole else LevelSetDomain(circle)
+    _check_blocks(clip_cell(np.zeros(2), 1.0, dom, subdiv), dom)
+
+
+def test_blocks_cut_the_points_per_cut_cell(flower_domain):
+    # the all-triangles rule carried 1978 points per cut cell here
+    act = classify(build_mesh([-1, -1], [1, 1], 32), flower_domain, subdiv=4)
+    rules = build_cut_rules(act, flower_domain)
+    assert np.mean([len(r.vol_wts) for r in rules.cut.values()]) <= 500
+
+
 @halfplane_examples
 @given(**halfplane_cut)
 @example(theta=0.0, px=0.5, py=0.5, subdiv=3)  # the vertical cut x = 0.5

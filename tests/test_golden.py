@@ -1,7 +1,7 @@
 """Golden values of two small CLI runs, pinned to guard refactors of assembly.
 
-The numbers were produced by the batched-interior/per-cut-cell assembly that
-preceded the single quadrature-table path; a refactor may change summation
+The numbers were produced with the cut-cell volume rule that merges the
+inside sub-squares into quadtree blocks; a refactor may change summation
 order, so they are compared to relative 1e-8, not bitwise.  The unstabilized
 sweep arm is ill-conditioned enough that its errors and kappa move with the
 rounding of single matrix entries, so only its status and its kappa blow-up
@@ -24,69 +24,69 @@ ERR_NAMES = ["err_u_star", "err_u_L2", "err_pT_star", "err_pT_L2", "err_pF_star"
 # (N, lambda, K) -> (errors in ERR_NAMES order, EOCs in the same order)
 CONVERGENCE = {
     (8, 1.0, 1e-08): (
-        [0.35506797822131625, 0.008474760272402578, 0.09034337151849121,
-         0.044279775721747974, 0.02372504924721127, 0.023724838744983743],
+        [0.35506801261437443, 0.008474060021092689, 0.09034341616294331,
+         0.04427988997234675, 0.02372498760367738, 0.0237247771012504],
         [None] * 6),
     (8, 1.0, 1.0): (
-        [0.3578322206095821, 0.008739477092840654, 0.07267527630204329,
-         0.036409547229193914, 0.10178230564484876, 0.0035018650816591684],
+        [0.35783225610249464, 0.008738797459895378, 0.07267535196096575,
+         0.03640969297732731, 0.10178170940376616, 0.0035012516571404037],
         [None] * 6),
     (8, 1e8, 1e-08): (
-        [0.347402393237141, 0.008209439220398136, 0.12168431621155998,
-         0.05971903556065266, 1.0205749433256186e-05, 0.0035179934045012785],
+        [0.3474024307739953, 0.008208716375630759, 0.12168436354270533,
+         0.05971912654061292, 1.0205689787070261e-05, 0.0035173833433506394],
         [None] * 6),
     (8, 1e8, 1.0): (
-        [0.3474023932388225, 0.008209439220347682, 0.12168431620470388,
-         0.05971903555717321, 0.09995828837174321, 0.0034248005976121893],
+        [0.34740243077548805, 0.008208716375574205, 0.12168436353620073,
+         0.059719126537324606, 0.0999577100317285, 0.0034241691523048735],
         [None] * 6),
     (12, 1.0, 1e-08): (
-        [0.12948886593137715, 0.0027418690900737177, 0.027635998440504583,
-         0.015209373066912247, 0.006558734168923024, 0.006558620431784241],
-        [2.487795716179785, 2.78310637920451, 2.921332593052753,
-         2.635531725211048, 3.171009717612079, 3.1710306043978576]),
+        [0.12948888163682168, 0.002741619649776098, 0.027636011684423454,
+         0.015209402292831142, 0.006558700916592622, 0.006558587179148527],
+        [2.4877956559411034, 2.783126966452522, 2.9213326298919893,
+         2.635533349577349, 3.1710158135589586, 3.1710367005987976]),
     (12, 1.0, 1.0): (
-        [0.13028186333166147, 0.002759640237411945, 0.02352034482677105,
-         0.013250327139304791, 0.052792859858545885, 0.0009261135325734335],
-        [2.4918640741362377, 2.843031405569247, 2.7823244018751407,
-         2.492961205954053, 1.6190303663172345, 3.2803171639733923]),
+        [0.13028187903508795, 0.0027593924717139087, 0.023520364585822427,
+         0.013250362388206666, 0.05279276693913109, 0.0009258459851809771],
+        [2.491864021491642, 2.8430610432141545, 2.7823248975303483,
+         2.492964517672767, 1.6190202595450032, 3.2805977016515984]),
     (12, 1e8, 1e-08): (
-        [0.12777436400523068, 0.0027449909624781667, 0.037796629853014595,
-         0.019946019658191625, 5.2846688390401465e-06, 0.0009314472743155594],
-        [2.4668406617342518, 2.701852297935926, 2.8836271098104334,
-         2.7046007010434665, 1.6231761042720607, 3.2774866159491065]),
+        [0.12777437993473484, 0.0027447416857866768, 0.03779664168657467,
+         0.019946042788014158, 5.284659538380908e-06, 0.0009311813282487722],
+        [2.4668406207469045, 2.701859108097544, 2.8836272969574903,
+         2.7046015983961893, 1.6231660307684073, 3.2777631705343624]),
     (12, 1e8, 1.0): (
-        [0.12777436400547582, 0.0027449909624605137, 0.03779662985264288,
-         0.019946019657615825, 0.052430525775438004, 0.0009195878635355109],
-        [2.466840661741458, 2.7018522979366293, 2.883627109695728,
-         2.7046007009709676, 1.5914168571095184, 3.242875669885782]),
+        [0.12777437993504712, 0.002744741685758923, 0.03779664168519473,
+         0.01994604278722876, 0.05243043768706012, 0.000919318113784565],
+        [2.4668406207514737, 2.701859108105491, 2.8836272969156984,
+         2.7046015983575007, 1.5914067311293036, 3.243144470731764]),
     (16, 1.0, 1e-08): (
-        [0.06902645680661643, 0.0011649956023120417, 0.015089988634141334,
-         0.008124689953390043, 0.00294483198747928, 0.002944755677159746],
-        [2.1868065383147526, 2.975237622691856, 2.1033208272765185,
-         2.1795043177095836, 2.783440240378611, 2.7834700377248853]),
+        [0.06902646060292955, 0.0011649003382165014, 0.015089993552631627,
+         0.008124700843845768, 0.002944819578055876, 0.0029447432675449737],
+        [2.186806768742887, 2.9752056315529978, 2.1033213600976355,
+         2.1795063378459156, 2.783437264980961, 2.7834670624652857]),
     (16, 1.0, 1.0): (
-        [0.06940814713287233, 0.0011746265899275946, 0.013155213235814252,
-         0.007276310622728231, 0.02863874111093593, 0.00043871577047404015],
-        [2.1888608594415992, 2.969076292824145, 2.019756236891202,
-         2.083544120838966, 2.126012096968367, 2.597120739610148]),
+        [0.06940815092848378, 0.0011745321297097382, 0.013155220202065271,
+         0.007276323297163085, 0.02863871433921509, 0.00043862094490430646],
+        [2.1888610883361364, 2.969043737964918, 2.019757316347404,
+         2.083547313078997, 2.126009228285442, 2.596867795424154]),
     (16, 1e8, 1e-08): (
-        [0.06824655794319727, 0.0011638512002950568, 0.021141125435354173,
-         0.010741721182002529, 2.8649372045908327e-06, 0.00044118780565101563],
-        [2.179972224588049, 2.9826094790894264, 2.0195896118995065,
-         2.1513133126536497, 2.1282644406433406, 2.59755128685881]),
+        [0.06824656177063555, 0.0011637558053089192, 0.02114112952297445,
+         0.01074172962369224, 2.8649345259546503e-06, 0.00044109352315890795],
+        [2.1799724629988, 2.982578725310899, 2.019590028108273,
+         2.151314611802784, 2.1282615730286265, 2.5973015819537406]),
     (16, 1e8, 1.0): (
-        [0.06824655794319644, 0.0011638512002984259, 0.021141125435511967,
-         0.010741721182024691, 0.02851809473499253, 0.0004364171969661308],
-        [2.17997222459476, 2.98260947905701, 2.019589611839376,
-         2.1513133125461312, 2.1167470767096903, 2.590800772845829]),
+        [0.06824656177069469, 0.0011637558053045525, 0.021141129522600603,
+         0.010741729623489541, 0.028518069351559004, 0.0004363218201482551],
+        [2.1799724630042836, 2.9825787252887936, 2.0195900280428325,
+         2.151314611731504, 2.116744330565303, 2.590540722727996]),
 }
 
 # delta -> (err_u_star, err_pT_star, err_pF_star, err_u_L2, kappa), stabilized arm
 SWEEP_STABILIZED = {
-    0.1: (0.06840746674472402, 0.013316544991195922, 0.02784282899948648,
-          0.0011372074856658078, 653978.6070886564),
-    0.3: (0.06954125725504397, 0.013199390053253166, 0.030767714362315374,
-          0.0011849539654047588, 557080.2834978644),
+    0.1: (0.06840747035351391, 0.013316550864513187, 0.027842805427053814,
+          0.0011371230622581618, 653978.6129356743),
+    0.3: (0.0695412612234535, 0.013199394532338031, 0.03076769578334504,
+          0.0011848652535201014, 557080.2893921714),
 }
 
 
