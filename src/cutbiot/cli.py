@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +34,8 @@ from .mesh import MeshConfig, build_mesh, classify, dump_classification, transla
 from .solver import estimate_condition, solve
 from .spaces import build_space, make_layout
 from .verification import CASE_NAMES, eoc, error_norms, field_values, make_case
+
+logger = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -241,12 +246,19 @@ def _covering_box(cfg: RunConfig, n: int, delta: float) -> MeshConfig:
     return mc
 
 
+# Ladder levels on threads build their meshes one at a time, so a wrapper
+# around `build_mesh` sees each call whole: `bench/tracing.py` names every
+# later span after the level whose mesh was built last.
+_BUILD_MESH_LOCK = threading.Lock()
+
+
 def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None = None):
     mc = _covering_box(cfg, n, delta)
     m = cfg.raw["mesh"]
     subdiv = m["subdiv"] if subdiv is None else subdiv
     dom = cfg.domain()
-    mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
+    with _BUILD_MESH_LOCK:
+        mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
     active = classify(mesh, dom, n_probe=m["n_probe"], subdiv=subdiv)
     rules = build_cut_rules(active, dom, order=m["order"])
     k, l = cfg.raw["spaces"]["k"], cfg.raw["spaces"]["l"]
@@ -357,7 +369,10 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
 
 
 def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
-    """job(cfg.raw, item) for every item, in min(workers, len(items)) processes."""
+    """job(cfg.raw, item) for every item, in min(workers, len(items)) processes.
+
+    One worker runs the items in this process, one after another.
+    """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(items))
@@ -367,8 +382,31 @@ def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
         return list(pool.map(job, [cfg.raw] * len(items), items))
 
 
+def _run_levels(cfg: RunConfig, ladder: list) -> list:
+    """`_ladder_level_job` for every level, on up to two threads, finest first.
+
+    On the paper's ladder each level has 4x the cells of the one below, so
+    the finest level is the critical path and a second thread runs every
+    coarser level beside it; a third would add memory, not speed.  SuperLU
+    and numpy release the GIL, so the threads share the cores.  Results
+    come back in ladder order.  When levels raise, every level is awaited
+    and the coarsest one's error is raised: the one a serial loop meets first.
+    """
+    threads = min(2, len(os.sched_getaffinity(0)), len(ladder))
+    logger.info("%d levels on %d threads, finest first", len(ladder), threads)
+    if threads == 1:
+        return [_ladder_level_job(cfg.raw, n) for n in ladder]
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # waits for every level
+        futures = [pool.submit(_ladder_level_job, cfg.raw, n) for n in reversed(ladder)]
+    return [future.result() for future in reversed(futures)]
+
+
 def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
-    """Run the refinement ladder over the parameter grid; write one CSV."""
+    """Run the refinement ladder over the parameter grid; write one CSV.
+
+    With one worker the levels run on threads in this process (see
+    `_run_levels`); with more, each level runs in a worker process.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     conv = cfg.raw["convergence"]
     ladder = conv["ladder"]
@@ -377,7 +415,8 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("convergence ladder must be strictly increasing")
 
-    chunks = _run_jobs(_ladder_level_job, cfg, ladder, workers)
+    chunks = _run_levels(cfg, ladder) if workers == 1 else \
+        _run_jobs(_ladder_level_job, cfg, ladder, workers)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["N"], r["lambda"], r["K"]))
 
@@ -517,6 +556,7 @@ def _write_error(out_dir: Path, exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")  # to stderr
     try:
         cfg = RunConfig.from_file(args.config) if args.config \
             else RunConfig.from_dict({})

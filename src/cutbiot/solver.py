@@ -7,10 +7,11 @@ relative residual of at most `RESIDUAL_TOL`; any linear factor solves a
 zero right-hand side, so there the factor must also solve a fixed non-zero
 probe.  When that attempt fails the check, or SuperLU raises, the factor is
 freed and the system is factored again with COLAMD and partial pivoting,
-under the same check.  The condition estimate combines extremal
-singular-value estimates of the matrix and of its inverse through the
-factorization; everything is deterministic, including the Lanczos start
-vectors and the probe.
+under the same check.  `solve` keeps the factor in its report but never
+builds copies of L and U; the factor's nonzero count is made only when
+read.  The condition estimate combines extremal singular-value estimates
+of the matrix and of its inverse through the factorization; everything is
+deterministic, including the Lanczos start vectors and the probe.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ class SolveReport:
 
     x: np.ndarray
     rel_residual: float
-    factor_nnz: int
     ordering: str  # "MMD_AT_PLUS_A" (symmetric attempt) or "COLAMD" (fallback)
     _lu: object = field(default=None, repr=False)
+
+    @property
+    def factor_nnz(self) -> int:
+        """Nonzeros of L plus U; builds copies of both, so only made when read."""
+        return int(self._lu.L.nnz + self._lu.U.nnz)
 
 
 def _symmetric_lu(matrix: sp.csc_matrix):
@@ -99,8 +104,7 @@ def solve(system: BlockSystem) -> SolveReport:
     lu, x, rel, failure, ordering = _factorize(system.matrix, system.rhs)
     if failure is not None:
         raise SolverError(failure)
-    return SolveReport(x=x, rel_residual=rel,
-                       factor_nnz=int(lu.L.nnz + lu.U.nnz), ordering=ordering, _lu=lu)
+    return SolveReport(x=x, rel_residual=rel, ordering=ordering, _lu=lu)
 
 
 def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:

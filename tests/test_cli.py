@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -28,6 +31,16 @@ def _write(tmp_path, name, cfg):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return p
+
+
+def _stub_level(n):
+    """What `_ladder_level_job` returns for one (lambda, K) at level n."""
+    return [{"N": n, "h": 2.0 / n, "lambda": 1.0, "K": 1.0,
+             **{name: 1.0 / n for name in cli._ERR_NAMES}}]
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def test_config_defaults_are_paper_values():
@@ -241,14 +254,84 @@ def test_solve_default_config(tmp_path):
     assert summary["rel_residual"] <= 1e-9
 
 
-def test_parallel_workers_match_serial(tmp_path):
+def test_parallel_workers_match_serial(monkeypatch, tmp_path):
+    # level threads, worker processes and one core all write the same bytes
     cfg = _write(tmp_path, "cfg.json", CONV_CFG)
     assert main(["convergence", "--config", str(cfg),
                  "--out", str(tmp_path / "w1")]) == 0
     assert main(["convergence", "--config", str(cfg), "--workers", "2",
                  "--out", str(tmp_path / "w2")]) == 0
-    assert (tmp_path / "w1" / "convergence.csv").read_bytes() == \
-        (tmp_path / "w2" / "convergence.csv").read_bytes()
+    _cores(monkeypatch, 1)
+    assert main(["convergence", "--config", str(cfg),
+                 "--out", str(tmp_path / "core1")]) == 0
+    for out in ("w2", "core1"):
+        assert (tmp_path / "w1" / "convergence.csv").read_bytes() == \
+            (tmp_path / out / "convergence.csv").read_bytes()
+
+
+def test_levels_start_finest_first_on_at_most_two_threads(monkeypatch, caplog, tmp_path):
+    lock = threading.Lock()
+    starts, threads, running, peak = [], set(), [0], [0]
+    ladder = [8, 12, 16, 20]
+
+    def job(raw, n):
+        with lock:
+            starts.append(n)
+            threads.add(threading.get_ident())
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.4 if n == ladder[-1] else 0.1)  # the coarser levels end first
+        with lock:
+            running[0] -= 1
+        return _stub_level(n)
+
+    monkeypatch.setattr(cli, "_ladder_level_job", job)
+    cfg = RunConfig.from_dict({"convergence": {"ladder": ladder, "lambdas": [1.0],
+                                               "Ks": [1.0]}})
+    _cores(monkeypatch, 4)
+    with caplog.at_level(logging.INFO, logger="cutbiot.cli"):
+        assert cmd_convergence(cfg, tmp_path / "four") == 0
+    # the two finest levels start together, then the rest finest first
+    assert peak[0] == 2 and len(threads) == 2
+    assert sorted(starts[:2]) == [16, 20] and starts[2:] == [12, 8]
+    assert "4 levels on 2 threads, finest first" in caplog.text
+    assert [p.name for p in (tmp_path / "four").iterdir()] == ["convergence.csv"]
+
+    # one core: the levels run in this thread, in ladder order
+    starts.clear()
+    threads.clear()
+    peak[0] = 0
+    _cores(monkeypatch, 1)
+    assert cmd_convergence(cfg, tmp_path / "one") == 0
+    assert starts == ladder and threads == {threading.get_ident()} and peak[0] == 1
+    assert (tmp_path / "four" / "convergence.csv").read_bytes() == \
+        (tmp_path / "one" / "convergence.csv").read_bytes()
+
+
+def test_failing_levels_raise_the_coarsest_error(monkeypatch, tmp_path):
+    # the finer level fails first; the coarser one's error is the one a
+    # serial loop meets first, and every level still runs to its end
+    done = []
+
+    def job(raw, n):
+        if n == 16:
+            raise SolverError("level 16 failed")
+        time.sleep(0.2)
+        if n == 12:
+            raise SolverError("level 12 failed")
+        done.append(n)
+        return _stub_level(n)
+
+    monkeypatch.setattr(cli, "_ladder_level_job", job)
+    _cores(monkeypatch, 2)
+    cfg = _write(tmp_path, "cfg.json", CONV_CFG)
+    before = set(threading.enumerate())
+    code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {
+        "error": "SolverError", "message": "level 12 failed"}
+    assert done == [8]
+    assert set(threading.enumerate()) <= before  # no level thread left running
 
 
 def test_console_entry_point(tmp_path):
@@ -273,22 +356,30 @@ def test_box_coverage_guard(tmp_path):
 
 
 def test_previous_factorization_released_before_next_solve(monkeypatch, tmp_path):
-    # each SolveReport holds its LU factor; two must never coexist in one job
-    reports = []
+    # each SolveReport holds its LU factor.  A ladder level runs on one
+    # thread, so at a solve no earlier report of that thread is alive, and
+    # process-wide at most one per level thread is; in the sweep, which runs
+    # on one thread, no earlier report is alive at all.
+    reports = []  # (thread, weak reference to the report)
+    limit = [2]
 
     def tracking_solve(system):
         gc.collect()
-        assert all(ref() is None for ref in reports), "an earlier SolveReport is alive"
+        alive = [thread for thread, ref in reports if ref() is not None]
+        assert threading.get_ident() not in alive, "an earlier SolveReport is alive"
+        assert len(alive) < limit[0], "more SolveReports alive than level threads"
         report = real_solve(system)
-        reports.append(weakref.ref(report))
+        reports.append((threading.get_ident(), weakref.ref(report)))
         return report
 
     real_solve = cli.solve
     monkeypatch.setattr(cli, "solve", tracking_solve)
+    _cores(monkeypatch, 2)
     conv = {"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0, 1e8], "Ks": [1.0],
                             "subdiv": 3}}
     assert cmd_convergence(RunConfig.from_dict(conv), tmp_path / "conv") == 0
     assert len(reports) == 6
+    limit[0] = 1
     assert cmd_sweep(RunConfig.from_dict({"sweep": {"n": 16, "deltas": [0.1]}}),
                      tmp_path / "sw") == 0
     assert len(reports) == 8
@@ -315,9 +406,7 @@ class _InlinePool:
 def test_workers_validated_and_capped(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    stub = [{"N": n, "h": 2.0 / n, "lambda": 1.0, "K": 1.0,
-             **{name: 1.0 / n for name in cli._ERR_NAMES}} for n in (8, 12, 16)]
-    monkeypatch.setattr(cli, "_ladder_level_job", lambda raw, n: [stub[(n - 8) // 4]])
+    monkeypatch.setattr(cli, "_ladder_level_job", lambda raw, n: _stub_level(n))
     monkeypatch.setattr(cli, "_sweep_delta_job", lambda raw, d: [
         {"delta": d, "stabilized": s, "err_u_star": 1.0, "err_pT_star": 1.0,
          "err_pF_star": 1.0, "err_u_L2": 1.0, "kappa": 1.0, "solver_status": "ok",

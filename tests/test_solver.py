@@ -182,6 +182,36 @@ def test_fallback_when_symmetric_solution_misses_residual(monkeypatch, caplog, d
     assert "relative residual" in caplog.text
 
 
+class _NoCopyLU:
+    """Forwards to a SuperLU factor, but fails on `.L` or `.U` while `armed`."""
+
+    armed = True
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U") and self.armed:
+            raise AssertionError(f"solve built a copy of the factor's {name}")
+        return getattr(self._lu, name)
+
+
+def test_solve_builds_no_factor_copies(monkeypatch, disc16, params, stab):
+    proxies = []
+
+    def proxied(matrix):
+        proxies.append(_NoCopyLU(real(matrix)))
+        return proxies[-1]
+
+    real = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu", proxied)
+    rep = solve(_trig_system(disc16, params, stab))
+    [proxy] = proxies
+    assert rep.ordering == "MMD_AT_PLUS_A" and rep._lu is proxy
+    proxy.armed = False  # the count is made when read, with the same definition
+    assert rep.factor_nnz == proxy.L.nnz + proxy.U.nnz > 0
+
+
 def test_condition_estimate_factors_through_solve_path(monkeypatch, disc16, params, stab):
     system = _trig_system(disc16, params, stab)
     attempts = []
