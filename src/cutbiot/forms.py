@@ -18,8 +18,10 @@ serves the assembled penalty and the direct seminorm.  `_TERMS` is the only
 record of where each term goes in the 3x3 system (row, column, sign), how it
 scales with the material parameters and whether it is a ghost penalty.
 `BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
-`compose_matrix` applies material parameters to them.  Assembly is
-single-threaded and bitwise deterministic.
+`compose_matrix` and `group_terms` apply material parameters to them; the
+latter sums the parts that scale alike, so `apply_groups` applies the
+matrices at several parameter sets to a block of vectors without composing
+any of them.  Assembly is single-threaded and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -454,8 +456,7 @@ class BlockSystem:
 
     def block(self, row_field: str, col_field: str) -> sp.csr_matrix:
         """The assembled matrix restricted to one field's rows and another's columns."""
-        sl = {"u": self.layout.s_u, "pT": self.layout.s_t, "pF": self.layout.s_f}
-        return self.matrix[sl[row_field], sl[col_field]]
+        return self.matrix[self.layout.slice(row_field), self.layout.slice(col_field)]
 
     def symmetry_defect(self) -> float:
         d = self.matrix - self.matrix.T
@@ -538,6 +539,42 @@ def with_params(system: BlockSystem, params: PhysicalParams,
     """
     return replace(system, matrix=compose_matrix(system.parts, system.layout, params),
                    params=params, rhs=rhs)
+
+
+class TermGroup(NamedTuple):
+    """Unit parts that share a position and a scale at every parameter set, summed."""
+
+    row: str
+    col: str
+    matrix: sp.csr_matrix
+    scales: np.ndarray  # (S,) sign times scale at each parameter set
+
+
+def group_terms(parts: dict, params: Sequence[PhysicalParams]) -> list[TermGroup]:
+    """The parts grouped by (row, column, per-set scale vector), each group summed once."""
+    sums: dict[tuple, sp.csr_matrix] = {}
+    for name in sorted(parts):
+        term = _TERMS[name]
+        key = (term.row, term.col, tuple(term.sign * term.scale(p) for p in params))
+        sums[key] = sums[key] + parts[name] if key in sums else parts[name]
+    return [TermGroup(row, col, matrix, np.array(scales))
+            for (row, col, scales), matrix in sums.items()]
+
+
+def apply_groups(groups: list[TermGroup], layout: FieldLayout, X: np.ndarray) -> np.ndarray:
+    """Column s of the result is the system matrix at parameter set s times `X[:, s]`.
+
+    The S matrices are never composed: each group's sum is applied to the
+    whole (n, S) block and scaled per column, off-diagonal ones also
+    transposed at the mirrored position, as in `compose_matrix`.
+    """
+    Y = np.zeros_like(X)
+    for g in groups:
+        r, c = layout.slice(g.row), layout.slice(g.col)
+        Y[r] += (g.matrix @ X[c]) * g.scales
+        if g.row != g.col:
+            Y[c] += (g.matrix.T @ X[r]) * g.scales
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,9 @@ class FieldLayout:
     def offset(self, fieldname: str) -> int:
         return {"u": 0, "pT": self.n_u, "pF": self.n_u + self.n_t}[fieldname]
 
+    def slice(self, fieldname: str) -> slice:
+        return {"u": self.s_u, "pT": self.s_t, "pF": self.s_f}[fieldname]
+
 
 def make_layout(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace) -> FieldLayout:
     """The (u, p_T, p_F) layout of three spaces, which must share one active mesh."""

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError
 from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
-                    quadrature_table, tabulate, tabulation_columns)
+                    full_cell_matrix, quadrature_table, tabulate, tabulation_columns, with_params)
 from .geometry import TAG_DIRICHLET, TAG_STRESS, CutRule
 from .spaces import FeSpace, make_layout
 
@@ -272,3 +274,23 @@ def galerkin_residual(system: BlockSystem, x: np.ndarray) -> float:
     penalties.
     """
     return float(np.abs(system.matrix @ x - system.rhs).max())
+
+
+def infsup_constant(system: BlockSystem, space_t: FeSpace) -> float:
+    """The discrete inf-sup constant beta_h of the displacement/total-pressure pair.
+
+    beta_h^2 is the smallest eigenvalue of (B A^-1 B^T + G2) q = beta^2 M q at
+    unit material parameters, with A the u-u block (ghost penalty g1
+    included), B the p_T-u coupling, G2 the total-pressure ghost penalty
+    (zero without ghost terms) and M the p_T mass over whole active cells.
+    Dense, so meant for small meshes.
+    """
+    unit = with_params(system, PhysicalParams(), system.rhs)
+    B = unit.block("pT", "u")
+    schur = B @ spla.splu(unit.block("u", "u").tocsc()).solve(B.T.toarray())
+    if "g2" in system.parts:
+        schur += system.parts["g2"].toarray()
+    M = full_cell_matrix(space_t).toarray()
+    beta2 = scipy.linalg.eigh(0.5 * (schur + schur.T), M, eigvals_only=True,
+                              subset_by_index=[0, 0])[0]
+    return math.sqrt(max(beta2, 0.0))

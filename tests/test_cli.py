@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cutbiot import cli
+from conftest import TrackedLU
+from cutbiot import cli, solver
 from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
 from cutbiot.errors import ConfigurationError, GeometryResolutionError, SolverError
@@ -165,13 +166,18 @@ def test_solve_no_stab_flag(tmp_path):
     assert summary["stabilized"] is False
 
 
-def test_convergence_rows_and_eoc(tmp_path):
+def test_convergence_rows_and_eoc(caplog, tmp_path):
     cfg = RunConfig.from_dict(CONV_CFG)
-    assert cmd_convergence(cfg, tmp_path / "conv") == 0
+    with caplog.at_level(logging.INFO, logger="cutbiot.cli"):
+        assert cmd_convergence(cfg, tmp_path / "conv") == 0
+    # one line per level with the MINRES steps of its one pair, none in the output
+    steps = [m for m in caplog.messages if "MINRES steps" in m]
+    assert sorted(m.split(":")[0] for m in steps) == ["N=12", "N=16", "N=8"]
+    assert all(m.endswith("; 0 direct fallbacks") for m in steps)
     lines = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header[:4] == ["N", "h", "lambda", "K"]
-    assert "err_u_star" in header and "eoc_u_star" in header
+    assert header == ["N", "h", "lambda", "K"] + cli._ERR_NAMES + \
+        [f"eoc_{name[4:]}" for name in cli._ERR_NAMES]
     assert len(lines) == 1 + 3  # one row per level per combo
     first = lines[1].split(",")
     last = lines[-1].split(",")
@@ -356,33 +362,55 @@ def test_box_coverage_guard(tmp_path):
 
 
 def test_previous_factorization_released_before_next_solve(monkeypatch, tmp_path):
-    # each SolveReport holds its LU factor.  A ladder level runs on one
-    # thread, so at a solve no earlier report of that thread is alive, and
-    # process-wide at most one per level thread is; in the sweep, which runs
-    # on one thread, no earlier report is alive at all.
-    reports = []  # (thread, weak reference to the report)
-    limit = [2]
+    # A stabilized ladder level solves its (lambda, K) pairs by lockstep MINRES:
+    # it makes no direct solve, and none of its factors is reachable once the
+    # level returns, on either level thread.  In the sweep, which solves
+    # directly on one thread, no earlier SolveReport (each holds its LU factor)
+    # is alive at a solve.
+    factors = []  # (thread, weak reference to the factor)
 
-    def tracking_solve(system):
+    def tracked_lu(matrix):
+        lu = TrackedLU(real_lu(matrix))
+        factors.append((threading.get_ident(), weakref.ref(lu)))
+        return lu
+
+    def tracked_level(raw, n):
+        rows = real_level(raw, n)
         gc.collect()
-        alive = [thread for thread, ref in reports if ref() is not None]
-        assert threading.get_ident() not in alive, "an earlier SolveReport is alive"
-        assert len(alive) < limit[0], "more SolveReports alive than level threads"
-        report = real_solve(system)
-        reports.append((threading.get_ident(), weakref.ref(report)))
-        return report
+        assert not [ref for thread, ref in factors
+                    if thread == threading.get_ident() and ref() is not None], \
+            f"a factor of level N={n} outlives it"
+        return rows
 
-    real_solve = cli.solve
-    monkeypatch.setattr(cli, "solve", tracking_solve)
+    def no_direct_solve(system):
+        raise AssertionError("direct solve in a stabilized ladder level")
+
+    real_lu, real_level, real_solve = solver._symmetric_lu, cli._ladder_level_job, solver.solve
+    monkeypatch.setattr(solver, "_symmetric_lu", tracked_lu)
+    monkeypatch.setattr(cli, "_ladder_level_job", tracked_level)
+    monkeypatch.setattr(solver, "solve", no_direct_solve)
+    monkeypatch.setattr(cli, "solve", no_direct_solve)
     _cores(monkeypatch, 2)
     conv = {"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0, 1e8], "Ks": [1.0],
                             "subdiv": 3}}
     assert cmd_convergence(RunConfig.from_dict(conv), tmp_path / "conv") == 0
-    assert len(reports) == 6
-    limit[0] = 1
+    assert len({thread for thread, _ in factors}) == 2  # both level threads factored
+    assert len(factors) == 3 * (1 + 2 * 2)  # per level: A_uu, then p_T and p_F per pair
+
+    reports = []  # weak references to the sweep's reports
+
+    def tracking_solve(system):
+        gc.collect()
+        assert all(ref() is None for ref in reports), "an earlier SolveReport is alive"
+        report = real_solve(system)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(solver, "solve", real_solve)
+    monkeypatch.setattr(cli, "solve", tracking_solve)
     assert cmd_sweep(RunConfig.from_dict({"sweep": {"n": 16, "deltas": [0.1]}}),
                      tmp_path / "sw") == 0
-    assert len(reports) == 8
+    assert len(reports) == 2
 
 
 class _InlinePool:

@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import gc
 import logging
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import TrackedLU, _discretize
 from cutbiot import solver
 from cutbiot.errors import SolverError
-from cutbiot.forms import BlockSystem, FieldLayout, PhysicalParams, assemble_system
+from cutbiot.forms import BlockSystem, FieldLayout, PhysicalParams, StabilizationParams, \
+    apply_groups, assemble_rhs, assemble_system, group_terms, with_params
 from cutbiot.geometry import ConstantLevelSet, LevelSetDomain, build_cut_rules, \
     make_flower_domain
 from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
-from cutbiot.solver import estimate_condition, solve
+from cutbiot.solver import estimate_condition, solve, solve_params
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import make_case
 
@@ -239,3 +244,112 @@ def test_condition_estimate_rejects_unverified_factors(monkeypatch, disc16, para
         solve(system)
     with pytest.raises(SolverError):
         estimate_condition(system)
+
+
+# ---------------------------------------------------------------------------
+# lockstep MINRES over a level's (lambda, K) pairs
+
+PAIRS = [PhysicalParams(lam=lam, K=K) for lam in (1.0, 1e8) for K in (1.0, 1e-8)]
+
+
+def _level(disc, include_ghost=True):
+    """The unit-parameter system of `disc` and its four (lambda, K) load vectors."""
+    stb = StabilizationParams()
+    base = assemble_system(disc.su, disc.st, disc.sf, disc.rules, PhysicalParams(), stb,
+                           include_ghost=include_ghost)
+    rhs = assemble_rhs(disc.su, disc.st, disc.sf, disc.rules, stb, PAIRS,
+                       make_case("trig").boundary_data())
+    return base, rhs
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=6)
+@given(n=st.sampled_from([8, 12, 16]), delta=st.floats(0.0, 0.99))
+def test_minres_steps_bounded_and_solutions_match_direct(n, delta):
+    base, rhs = _level(_discretize(n, delta=delta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = solve_params(base, PAIRS, rhs)
+    groups = group_terms(base.parts, PAIRS)
+    X = np.random.default_rng(n).standard_normal((base.layout.total, len(PAIRS)))
+    Y = apply_groups(groups, base.layout, X)
+    for s, (prm, b, rep) in enumerate(zip(PAIRS, rhs, reports)):
+        assert rep.ordering == "MINRES" and rep.steps <= 80, (prm, rep.steps)
+        assert rep.rel_residual <= solver.RESIDUAL_TOL
+        system = with_params(base, prm, b)
+        assert _rel(rep.x, solve(system).x) <= 1e-9
+        assert _rel(Y[:, s], system.matrix @ X[:, s]) <= 1e-13
+
+
+def _caught(caplog, disc, **level):
+    """solve_params on `disc` with numpy warnings raised, its warnings captured."""
+    base, rhs = _level(disc, **level)
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
+        warnings.simplefilter("error")
+        return base, rhs, solve_params(base, PAIRS, rhs)
+
+
+def _assert_direct(base, rhs, reports):
+    for prm, b, rep in zip(PAIRS, rhs, reports):
+        assert rep.ordering == "MMD_AT_PLUS_A" and rep._lu is None
+        assert np.array_equal(rep.x, solve(with_params(base, prm, b)).x)
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("MINRES_MAX_STEPS", 1, "no convergence in 1 steps"),
+    ("MINRES_RTOL", 1e-2, "relative residual"),  # stops early, then fails the check
+], ids=["step_cap", "residual_check"])
+def test_unconverged_pairs_sent_to_direct(monkeypatch, caplog, disc12, name, value, reason):
+    monkeypatch.setattr(solver, name, value)
+    base, rhs, reports = _caught(caplog, disc12)
+    assert caplog.text.count(reason) == 4
+    _assert_direct(base, rhs, reports)
+
+
+def test_breakdown_detected_and_sent_to_direct(monkeypatch, caplog, disc12):
+    # an indefinite preconditioner makes beta^2 < 0 in the first step
+    real = solver._BlockPreconditioner.__call__
+    monkeypatch.setattr(solver._BlockPreconditioner, "__call__",
+                        lambda self, R, cols: -real(self, R, cols))
+    base, rhs, reports = _caught(caplog, disc12)
+    assert caplog.text.count("breakdown before the first step") == 4
+    _assert_direct(base, rhs, reports)
+
+
+def test_unstabilized_level_passes_the_residual_check(caplog, disc32):
+    # here the (lambda, K) = (1, 1e-8) column breaks down within its first
+    # steps, with numpy warnings raised as errors, and is solved directly
+    base, rhs, reports = _caught(caplog, disc32, include_ghost=False)
+    assert "breakdown at step" in caplog.text
+    for prm, b, rep in zip(PAIRS, rhs, reports):
+        system = with_params(base, prm, b)
+        rel = np.linalg.norm(system.matrix @ rep.x - b) / np.linalg.norm(b)
+        assert rel <= solver.RESIDUAL_TOL and rep.rel_residual <= solver.RESIDUAL_TOL
+
+
+def test_minres_factors_freed_before_the_fallback_factor(monkeypatch, disc12):
+    base, rhs = _level(disc12)
+    minres_factors, direct_factors = [], []
+
+    def tracked(matrix):
+        if matrix.shape[0] == base.layout.total:  # a fallback factors the whole system
+            gc.collect()
+            assert all(ref() is None for ref in minres_factors), "MINRES factor alive"
+            target = direct_factors
+        else:
+            target = minres_factors
+        lu = TrackedLU(real(matrix))
+        target.append(weakref.ref(lu))
+        return lu
+
+    real = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu", tracked)
+    monkeypatch.setattr(solver, "MINRES_MAX_STEPS", 1)
+    reports = solve_params(base, PAIRS, rhs)
+    assert len(minres_factors) == 1 + 2 * len(PAIRS) and len(direct_factors) == len(PAIRS)
+    gc.collect()
+    assert all(ref() is None for ref in direct_factors), "a report keeps its factor"
+    assert [rep.ordering for rep in reports] == ["MMD_AT_PLUS_A"] * 4
