@@ -63,7 +63,6 @@ CONFIG_SCHEMA = {
                 "n": {"type": "integer", "minimum": 2},
                 "n_probe": {"type": "integer", "minimum": 2},
                 "subdiv": {"type": "integer", "minimum": 1, "maximum": 6},
-                "order": {"type": "integer", "minimum": 1},
                 "delta": {"type": "number", "minimum": 0},
             },
         },
@@ -84,7 +83,6 @@ CONFIG_SCHEMA = {
                 "gamma_p": {"type": "number", "exclusiveMinimum": 0},
                 "gamma1": {"type": "number", "minimum": 0},
                 "gamma2": {"type": "number", "minimum": 0},
-                "ghost_order": {"type": "integer", "minimum": 1},
                 "enabled": {"type": "boolean"},
             },
         },
@@ -136,10 +134,10 @@ CONFIG_SCHEMA = {
 DEFAULT_CONFIG = {
     "geometry": {"radius": 0.95, "r0": 0.7, "r1": 0.18, "petals": 5},
     "mesh": {"box_lo": [-1.0, -1.0], "box_hi": [1.0, 1.0], "n": 32,
-             "n_probe": 8, "subdiv": 3, "order": 5, "delta": 0.0},
+             "n_probe": 8, "subdiv": 3, "delta": 0.0},
     "params": {"mu": 1.0, "lam": 1.0, "K": 1.0},
     "stabilization": {"gamma_u": 40.0, "gamma_p": 40.0, "gamma1": 0.1,
-                      "gamma2": 0.01, "ghost_order": 2, "enabled": True},
+                      "gamma2": 0.01, "enabled": True},
     "spaces": {"k": 2, "l": 2},
     "case": "trig",
     "convergence": {"ladder": [16, 32, 64, 128], "lambdas": [1.0, 1e8],
@@ -209,8 +207,7 @@ class RunConfig:
     def stab(self) -> StabilizationParams:
         s = self.raw["stabilization"]
         return StabilizationParams(gamma_u=s["gamma_u"], gamma_p=s["gamma_p"],
-                                   gamma_g_u=s["gamma1"], gamma_g_p=s["gamma2"],
-                                   ghost_order=s["ghost_order"])
+                                   gamma_g_u=s["gamma1"], gamma_g_p=s["gamma2"])
 
     @property
     def stabilized(self) -> bool:
@@ -261,8 +258,9 @@ def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None =
     with _BUILD_MESH_LOCK:
         mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
     active = classify(mesh, dom, n_probe=m["n_probe"], subdiv=subdiv)
-    rules = build_cut_rules(active, dom, order=m["order"])
     k, l = cfg.raw["spaces"]["k"], cfg.raw["spaces"]["l"]
+    # the rule `full_cell_matrix` uses, 2 * degree + 1, for the highest degree
+    rules = build_cut_rules(active, dom, order=2 * max(k, l) + 1)
     su = build_space(active, k, ncomp=2)
     st = build_space(active, k - 1)
     sf = build_space(active, l)
@@ -538,9 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (defaults used when omitted)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (>= 1; at most one per "
-                            "ladder level or sweep translation)")
+        if name != "solve":
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes, >= 1; with more than one, each "
+                                "ladder level or sweep translation runs in one of "
+                                "them (at 1 the ladder still runs its levels on up "
+                                "to two threads)")
         p.add_argument("--no-stab", action="store_true",
                        help="disable ghost-penalty stabilization")
     return parser

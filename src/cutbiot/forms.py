@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,27 +61,23 @@ class StabilizationParams:
     """Nitsche penalties and ghost-penalty factors.
 
     gamma_g_u scales the displacement and fluid-pressure ghost penalties,
-    gamma_g_p the total-pressure one; ghost_order caps the highest
-    normal-derivative jump in the facet sums (per field it is additionally
-    capped by the space degree).  On top of the gradient-type weights
-    h^(2j-1) each field's penalty carries the scaling of the bulk form it
-    extends: mu for u, h^2 for p_T (an L2 mass) and K + h^2/lambda for p_F
-    (Darcy stiffness plus storage mass).
+    gamma_g_p the total-pressure one.  Each field's facet sums run over the
+    normal-derivative jumps of orders 1..degree of its own space.  On top of
+    the gradient-type weights h^(2j-1) each field's penalty carries the
+    scaling of the bulk form it extends: mu for u, h^2 for p_T (an L2 mass)
+    and K + h^2/lambda for p_F (Darcy stiffness plus storage mass).
     """
 
     gamma_u: float = 40.0
     gamma_p: float = 40.0
     gamma_g_u: float = 0.1
     gamma_g_p: float = 0.01
-    ghost_order: int = 2
 
     def __post_init__(self):
         if self.gamma_u <= 0 or self.gamma_p <= 0:
             raise ConfigurationError("Nitsche parameters must be positive")
         if self.gamma_g_u < 0 or self.gamma_g_p < 0:
             raise ConfigurationError("ghost-penalty factors must be >= 0")
-        if self.ghost_order < 1:
-            raise ConfigurationError("ghost_order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -289,27 +286,22 @@ def _ghost_jump_rows(degree: int, axis: int, j: int):
     return cj * np.concatenate([jp, -jm], axis=1), w
 
 
-def _ghost_facet_matrix(degree: int, axis: int, ghost_order: int) -> np.ndarray:
-    """Jump matrix of one ghost facet over [plus-cell, minus-cell] dofs."""
+def _ghost_facet_matrix(degree: int, axis: int) -> np.ndarray:
+    """Jump matrix of one ghost facet over [plus-cell, minus-cell] dofs, orders 1..degree."""
     nloc = ref_basis(degree).n_basis
     G = np.zeros((2 * nloc, 2 * nloc))
-    for j in range(1, ghost_order + 1):
+    for j in range(1, degree + 1):
         rows, w = _ghost_jump_rows(degree, axis, j)
         G += (rows * w[:, None]).T @ rows
     return G
 
 
-def _ghost_walk(space: FeSpace, ghost_order: int) -> list:
+def _ghost_walk(space: FeSpace) -> list:
     """(axis, dofs) per facet orientation and component over the ghost facets.
 
     `dofs` (nfacets, 2*nloc) lists the plus cell's dofs, then the minus
     cell's, in the column order of `_ghost_jump_rows`.
     """
-    if ghost_order > space.degree:
-        raise ConfigurationError(
-            f"ghost_order {ghost_order} exceeds space degree {space.degree}; "
-            "higher normal-derivative jumps vanish identically"
-        )
     active = space.active
     fc = active.mesh.facet_cells[active.ghost_facets]
     fax = active.mesh.facet_axis[active.ghost_facets]
@@ -325,30 +317,30 @@ def _ghost_walk(space: FeSpace, ghost_order: int) -> list:
     return walk
 
 
-def assemble_ghost(space: FeSpace, ghost_order: int, gamma: float) -> sp.csr_matrix:
+def assemble_ghost(space: FeSpace, gamma: float) -> sp.csr_matrix:
     """Facet ghost penalty over the space's ghost facets, scaled by `gamma`.
 
-    Penalizes squared jumps of normal derivatives of orders 1..ghost_order
-    with weights h^(2j-1) per order j.
+    Penalizes squared jumps of normal derivatives of orders 1..degree of the
+    space with weights h^(2j-1) per order j.
     """
-    walk = _ghost_walk(space, ghost_order)
+    walk = _ghost_walk(space)
     n = space.n_dofs
     if not walk or gamma == 0.0:
         return sp.csr_matrix((n, n))
     return _scatter((n, n), [
-        (dofs, dofs, gamma * _ghost_facet_matrix(space.degree, axis, ghost_order))
+        (dofs, dofs, gamma * _ghost_facet_matrix(space.degree, axis))
         for axis, dofs in walk])
 
 
-def ghost_seminorm(space: FeSpace, v: np.ndarray, ghost_order: int) -> float:
+def ghost_seminorm(space: FeSpace, v: np.ndarray) -> float:
     """|v|_g evaluated through the facet jumps directly.
 
     Numerically exact annihilation for globally smooth fields: jumps cancel
     before squaring, unlike the quadratic form of the assembled matrix.
     """
     acc = 0.0
-    for axis, dofs in _ghost_walk(space, ghost_order):
-        for j in range(1, ghost_order + 1):
+    for axis, dofs in _ghost_walk(space):
+        for j in range(1, space.degree + 1):
             rows, w = _ghost_jump_rows(space.degree, axis, j)
             jumps = v[dofs] @ rows.T  # (nfacets, nq)
             acc += float(np.einsum("fq,q->", jumps ** 2, w))
@@ -445,14 +437,19 @@ class BlockSystem:
     `parts` maps a term name to its block at unit material parameters, the
     form in its natural orientation; `_TERMS` places and scales it.
     `matrix` is the signed, scaled sum of the placed blocks at `params`,
-    off-diagonal ones also entering transposed at the mirrored position.
+    off-diagonal ones also entering transposed at the mirrored position.  It
+    is composed on first read and kept; a system whose matrix is never read
+    (the ladder's MINRES applies `parts` directly) never composes one.
     """
 
-    matrix: sp.csr_matrix
     rhs: np.ndarray
     layout: FieldLayout
     params: PhysicalParams
     parts: dict = field(default_factory=dict)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return compose_matrix(self.parts, self.layout, self.params)
 
     def block(self, row_field: str, col_field: str) -> sp.csr_matrix:
         """The assembled matrix restricted to one field's rows and another's columns."""
@@ -477,26 +474,24 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     with g1 = mu g_u, g2 = h^2 g_p and g3 = (K + h^2/lambda) g_u, where g_u and
     g_p are the facet sums gamma h^(2j-1) ([d_n^j v], [d_n^j w]) over the
     field's own space with factors gamma_g_u and gamma_g_p: gradient-type
-    forms take the bare sum, mass-type forms an extra h^2.  Dropping
-    `include_ghost` removes exactly the ghost-penalty terms.
+    forms take the bare sum, mass-type forms an extra h^2, and each sum
+    runs over the jump orders 1..degree of the field's space.  Dropping
+    `include_ghost` removes exactly the ghost-penalty terms.  Only the unit
+    `parts` are assembled; `BlockSystem.matrix` composes them when read.
     """
     layout = make_layout(space_u, space_t, space_f)
     h = rules.h
     parts = _bilinear_parts(rules, stab, space_u, space_t, space_f)
 
     if include_ghost:
-        go_u = min(space_u.degree, stab.ghost_order)
-        go_t = min(space_t.degree, stab.ghost_order)
-        go_f = min(space_f.degree, stab.ghost_order)
-        parts["g1"] = assemble_ghost(space_u, go_u, stab.gamma_g_u)
-        parts["g2"] = assemble_ghost(space_t, go_t, h * h * stab.gamma_g_p)
-        parts["g3_1"] = assemble_ghost(space_f, go_f, stab.gamma_g_u)
+        parts["g1"] = assemble_ghost(space_u, stab.gamma_g_u)
+        parts["g2"] = assemble_ghost(space_t, h * h * stab.gamma_g_p)
+        parts["g3_1"] = assemble_ghost(space_f, stab.gamma_g_u)
         parts["g3_2"] = (h * h) * parts["g3_1"]
 
     rhs = np.zeros(layout.total) if bdata is None else \
         assemble_rhs(space_u, space_t, space_f, rules, stab, [params], bdata)[0]
-    return BlockSystem(matrix=compose_matrix(parts, layout, params), rhs=rhs, layout=layout,
-                       params=params, parts=parts)
+    return BlockSystem(rhs=rhs, layout=layout, params=params, parts=parts)
 
 
 def compose_matrix(parts: dict, layout: FieldLayout, params: PhysicalParams) -> sp.csr_matrix:
@@ -525,9 +520,8 @@ def without_ghost(system: BlockSystem) -> BlockSystem:
     Shares the right-hand side (ghost terms never touch it); used by the
     cut-translation sweep to run the unstabilized arm without reassembly.
     """
-    kept = {name: blk for name, blk in system.parts.items() if not _TERMS[name].ghost}
-    return replace(system, matrix=compose_matrix(kept, system.layout, system.params),
-                   parts=kept)
+    return replace(system, parts={name: blk for name, blk in system.parts.items()
+                                  if not _TERMS[name].ghost})
 
 
 def with_params(system: BlockSystem, params: PhysicalParams,
@@ -537,8 +531,7 @@ def with_params(system: BlockSystem, params: PhysicalParams,
     The load vector depends on the parameters through the Nitsche terms and
     the case data, so the caller supplies the one assembled at `params`.
     """
-    return replace(system, matrix=compose_matrix(system.parts, system.layout, params),
-                   params=params, rhs=rhs)
+    return replace(system, params=params, rhs=rhs)
 
 
 class TermGroup(NamedTuple):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import TrackedLU
-from cutbiot import cli, solver
+from cutbiot import cli, forms, solver
 from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
 from cutbiot.errors import ConfigurationError, GeometryResolutionError, SolverError
@@ -63,6 +63,11 @@ def test_config_schema_rejects_unknown_keys():
         RunConfig.from_dict({"bogus": 1})
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict({"case": "unknown-case"})
+    # the ghost and quadrature orders follow the space degrees
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_dict({"stabilization": {"ghost_order": 3}})
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_dict({"mesh": {"order": 7}})
 
 
 def test_invalid_flower_exit_code(tmp_path):
@@ -183,6 +188,44 @@ def test_convergence_rows_and_eoc(caplog, tmp_path):
     last = lines[-1].split(",")
     assert first[header.index("eoc_u_star")] == ""
     assert float(last[header.index("eoc_u_star")]) > 1.5
+
+
+def test_cubic_ladder_reaches_the_method_rates(caplog, tmp_path):
+    # Q3/Q2/Q3: energy-type norms and the p_T L2 norm at rate 3, the u and p_F
+    # L2 norms at rate 4; every level's MINRES converges without a direct solve
+    cfg = RunConfig.from_dict({"spaces": {"k": 3, "l": 3},
+                               "convergence": {"ladder": [8, 16, 32], "lambdas": [1.0, 1e8],
+                                               "Ks": [1.0], "subdiv": 4}})
+    with caplog.at_level(logging.INFO, logger="cutbiot.cli"):
+        assert cmd_convergence(cfg, tmp_path / "cubic") == 0
+    steps = [m for m in caplog.messages if "MINRES steps" in m]
+    assert len(steps) == 3 and all(m.endswith("; 0 direct fallbacks") for m in steps)
+    lines = (tmp_path / "cubic" / "convergence.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    finest = [dict(zip(header, line.split(","))) for line in lines[1:]
+              if line.startswith("32,")]
+    assert len(finest) == 2
+    gates = {"u_star": 2.7, "pT_star": 2.7, "pF_star": 2.7, "pT_L2": 2.7,
+             "u_L2": 3.3, "pF_L2": 3.3}
+    for row in finest:
+        for name, gate in gates.items():
+            assert float(row[f"eoc_{name}"]) >= gate, (row["lambda"], name)
+
+
+def test_stabilized_ladder_level_composes_no_matrix(monkeypatch):
+    from test_golden import CONVERGENCE, ERR_NAMES, REL
+
+    composed = []
+    real = forms.compose_matrix
+    monkeypatch.setattr(forms, "compose_matrix",
+                        lambda *args: composed.append(args) or real(*args))
+    cfg = RunConfig.from_dict({"convergence": {"ladder": [8, 12, 16], "subdiv": 3}})
+    rows = cli._ladder_level_job(cfg.raw, 8)
+    assert composed == []  # MINRES applies the unit parts; no fallback composes
+    assert len(rows) == 4
+    for r in rows:
+        want = CONVERGENCE[(8, r["lambda"], r["K"])][0]
+        assert [r[name] for name in ERR_NAMES] == pytest.approx(want, rel=REL)
 
 
 def test_convergence_combo_count(tmp_path):
@@ -455,6 +498,12 @@ def test_workers_validated_and_capped(monkeypatch, tmp_path):
     assert code == 2
     assert "workers" in json.loads((tmp_path / "w0" / "error.json").read_text())["message"]
     assert _InlinePool.sizes == [3, 2]
+
+
+def test_solve_takes_no_workers_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--workers", "2", "--out", str(tmp_path / "w")])
+    assert exc.value.code == 2
 
 
 def test_sweep_failures_sidecar(monkeypatch, tmp_path):

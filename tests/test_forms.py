@@ -177,15 +177,15 @@ def test_ghost_annihilates_global_polynomials(disc16):
                    for i in range(3) for j in range(3))
 
     v = disc16.sf.interpolate(q2poly)
-    assert ghost_seminorm(disc16.sf, v, 2) < 1e-10 * np.abs(v).max()
+    assert ghost_seminorm(disc16.sf, v) < 1e-10 * np.abs(v).max()
 
     vu = disc16.su.interpolate(lambda p: np.column_stack([q2poly(p), p[:, 0] * p[:, 1]]))
-    assert ghost_seminorm(disc16.su, vu, 2) < 1e-10 * np.abs(vu).max()
+    assert ghost_seminorm(disc16.su, vu) < 1e-10 * np.abs(vu).max()
 
     # the seminorm agrees with the assembled quadratic form on generic fields
-    g = assemble_ghost(disc16.sf, 2, 1.0)
+    g = assemble_ghost(disc16.sf, 1.0)
     w = rng.standard_normal(disc16.sf.n_dofs)
-    assert ghost_seminorm(disc16.sf, w, 2) == \
+    assert ghost_seminorm(disc16.sf, w) == \
         pytest.approx(np.sqrt(w @ (g @ w)), rel=1e-10)
 
 
@@ -201,7 +201,7 @@ def test_ghost_single_facet_value():
     assert len(act.ghost_facets) == 3  # two vertical + one between cut cells
     s1 = build_space(act, 1)
     gamma = 0.37
-    g = assemble_ghost(s1, 1, gamma)
+    g = assemble_ghost(s1, gamma)
     v = s1.interpolate(lambda p: np.maximum(p[:, 0] - 0.5, 0.0))
     h = mesh.h
     assert v @ (g @ v) == pytest.approx(2.0 * gamma * h * h, rel=1e-12)
@@ -213,19 +213,14 @@ def test_ghost_weak_consistency_decay(flower_domain):
         mesh = build_mesh([-1, -1], [1, 1], n)
         act = classify(mesh, flower_domain)
         s = build_space(act, 2)
-        g = assemble_ghost(s, 2, 1.0)
+        g = assemble_ghost(s, 1.0)
         v = s.interpolate(lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
         vals.append(np.sqrt(v @ (g @ v)))
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_ghost_order_validation(disc16):
-    with pytest.raises(ConfigurationError):
-        assemble_ghost(disc16.st, 2, 1.0)  # Q1 has no 2nd jumps
-
-
 def test_ghost_positive_semidefinite(disc16):
-    g = assemble_ghost(disc16.st, 1, 0.01)
+    g = assemble_ghost(disc16.st, 0.01)
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(disc16.st.n_dofs)
@@ -332,10 +327,9 @@ def test_ghost_per_field_scalings(disc16, params, stab):
     # gradient-type forms take the bare facet sum, mass-type forms an extra
     # h^2: mu for u, h^2 for p_T, K + h^2/lambda for p_F
     h = disc16.rules.h
-    go_f = min(disc16.sf.degree, stab.ghost_order)
-    g_f = assemble_ghost(disc16.sf, go_f, stab.gamma_g_u)
-    g_u = assemble_ghost(disc16.su, min(disc16.su.degree, stab.ghost_order), stab.gamma_g_u)
-    g_t = assemble_ghost(disc16.st, min(disc16.st.degree, stab.ghost_order), stab.gamma_g_p)
+    g_f = assemble_ghost(disc16.sf, stab.gamma_g_u)
+    g_u = assemble_ghost(disc16.su, stab.gamma_g_u)
+    g_t = assemble_ghost(disc16.st, stab.gamma_g_p)
     for prm in (params, PhysicalParams(mu=2.5, lam=4.0, K=0.3)):
         sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab)
         expected = {
@@ -394,8 +388,8 @@ def test_extension_and_inverse_inequalities_across_cuts(stab):
         s_full = full_cell_matrix(st, "stiff")
         s_int = full_cell_matrix(st, "stiff", cells=act.interior_cells)
         m_full = full_cell_matrix(st, "mass")
-        g2 = assemble_ghost(st, 1, h * h * stab.gamma_g_p)
-        g_unit = assemble_ghost(st, 1, 1.0)
+        g2 = assemble_ghost(st, h * h * stab.gamma_g_p)
+        g_unit = assemble_ghost(st, 1.0)
         c_ext = c_inv = 0.0
         for _ in range(100):
             v = rng.standard_normal(st.n_dofs)

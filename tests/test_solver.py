@@ -27,8 +27,8 @@ from cutbiot.verification import make_case
 
 def _toy_system(matrix, rhs):
     n = matrix.shape[0]
-    return BlockSystem(matrix=sp.csr_matrix(matrix), rhs=rhs,
-                       layout=FieldLayout(n, 0, 0), params=None)
+    return BlockSystem(rhs=rhs, layout=FieldLayout(n, 0, 0), params=PhysicalParams(),
+                       parts={"a1_strain": sp.csr_matrix(matrix)})
 
 
 def test_identity_system():
