@@ -3,10 +3,11 @@
 `cutbiot solve|convergence|sweep --config cfg.json --out dir` runs a single
 manufactured solve, the mesh-refinement ladder over the (lambda, K) grid, or
 the cut-translation robustness sweep.  Configuration is JSON validated
-against a schema, with paper-default values; outputs are deterministic CSV
-and JSON files (rows sorted by key, shortest round-trip float formatting),
-so repeated runs are byte-identical.  Exit codes: 0 ok, 2 configuration
-error, 3 solver failure, 4 geometry-resolution failure.
+against `CONFIG_SCHEMA`, the one place each setting and its paper-default
+value are written; outputs are deterministic CSV and JSON files (rows
+sorted by key, shortest round-trip float formatting), so repeated runs are
+byte-identical.  Exit codes: 0 ok, 2 configuration error, 3 solver failure,
+4 geometry failure, 1 any other package error.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "r0": {"type": "number", "exclusiveMinimum": 0},
-                "r1": {"type": "number", "exclusiveMinimum": 0},
-                "petals": {"type": "integer", "minimum": 1},
+                "radius": {"type": "number", "exclusiveMinimum": 0, "default": 0.95},
+                "r0": {"type": "number", "exclusiveMinimum": 0, "default": 0.7},
+                "r1": {"type": "number", "exclusiveMinimum": 0, "default": 0.18},
+                "petals": {"type": "integer", "minimum": 1, "default": 5},
             },
         },
         "mesh": {
@@ -57,94 +58,86 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "box_lo": {"type": "array", "items": {"type": "number"},
-                           "minItems": 2, "maxItems": 2},
+                           "minItems": 2, "maxItems": 2, "default": [-1.0, -1.0]},
                 "box_hi": {"type": "array", "items": {"type": "number"},
-                           "minItems": 2, "maxItems": 2},
-                "n": {"type": "integer", "minimum": 2},
-                "n_probe": {"type": "integer", "minimum": 2},
-                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6},
-                "delta": {"type": "number", "minimum": 0},
+                           "minItems": 2, "maxItems": 2, "default": [1.0, 1.0]},
+                "n": {"type": "integer", "minimum": 2, "default": 32},
+                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6, "default": 3},
+                "delta": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
         "params": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mu": {"type": "number", "exclusiveMinimum": 0},
-                "lam": {"type": "number", "exclusiveMinimum": 0},
-                "K": {"type": "number", "minimum": 0},
+                "mu": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "lam": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "K": {"type": "number", "minimum": 0, "default": 1.0},
             },
         },
         "stabilization": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "gamma_u": {"type": "number", "exclusiveMinimum": 0},
-                "gamma_p": {"type": "number", "exclusiveMinimum": 0},
-                "gamma1": {"type": "number", "minimum": 0},
-                "gamma2": {"type": "number", "minimum": 0},
-                "enabled": {"type": "boolean"},
+                "gamma_u": {"type": "number", "exclusiveMinimum": 0, "default": 40.0},
+                "gamma_p": {"type": "number", "exclusiveMinimum": 0, "default": 40.0},
+                "gamma1": {"type": "number", "minimum": 0, "default": 0.1},
+                "gamma2": {"type": "number", "minimum": 0, "default": 0.01},
+                "enabled": {"type": "boolean", "default": True},
             },
         },
         "spaces": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "k": {"type": "integer", "minimum": 2, "maximum": 3},
-                "l": {"type": "integer", "minimum": 1, "maximum": 3},
+                "k": {"type": "integer", "minimum": 2, "maximum": 3, "default": 2},
+                "l": {"type": "integer", "minimum": 1, "maximum": 3, "default": 2},
             },
         },
-        "case": {"type": "string", "enum": list(CASE_NAMES)},
+        "case": {"type": "string", "enum": list(CASE_NAMES), "default": "trig"},
         "convergence": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "ladder": {"type": "array", "items": {"type": "integer", "minimum": 2}},
+                "ladder": {"type": "array", "items": {"type": "integer", "minimum": 2},
+                           "default": [16, 32, 64, 128]},
                 "lambdas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 1, "uniqueItems": True},
+                            "minItems": 1, "uniqueItems": True, "default": [1.0, 1e8]},
                 "Ks": {"type": "array", "items": {"type": "number", "minimum": 0},
-                       "minItems": 1, "uniqueItems": True},
-                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6},
+                       "minItems": 1, "uniqueItems": True, "default": [1.0, 1e-8]},
+                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6, "default": 4},
             },
         },
         "sweep": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n": {"type": "integer", "minimum": 2},
-                "count": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
-                "delta_step": {"type": "number", "exclusiveMinimum": 0},
-                "deltas": {"type": ["array", "null"],
-                           "items": {"type": "number", "minimum": 0}, "minItems": 1},
+                "n": {"type": "integer", "minimum": 2, "default": 60},
+                # the paper's family: every 31st of the translations j * 5e-4, j = 1..2000
+                "deltas": {"type": "array", "items": {"type": "number", "minimum": 0},
+                           "minItems": 1, "default": [31 * j * 5e-4 for j in range(1, 65)]},
             },
         },
         "output": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "write_points": {"type": "boolean"},
-                "write_matrix": {"type": "boolean"},
-                "write_debug": {"type": "boolean"},
+                "write_points": {"type": "boolean", "default": False},
+                "write_matrix": {"type": "boolean", "default": False},
+                "write_debug": {"type": "boolean", "default": False},
             },
         },
     },
 }
 
-DEFAULT_CONFIG = {
-    "geometry": {"radius": 0.95, "r0": 0.7, "r1": 0.18, "petals": 5},
-    "mesh": {"box_lo": [-1.0, -1.0], "box_hi": [1.0, 1.0], "n": 32,
-             "n_probe": 8, "subdiv": 3, "delta": 0.0},
-    "params": {"mu": 1.0, "lam": 1.0, "K": 1.0},
-    "stabilization": {"gamma_u": 40.0, "gamma_p": 40.0, "gamma1": 0.1,
-                      "gamma2": 0.01, "enabled": True},
-    "spaces": {"k": 2, "l": 2},
-    "case": "trig",
-    "convergence": {"ladder": [16, 32, 64, 128], "lambdas": [1.0, 1e8],
-                    "Ks": [1.0, 1e-8], "subdiv": 4},
-    "sweep": {"n": 60, "count": 64, "stride": 31, "delta_step": 5e-4, "deltas": None},
-    "output": {"write_points": False, "write_matrix": False, "write_debug": False},
-}
+
+def _with_defaults(schema: dict, data: dict) -> dict:
+    """`data` with every omitted leaf of `schema` set to its default."""
+    return {key: _with_defaults(sub, data.get(key, {})) if "properties" in sub
+            else data.get(key, sub["default"]) for key, sub in schema["properties"].items()}
+
+
+DEFAULT_CONFIG = _with_defaults(CONFIG_SCHEMA, {})
 
 
 def _finite(text: str) -> float:  # a JSON number, or NaN, Infinity, -Infinity
@@ -152,16 +145,6 @@ def _finite(text: str) -> float:  # a JSON number, or NaN, Infinity, -Infinity
     if not math.isfinite(value):
         raise ConfigurationError(f"non-finite number {text} in config")
     return value
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = {}
-    for key, val in base.items():
-        if isinstance(val, dict):
-            out[key] = _merge(val, override.get(key, {}))
-        else:
-            out[key] = override.get(key, val)
-    return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +159,7 @@ class RunConfig:
             jsonschema.validate(data, CONFIG_SCHEMA)
         except jsonschema.ValidationError as exc:
             raise ConfigurationError(f"invalid config: {exc.message}") from exc
-        cfg = cls(raw=_merge(DEFAULT_CONFIG, data))
+        cfg = cls(raw=_with_defaults(CONFIG_SCHEMA, data))
         cfg.domain()  # the flower checks its own radii
         return cfg
 
@@ -252,12 +235,11 @@ _BUILD_MESH_LOCK = threading.Lock()
 
 def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None = None):
     mc = _covering_box(cfg, n, delta)
-    m = cfg.raw["mesh"]
-    subdiv = m["subdiv"] if subdiv is None else subdiv
+    subdiv = cfg.raw["mesh"]["subdiv"] if subdiv is None else subdiv
     dom = cfg.domain()
     with _BUILD_MESH_LOCK:
         mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
-    active = classify(mesh, dom, n_probe=m["n_probe"], subdiv=subdiv)
+    active = classify(mesh, dom, subdiv=subdiv)
     k, l = cfg.raw["spaces"]["k"], cfg.raw["spaces"]["l"]
     # the rule `full_cell_matrix` uses, 2 * degree + 1, for the highest degree
     rules = build_cut_rules(active, dom, order=2 * max(k, l) + 1)
@@ -367,44 +349,35 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
              **err.as_dict()} for prm, r, err in zip(params, reports, errs)]
 
 
-def _run_jobs(job, cfg: RunConfig, items: list, workers: int) -> list:
-    """job(cfg.raw, item) for every item, in min(workers, len(items)) processes.
+def _run_jobs(job, cfg: RunConfig, items: list, workers: int, threads: int = 1) -> list:
+    """job(cfg.raw, item) for every item; the results come back in item order.
 
-    One worker runs the items in this process, one after another.
+    More than one worker runs the items in min(workers, len(items))
+    processes.  One worker runs them on min(threads, len(items)) threads in
+    this process, or one after another when that is 1.  A pool submits the
+    last item first: on the paper's ladder each level has 4x the cells of
+    the one below, so the finest level is the critical path and the other
+    workers run every coarser level beside it.  A pool waits for every item,
+    and when items raise, the first failing item's error is raised: the one
+    a serial loop meets first.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(items))
-    if workers == 1:
+    size = min(workers if workers > 1 else threads, len(items))
+    if size == 1:
         return [job(cfg.raw, item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, [cfg.raw] * len(items), items))
-
-
-def _run_levels(cfg: RunConfig, ladder: list) -> list:
-    """`_ladder_level_job` for every level, on up to two threads, finest first.
-
-    On the paper's ladder each level has 4x the cells of the one below, so
-    the finest level is the critical path and a second thread runs every
-    coarser level beside it; a third would add memory, not speed.  SuperLU
-    and numpy release the GIL, so the threads share the cores.  Results
-    come back in ladder order.  When levels raise, every level is awaited
-    and the coarsest one's error is raised: the one a serial loop meets first.
-    """
-    threads = min(2, len(os.sched_getaffinity(0)), len(ladder))
-    logger.info("%d levels on %d threads, finest first", len(ladder), threads)
-    if threads == 1:
-        return [_ladder_level_job(cfg.raw, n) for n in ladder]
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # waits for every level
-        futures = [pool.submit(_ladder_level_job, cfg.raw, n) for n in reversed(ladder)]
+    with (ProcessPoolExecutor if workers > 1 else ThreadPoolExecutor)(size) as pool:
+        futures = [pool.submit(job, cfg.raw, item) for item in reversed(items)]
     return [future.result() for future in reversed(futures)]
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """Run the refinement ladder over the parameter grid; write one CSV.
 
-    With one worker the levels run on threads in this process (see
-    `_run_levels`); with more, each level runs in a worker process.
+    With one worker the levels run on up to two threads in this process (a
+    third would add memory, not speed; SuperLU and numpy release the GIL, so
+    the threads share the cores); with more, each level runs in a worker
+    process.  See `_run_jobs`.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     conv = cfg.raw["convergence"]
@@ -414,8 +387,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("convergence ladder must be strictly increasing")
 
-    chunks = _run_levels(cfg, ladder) if workers == 1 else \
-        _run_jobs(_ladder_level_job, cfg, ladder, workers)
+    threads = min(2, len(os.sched_getaffinity(0)), len(ladder))
+    if workers == 1:
+        logger.info("%d levels on %d threads, finest first", len(ladder), threads)
+    chunks = _run_jobs(_ladder_level_job, cfg, ladder, workers, threads)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["N"], r["lambda"], r["K"]))
 
@@ -443,10 +418,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 # cut-translation sweep
 
 def sweep_deltas(cfg: RunConfig) -> list[float]:
-    sw = cfg.raw["sweep"]
-    if sw["deltas"] is not None:
-        return [float(d) for d in sw["deltas"]]
-    return [sw["stride"] * j * sw["delta_step"] for j in range(1, sw["count"] + 1)]
+    return [float(d) for d in cfg.raw["sweep"]["deltas"]]
 
 
 def _sweep_row(delta: float, stab_on: bool, exc: Exception | None = None) -> dict:
@@ -502,8 +474,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """Translate the box through a family of cuts; run both arms per cut."""
     out_dir.mkdir(parents=True, exist_ok=True)
     deltas = sweep_deltas(cfg)
-    if not deltas:
-        raise ConfigurationError("sweep delta family is empty")
     for delta in deltas:  # fail before any translation is solved
         _covering_box(cfg, cfg.raw["sweep"]["n"], delta)
     chunks = _run_jobs(_sweep_delta_job, cfg, deltas, workers)
@@ -556,6 +526,11 @@ def _write_error(out_dir: Path, exc: Exception) -> None:
         pass
 
 
+# the first matching class gives the exit code and the stderr label
+_EXIT_CODES = ((ConfigurationError, 2, "configuration error"), (SolverError, 3, "solver failure"),
+               (GeometryError, 4, "geometry failure"), (CutBiotError, 1, "error"))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")  # to stderr
@@ -571,22 +546,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(cfg, args.out, workers=args.workers)
         return cmd_sweep(cfg, args.out, workers=args.workers)
-    except ConfigurationError as exc:
-        _write_error(args.out, exc)
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        _write_error(args.out, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except GeometryError as exc:
-        _write_error(args.out, exc)
-        print(f"geometry failure: {exc}", file=sys.stderr)
-        return 4
     except CutBiotError as exc:
         _write_error(args.out, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, label = next((code, label) for cls, code, label in _EXIT_CODES
+                           if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, solver failures with 3, geometry-resolution failures with 4.
+with 2, solver failures with 3, geometry failures with 4, any other package
+error with 1.
 """
 
 

@@ -114,11 +114,6 @@ class ConstantLevelSet:
         return np.zeros((len(pts), 2))
 
 
-def flower_levelset(r0: float = 0.7, r1: float = 0.18, petals: int = 5) -> FlowerLevelSet:
-    """Level set of the petaled hole; raises on a self-intersecting shape."""
-    return FlowerLevelSet(r0, r1, petals)
-
-
 class LevelSetDomain:
     """Implicit domain: inside iff outer < 0 and (if present) hole > 0.
 
@@ -164,7 +159,7 @@ class LevelSetDomain:
 def make_flower_domain(radius: float = 0.95, r0: float = 0.7, r1: float = 0.18,
                        petals: int = 5) -> LevelSetDomain:
     """Paper geometry: circle of given radius with a flower-shaped hole."""
-    return LevelSetDomain(CircleLevelSet(radius), flower_levelset(r0, r1, petals))
+    return LevelSetDomain(CircleLevelSet(radius), FlowerLevelSet(r0, r1, petals))
 
 
 @dataclass(frozen=True)

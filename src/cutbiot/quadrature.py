@@ -36,15 +36,7 @@ def tensor_square(order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-# Symmetric positive-weight triangle rules (Strang/Fix); weights sum to 1/2.
-_TRI_CENTROID = (np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5]))
-
-_TRI_DEG2 = (
-    np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]]),
-    np.full(3, 1.0 / 6.0),
-)
-
-
+# Symmetric positive-weight triangle rule (Strang/Fix); weights sum to 1/2.
 def _tri_deg5() -> tuple[np.ndarray, np.ndarray]:
     s = math.sqrt(15.0)
     a1 = (6.0 + s) / 21.0
@@ -77,10 +69,6 @@ def _tri_collapsed(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def triangle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature on the unit reference triangle, exact for degree `order`."""
-    if order <= 1:
-        return _TRI_CENTROID
-    if order <= 2:
-        return _TRI_DEG2
     if order <= 5:
         return _TRI_DEG5
     return _tri_collapsed(order)

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from conftest import TrackedLU
 from cutbiot import cli, forms, solver
 from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
-from cutbiot.errors import ConfigurationError, GeometryResolutionError, SolverError
+from cutbiot.errors import AssemblyError, ConfigurationError, GeometryResolutionError, \
+    SolverError
 
 SOLVE_CFG = {"mesh": {"n": 12},
              "output": {"write_points": True, "write_matrix": True,
@@ -54,6 +56,8 @@ def test_config_defaults_are_paper_values():
     assert cfg.raw["params"]["mu"] == 1.0
     assert cfg.raw["convergence"]["lambdas"] == [1.0, 1e8]
     assert cfg.raw["convergence"]["Ks"] == [1.0, 1e-8]
+    # the paper's 64 translations: every 31st member of the family j * 5e-4
+    assert cli.sweep_deltas(cfg) == [31 * j * 5e-4 for j in range(1, 65)]
 
 
 def test_config_schema_rejects_unknown_keys():
@@ -68,6 +72,12 @@ def test_config_schema_rejects_unknown_keys():
         RunConfig.from_dict({"stabilization": {"ghost_order": 3}})
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict({"mesh": {"order": 7}})
+    # keys that only restated a constant: the probe grid and the sweep family's
+    # generator; the family is the `deltas` list itself, never null
+    for data in ({"mesh": {"n_probe": 8}}, {"sweep": {"count": 8}}, {"sweep": {"stride": 1}},
+                 {"sweep": {"delta_step": 1e-3}}, {"sweep": {"deltas": None}}):
+        with pytest.raises(ConfigurationError, match="invalid config"):
+            RunConfig.from_dict(data)
 
 
 def test_invalid_flower_exit_code(tmp_path):
@@ -97,6 +107,17 @@ def test_bad_parameter_lists_rejected_on_load(conv):
         RunConfig.from_dict({"convergence": conv})
 
 
+def test_other_package_error_exit_code(monkeypatch, tmp_path, capsys):
+    def inconsistent(*args, **kwargs):
+        raise AssemblyError("layout does not match the spaces")
+
+    monkeypatch.setattr(cli, "assemble_system", inconsistent)
+    assert main(["solve", "--out", str(tmp_path / "out")]) == 1
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {
+        "error": "AssemblyError", "message": "layout does not match the spaces"}
+    assert "error: layout does not match the spaces" in capsys.readouterr().err
+
+
 def test_single_level_ladder_exit_code(tmp_path):
     cfg = _write(tmp_path, "short.json", {"convergence": {"ladder": [16]}})
     code = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -104,7 +125,7 @@ def test_single_level_ladder_exit_code(tmp_path):
 
 
 def test_sweep_empty_deltas_rejected(tmp_path):
-    # only null selects the default translation family; an empty list is an error
+    # an empty translation family is an error, not a request for the default
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict({"sweep": {"deltas": []}})
     cfg = _write(tmp_path, "empty.json", {"sweep": {"deltas": []}})
@@ -457,9 +478,11 @@ def test_previous_factorization_released_before_next_solve(monkeypatch, tmp_path
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+    """Stands in for ProcessPoolExecutor: records its size and the submitted
+    items, runs each task inline and returns its finished future."""
 
     sizes: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -470,13 +493,17 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, raw, item):
+        self.submitted.append(item)
+        future = Future()
+        future.set_result(fn(raw, item))
+        return future
 
 
 def test_workers_validated_and_capped(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "submitted", [])
     monkeypatch.setattr(cli, "_ladder_level_job", lambda raw, n: _stub_level(n))
     monkeypatch.setattr(cli, "_sweep_delta_job", lambda raw, d: [
         {"delta": d, "stabilized": s, "err_u_star": 1.0, "err_pT_star": 1.0,
@@ -487,6 +514,7 @@ def test_workers_validated_and_capped(monkeypatch, tmp_path):
     assert cmd_sweep(sweep, tmp_path / "s", workers=8) == 0
     assert cmd_sweep(sweep, tmp_path / "s1", workers=1) == 0
     assert _InlinePool.sizes == [3, 2]  # one worker per level or translation
+    assert _InlinePool.submitted == [16, 12, 8, 0.3, 0.1]  # the finest level first
     for command in (cmd_convergence, cmd_sweep):
         for workers in (0, -3):
             with pytest.raises(ConfigurationError):

@@ -9,8 +9,8 @@ from cutbiot.errors import (ConfigurationError, GeometryConflictError,
                             GeometryResolutionError)
 from cutbiot.forms import quadrature_table
 from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
-                              LevelSetDomain, build_cut_rules, clip_cell, cut_surface_rule,
-                              cut_volume_rule, flower_levelset, make_flower_domain,
+                              FlowerLevelSet, LevelSetDomain, build_cut_rules, clip_cell,
+                              cut_surface_rule, cut_volume_rule, make_flower_domain,
                               TAG_DIRICHLET, TAG_STRESS)
 from cutbiot.mesh import CellTag, build_mesh, classify
 
@@ -57,7 +57,7 @@ def _segment_moment(a, b, f):
 
 
 def test_flower_levelset_values():
-    phi = flower_levelset(0.7, 0.18, 5)
+    phi = FlowerLevelSet(0.7, 0.18, 5)
     tip = np.array([[0.7 + 0.18, 0.0]])
     assert phi.value(tip)[0] == pytest.approx(0.0, abs=1e-14)
     assert phi.value(np.array([[0.0, 0.0]]))[0] == pytest.approx(-0.88)
@@ -70,10 +70,10 @@ def test_flower_levelset_values():
 
 def test_flower_levelset_invalid():
     with pytest.raises(ConfigurationError):
-        flower_levelset(0.1, 0.5)
+        FlowerLevelSet(0.1, 0.5)
 
 
-@pytest.mark.parametrize("ls", [flower_levelset(), CircleLevelSet(0.95),
+@pytest.mark.parametrize("ls", [FlowerLevelSet(0.7, 0.18), CircleLevelSet(0.95),
                                 AffineLevelSet(0.3, -1.2, 0.1)])
 def test_gradients_match_finite_differences(ls):
     rng = np.random.default_rng(11)
