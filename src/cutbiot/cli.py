@@ -290,8 +290,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "kappa": kappa,
         "solution_norms": norms,
         "errors": err.as_dict(),
-        "quadrature": {"volume_points": sum(len(r.vol_wts) for r in rules.cut.values()),
-                       "boundary_points": sum(len(r.bnd_wts) for r in rules.cut.values())},
+        "quadrature": {"volume_points": len(rules.vol_wts),
+                       "boundary_points": len(rules.bnd_wts)},
     }
     (out_dir / "solution.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

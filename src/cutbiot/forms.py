@@ -6,9 +6,10 @@ scalings, and the right-hand side, into one sparse symmetric indefinite
 block system over the (u, p_T, p_F) layout.
 
 Every cell integral runs through one quadrature table built per call from
-the cut rules: interior cells carry the reference rule, cut cells their own,
-boundary points also their normal and part tag.  Cells with equal point
-counts form a group, tabulated once per degree as [N, dN/dx, dN/dy]; a
+the flat cut rules: interior cells carry the reference rule, cut cells their
+own, boundary points also their normal and part tag.  Cells with equal point
+counts form a group (a stable sort of the cut cells by count, then a split),
+tabulated once per degree as [N, dN/dx, dN/dy]; a
 bilinear form is a slice or sum of the per-cell Gram matrices of that stack
 (one batched matmul per group), a load term a weighted moment of it, and
 each block one COO scatter.  `assemble_rhs` builds the load vectors of one
@@ -125,27 +126,41 @@ def quadrature_table(active: ActiveMesh, rules: CutRule,
     """The volume rule (tag None) or one boundary part's rule, grouped by point count.
 
     Interior cells carry the reference rule, cut cells their own; only cells
-    with points enter.  Groups ascend in point count, so passes are deterministic.
+    with points enter.  Groups ascend in point count.  Within a group the
+    interior cells come first, then the cut cells by ascending id, so passes
+    are deterministic.  The cut cells are sorted stably by their count and
+    split; each run of equal counts gathers its rows of the flat rule at once.
     """
-    rows = []  # (cells, pts, wts, normals), one point count each
+    if tag is None:
+        pts, wts, nrm, off = rules.vol_pts, rules.vol_wts, None, rules.vol_off
+    else:
+        on = rules.bnd_tags == tag
+        pts, wts, nrm = rules.bnd_pts[on], rules.bnd_wts[on], rules.bnd_normals[on]
+        off = np.concatenate([[0], np.cumsum(on)])[rules.bnd_off]  # points on the part
+    counts = np.diff(off)
+    order = np.argsort(counts, kind="stable")
+    order = order[counts[order] > 0]
+    n = counts[order]
+    ends = np.cumsum(n)
+    take = np.arange(ends[-1] if len(n) else 0) + np.repeat(off[order] - (ends - n), n)
+    cells, pts, wts = rules.cells[order], pts[take], wts[take]
+    nrm = None if nrm is None else nrm[take]
+    groups = {}  # point count -> QuadGroup
+    bounds = np.flatnonzero(np.diff(n)) + 1
+    for a, b in zip([0, *bounds], [*bounds, len(n)]) if len(n) else []:
+        k, m = b - a, int(n[a])
+        rows = slice(ends[a] - m, ends[b - 1])
+        groups[m] = QuadGroup(cells[a:b], pts[rows].reshape(k, m, 2), wts[rows].reshape(k, m),
+                              None if nrm is None else nrm[rows].reshape(k, m, 2))
     if tag is None and len(active.interior_cells):
         cells = active.interior_cells
-        pts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
-        rows.append((cells, pts, np.broadcast_to(rules.int_wts, pts.shape[:2]), None))
-    for c in sorted(rules.cut):
-        r = rules.cut[c]
-        if tag is None:
-            pts, w, nrm = r.vol_pts, r.vol_wts, None
-        else:
-            on = r.bnd_tags == tag
-            pts, w, nrm = r.bnd_pts[on], r.bnd_wts[on], r.bnd_normals[on][None]
-        if len(w):
-            rows.append((np.array([c]), pts[None], w[None], nrm))
-    by_count: dict[int, list] = {}
-    for row in rows:
-        by_count.setdefault(row[2].shape[1], []).append(row)
-    return [QuadGroup(*(None if col[0] is None else np.concatenate(col) for col in zip(*rs)))
-            for _, rs in sorted(by_count.items())]
+        ipts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
+        iwts = np.repeat(rules.int_wts[None], len(cells), axis=0)
+        m, cut = len(rules.int_wts), groups.get(len(rules.int_wts))
+        groups[m] = QuadGroup(cells, ipts, iwts) if cut is None else QuadGroup(
+            np.concatenate([cells, cut.cells]), np.concatenate([ipts, cut.pts]),
+            np.concatenate([iwts, cut.wts]))
+    return [groups[m] for m in sorted(groups)]
 
 
 def tabulation_columns(spaces) -> dict:

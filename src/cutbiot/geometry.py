@@ -9,15 +9,20 @@ sub-squares merge into maximal quadtree blocks that carry the interior rule.
 Boundary quadrature points carry outward unit normals (from the analytic
 gradient of whichever level set governs the local cut) and a part tag that
 separates the Dirichlet boundary (outer) from the stress boundary (hole).
-A cut rule is made only from a stored `CellClip`: `mesh.classify` clips
-each cut cell once, choosing its sub-grid depth, and `build_cut_rules` turns
-those clips into volume and surface rules through `cut_volume_rule` and
-`cut_surface_rule`.
+All cut cells are clipped together: `clip_cells` runs one batched pass
+over every candidate cell at a sub-grid depth and sends only the cells
+whose pass is inconsistent on to the next depth.  Its `Clips` hold every
+cell's blocks, triangles and chords as flat arrays with per-cell offsets.
+`mesh.classify` stores them, and `build_cut_rules` maps them in array
+operations into a `CutRule`, whose volume and boundary points are flat
+arrays with per-cell offsets too.  `clip_cell`, `cut_volume_rule` and
+`cut_surface_rule` are the one-cell calls of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -143,23 +148,44 @@ class LevelSetDomain:
         v2 = -self.hole.value(pts)
         return np.where(v1 >= v2, 1, 2).astype(np.int8)
 
-    def outward_normal(self, pts: np.ndarray, branch: np.ndarray) -> np.ndarray:
-        """Unit normals pointing out of the domain for the given branch ids."""
+    def outward_gradient(self, pts: np.ndarray, branch: np.ndarray) -> np.ndarray:
+        """Gradients of the governing level sets for the branch ids, pointing outward."""
         g = self.outer.grad(pts).copy()
         if self.hole is not None:
             mask = branch == 2
             if mask.any():
                 g[mask] = -self.hole.grad(pts[mask])
-        norms = np.hypot(g[:, 0], g[:, 1])
-        if np.any(norms <= GRAD_FLOOR):
-            raise GeometryError("level-set gradient vanishes near the boundary")
-        return g / norms[:, None]
+        return g
 
 
 def make_flower_domain(radius: float = 0.95, r0: float = 0.7, r1: float = 0.18,
                        petals: int = 5) -> LevelSetDomain:
     """Paper geometry: circle of given radius with a flower-shaped hole."""
     return LevelSetDomain(CircleLevelSet(radius), FlowerLevelSet(r0, r1, petals))
+
+
+def _offsets(counts) -> np.ndarray:
+    """Offsets (n+1,) of n consecutive runs with the given lengths."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _owners(off: np.ndarray) -> np.ndarray:
+    """The run index of every row of the runs with offsets `off`."""
+    return np.repeat(np.arange(len(off) - 1), np.diff(off))
+
+
+def _run_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The sum of each run, bit for bit numpy's sum of that run's slice alone.
+
+    Runs of equal length are stacked and summed along rows, which takes the
+    same pairwise order as summing one slice.
+    """
+    counts = np.diff(off)
+    sums = np.zeros(len(counts))
+    for n in np.unique(counts[counts > 0]):
+        runs = np.flatnonzero(counts == n)
+        sums[runs] = values[off[runs][:, None] + np.arange(n)].sum(axis=1)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -179,18 +205,61 @@ class CellClip:
     subdiv: int
 
 
-def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
-    """One marching-triangles pass at sub-grid depth m.
+@dataclass(frozen=True)
+class Clips:
+    """The `CellClip`s of many cells as flat arrays.
 
-    Returns (blocks, tris, segs, consistent); `consistent` is False when the
-    sign of psi at the centroid of an uncut sub-triangle contradicts its
-    vertex pattern, i.e. the boundary wiggles below the sub-grid resolution.
+    Cell i owns rows `block_off[i]:block_off[i+1]` of `blocks`, and likewise
+    of `tris` and `segs`; `area[i]` is its inside area before degenerate
+    pieces are dropped and `subdiv[i]` the sub-grid depth it was clipped at.
     """
-    ns = 2 ** m
+
+    blocks: np.ndarray
+    block_off: np.ndarray
+    tris: np.ndarray
+    tri_off: np.ndarray
+    segs: np.ndarray
+    seg_off: np.ndarray
+    area: np.ndarray
+    subdiv: np.ndarray
+
+    @classmethod
+    def of(cls, clip: CellClip) -> "Clips":
+        return cls(clip.blocks, _offsets([len(clip.blocks)]), clip.tris,
+                   _offsets([len(clip.tris)]), clip.segs, _offsets([len(clip.segs)]),
+                   np.array([clip.area]), np.array([clip.subdiv]))
+
+    def cell(self, i: int) -> CellClip:
+        b, t, s = (slice(o[i], o[i + 1]) for o in (self.block_off, self.tri_off, self.seg_off))
+        return CellClip(self.blocks[b], self.tris[t], self.segs[s], float(self.area[i]),
+                        int(self.subdiv[i]))
+
+    def take(self, keep: np.ndarray) -> "Clips":
+        """The clips of the cells where the boolean mask `keep` holds, in order."""
+        flat = []
+        for rows, off in ((self.blocks, self.block_off), (self.tris, self.tri_off),
+                          (self.segs, self.seg_off)):
+            flat += [rows[keep[_owners(off)]], _offsets(np.diff(off)[keep])]
+        return Clips(*flat, self.area[keep], self.subdiv[keep])
+
+
+def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
+    """One marching-triangles pass over the cells with lower-left corners lo (nc,2) at depth m.
+
+    Returns (blocks, tris, segs, consistent): each piece array comes with
+    the index of its cell, and a stable sort by that index lists every
+    cell's pieces in the cell's own order.  `consistent` (nc,) is False
+    where the sign of psi at the centroid of an uncut sub-triangle
+    contradicts its vertex pattern, i.e. the boundary wiggles below the
+    sub-grid resolution.
+    """
+    nc, ns = len(lo), 2 ** m
     t = np.arange(ns + 1) / ns
-    X, Y = np.meshgrid(lo[0] + h * t, lo[1] + h * t, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    psi = dom.psi(verts)
+    verts = np.empty((nc, ns + 1, ns + 1, 2))
+    verts[..., 0] = (lo[:, 0:1] + h * t)[:, :, None]
+    verts[..., 1] = (lo[:, 1:2] + h * t)[:, None, :]
+    verts = verts.reshape(nc, (ns + 1) ** 2, 2)
+    psi = dom.psi(verts.reshape(-1, 2)).reshape(nc, -1)
 
     # two triangles per sub-square: (v00,v10,v11) and (v00,v11,v01)
     ii, jj = np.meshgrid(np.arange(ns), np.arange(ns), indexing="ij")
@@ -203,68 +272,57 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
         np.column_stack([v00, v11, v01]),
     ])
 
-    tp = psi[tri_idx]  # (ntri, 3)
-    tv = verts[tri_idx]  # (ntri, 3, 2)
-    ins = tp < 0.0
-    count = ins.sum(axis=1)
-
-    full = count == 3
-    empty = count == 0
-    mixed = ~(full | empty)
+    inv = psi < 0.0
+    ins = inv[:, tri_idx]  # (nc, ntri, 3)
+    full = ins.all(axis=2)
+    empty = ~ins.any(axis=2)
 
     # a sub-square is inside when both its triangles are full; merge those
     # into maximal aligned dyadic blocks of at most half the cell
-    levels = [full.reshape(2, ns, ns).all(axis=0)]
+    levels = [full.reshape(nc, 2, ns, ns).all(axis=1)]
     for k in range(1, m):
-        levels.append(levels[-1].reshape(ns >> k, 2, ns >> k, 2).all(axis=(1, 3)))
-    levels.append(np.zeros((1, 1), dtype=bool))  # no block spans the whole cell
-    ijs = []  # (i, j, side) in sub-squares of the blocks kept at each level
+        levels.append(levels[-1].reshape(nc, ns >> k, 2, ns >> k, 2).all(axis=(2, 4)))
+    levels.append(np.zeros((nc, 1, 1), dtype=bool))  # no block spans the whole cell
+    kept = []  # (cell, i, j, side), in sub-squares, of the blocks kept at each level
     for k in range(m):
-        bi, bj = np.nonzero(levels[k] & ~levels[k + 1].repeat(2, 0).repeat(2, 1))
-        ijs.append((bi << k, bj << k, np.full(len(bi), 1 << k)))
-    i, j, side = (h / ns * np.concatenate(a) for a in zip(*ijs))
-    blocks = np.column_stack([lo[0] + i, lo[1] + j, side])
+        c, bi, bj = np.nonzero(levels[k] & ~levels[k + 1].repeat(2, 1).repeat(2, 2))
+        kept.append((c, bi << k, bj << k, np.full(len(c), 1 << k)))
+    bc, i, j, side = (np.concatenate(a) for a in zip(*kept))
+    i, j, side = (h / ns * a for a in (i, j, side))
+    blocks = np.column_stack([lo[bc, 0] + i, lo[bc, 1] + j, side])
 
-    tris_out = [tv[full & ~np.tile(levels[0].ravel(), 2)]]
-    segs_out = []
+    oc, ot = np.nonzero(full & ~np.tile(levels[0].reshape(nc, -1), 2))
+    tris_out, tri_cells = [verts[oc[:, None], tri_idx[ot]]], [oc]
 
-    if mixed.any():
-        mp = tp[mixed]
-        mv = tv[mixed]
-        mins = ins[mixed]
-        one_in = mins.sum(axis=1) == 1
-        # odd vertex: the one whose side differs from the other two
-        odd = np.where(one_in, np.argmax(mins, axis=1), np.argmax(~mins, axis=1))
-        rows = np.arange(len(mp))
-        nxt = (odd + 1) % 3
-        prv = (odd + 2) % 3
-        p_o, p_n, p_p = mp[rows, odd], mp[rows, nxt], mp[rows, prv]
-        v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
-        t1 = (p_o / (p_o - p_n))[:, None]
-        t2 = (p_o / (p_o - p_p))[:, None]
-        c1 = v_o + t1 * (v_n - v_o)
-        c2 = v_o + t2 * (v_p - v_o)
-        segs_out.append(np.stack([c1, c2], axis=1))
-        if one_in.any():
-            tris_out.append(np.stack([v_o[one_in], c1[one_in], c2[one_in]], axis=1))
-        two_in = ~one_in
-        if two_in.any():
-            a, b = v_n[two_in], v_p[two_in]
-            q1, q2 = c1[two_in], c2[two_in]
-            tris_out.append(np.stack([a, b, q2], axis=1))
-            tris_out.append(np.stack([a, q2, q1], axis=1))
+    mc, mt = np.nonzero(~(full | empty))
+    mv_idx = (mc[:, None], tri_idx[mt])
+    mp, mv, mins = psi[mv_idx], verts[mv_idx], inv[mv_idx]
+    one_in = mins.sum(axis=1) == 1
+    # odd vertex: the one whose side differs from the other two
+    odd = np.where(one_in, np.argmax(mins, axis=1), np.argmax(~mins, axis=1))
+    rows = np.arange(len(mp))
+    nxt = (odd + 1) % 3
+    prv = (odd + 2) % 3
+    p_o, p_n, p_p = mp[rows, odd], mp[rows, nxt], mp[rows, prv]
+    v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
+    t1 = (p_o / (p_o - p_n))[:, None]
+    t2 = (p_o / (p_o - p_p))[:, None]
+    c1 = v_o + t1 * (v_n - v_o)
+    c2 = v_o + t2 * (v_p - v_o)
+    segs = np.stack([c1, c2], axis=1)
+    two_in = ~one_in
+    a, b = v_n[two_in], v_p[two_in]
+    q1, q2 = c1[two_in], c2[two_in]
+    tris_out += [np.stack([v_o[one_in], c1[one_in], c2[one_in]], axis=1),
+                 np.stack([a, b, q2], axis=1), np.stack([a, q2, q1], axis=1)]
+    tc = np.concatenate(tri_cells + [mc[one_in], mc[two_in], mc[two_in]])
 
-    tris = np.concatenate(tris_out)
-    segs = np.concatenate(segs_out) if segs_out else np.zeros((0, 2, 2))
-
-    consistent = True
-    pure = full | empty
-    if pure.any():
-        cent = tv[pure].mean(axis=1)
-        sign_in = dom.psi(cent) < 0.0
-        if np.any(sign_in != full[pure]):
-            consistent = False
-    return blocks, tris, segs, consistent
+    pc, pt = np.nonzero(full | empty)
+    pv = tri_idx[pt]
+    cent = (verts[pc, pv[:, 0]] + verts[pc, pv[:, 1]] + verts[pc, pv[:, 2]]) / 3
+    consistent = np.ones(nc, dtype=bool)
+    consistent[pc[(dom.psi(cent) < 0.0) != full[pc, pt]]] = False
+    return (blocks, bc), (np.concatenate(tris_out), tc), (segs, mc), consistent
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -273,61 +331,90 @@ def _tri_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> CellClip:
-    """Decompose one cell, escalating the sub-grid depth on inconsistency.
+def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
+    """Decompose the cells with lower-left corners lo (nc,2), all at once.
 
-    Degenerate pieces (zero-area triangles, zero-length chords from cuts
-    passing exactly through sub-grid vertices) are dropped so that every
-    derived quadrature weight is strictly positive.
+    Every cell goes through one batched pass at depth `subdiv`; the cells
+    whose pass is inconsistent go on together to the next depth, up to
+    `MAX_SUBDIV`.  Degenerate pieces (zero-area triangles, zero-length chords
+    from cuts passing exactly through sub-grid vertices) are dropped so that
+    every derived quadrature weight is strictly positive.  Raises
+    GeometryResolutionError for the first cell that no depth resolves.
     """
-    lo = np.asarray(lo, dtype=float)
+    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+    n, none = len(lo), np.zeros(0, dtype=np.int64)
+    pieces = [[(np.zeros((0, 3)), none)], [(np.zeros((0, 3, 2)), none)],
+              [(np.zeros((0, 2, 2)), none)]]  # (rows, cell) of blocks, tris, segs per pass
+    depth = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
     for m in range(subdiv, MAX_SUBDIV + 1):
-        blocks, tris, segs, ok = _clip_subgrid(lo, h, dom, m)
-        if ok:
-            areas = _tri_areas(tris)
-            total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
-            tris = tris[areas > 1e-14 * h * h]
-            if len(segs):
-                lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
-                segs = segs[lens > 1e-12 * h]
-            return CellClip(blocks, tris, segs, total, m)
-    raise GeometryResolutionError(
-        f"cell at {lo.tolist()} (h={h}): level set not resolved at subdivision {MAX_SUBDIV}"
-    )
+        if not len(pending):
+            break
+        *out, ok = _clip_subgrid(lo[pending], h, dom, m)
+        for acc, (rows, cell) in zip(pieces, out):
+            acc.append((rows[ok[cell]], pending[cell[ok[cell]]]))
+        depth[pending[ok]] = m
+        pending = pending[~ok]
+    if len(pending):
+        raise GeometryResolutionError(f"cell at {lo[pending[0]].tolist()} (h={h}): level set "
+                                      f"not resolved at subdivision {MAX_SUBDIV}")
+    flat = []
+    for acc in pieces:
+        rows, cell = (np.concatenate(col) for col in zip(*acc))
+        order = np.argsort(cell, kind="stable")
+        flat.append((rows[order], _offsets(np.bincount(cell, minlength=n))))
+    (blocks, block_off), (tris, tri_off), (segs, seg_off) = flat
+    areas = _tri_areas(tris)
+    area = _run_sums(areas, tri_off) + _run_sums(blocks[:, 2] ** 2, block_off)
+    keep_tri = areas > 1e-14 * h * h
+    lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
+    keep_seg = lens > 1e-12 * h
+    return Clips(blocks, block_off,
+                 tris[keep_tri], _offsets(np.bincount(_owners(tri_off)[keep_tri], minlength=n)),
+                 segs[keep_seg], _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=n)),
+                 area, depth)
 
 
-def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the inside part of one clipped cell.
+def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> CellClip:
+    """The clip of one cell: `clip_cells` on that cell alone."""
+    return clip_cells(lo, h, dom, subdiv).cell(0)
+
+
+def _volume_rule(clips: Clips, order: int):
+    """Volume points, weights and per-cell offsets of the inside parts of clipped cells.
 
     Maps the interior cells' tensor rule onto each block and a triangle rule
-    onto each remaining sub-triangle of the clip.  Returns physical points
-    (n,2) and positive weights summing to the clipped area.
+    onto each remaining sub-triangle; a cell lists its block points first.
     """
     ref, w = tensor_square(order)
-    b = clip.blocks
+    b = clips.blocks
     bpts = b[:, None, :2] + b[:, None, 2:] * ref[None]
     bwts = b[:, 2:] ** 2 * w[None]
+    owner = [np.repeat(_owners(clips.block_off), len(w))]
     ref, w = triangle_rule(order)
-    tris = clip.tris
+    tris = clips.tris
     v0 = tris[:, 0][:, None, :]
     d1 = (tris[:, 1] - tris[:, 0])[:, None, :]
     d2 = (tris[:, 2] - tris[:, 0])[:, None, :]
     pts = v0 + ref[None, :, 0:1] * d1 + ref[None, :, 1:2] * d2
     wts = 2.0 * _tri_areas(tris)[:, None] * w[None, :]
-    return (np.concatenate([bpts.reshape(-1, 2), pts.reshape(-1, 2)]),
-            np.concatenate([bwts.ravel(), wts.ravel()]))
+    owner = np.concatenate(owner + [np.repeat(_owners(clips.tri_off), len(w))])
+    order = np.argsort(owner, kind="stable")
+    return (np.concatenate([bpts.reshape(-1, 2), pts.reshape(-1, 2)])[order],
+            np.concatenate([bwts.ravel(), wts.ravel()])[order],
+            _offsets(np.bincount(owner, minlength=len(clips.area))))
 
 
-def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature for the embedded boundary chords of one clipped cell.
+def _surface_rule(clips: Clips, dom: LevelSetDomain, order: int):
+    """Boundary points, weights, unit normals, tags and per-cell offsets of clipped cells' chords.
 
-    Returns (points, weights, outward unit normals, part tags).  Normals come
-    from the analytic gradient of the governing level set; tags separate the
-    outer (Dirichlet) and hole (stress) parts.  Raises GeometryConflictError
-    when both level sets vanish at the same point.
+    Normals come from the analytic gradient of the governing level set; tags
+    separate the outer (Dirichlet) and hole (stress) parts.  The last item
+    is None, or (cell, error) for the first cell with a point where both
+    level sets vanish (GeometryConflictError) or the governing gradient
+    does (GeometryError); the normals are then None.
     """
-    segs = clip.segs
+    segs = clips.segs
     seg_branch = dom.branch(segs.mean(axis=1))
 
     t, w = gauss_1d(order)
@@ -337,21 +424,48 @@ def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,
     lengths = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
     wts = (lengths[:, None] * w[None, :]).ravel()
     branch = np.repeat(seg_branch, len(t))
+    tags = np.where(branch == 1, TAG_DIRICHLET, TAG_STRESS).astype(np.int8)
+    off = clips.seg_off * len(t)
 
+    both = np.zeros(len(pts), dtype=bool)
     if dom.hole is not None:
         both = (np.abs(dom.outer.value(pts)) < GRAD_FLOOR) & \
             (np.abs(dom.hole.value(pts)) < GRAD_FLOOR)
-        if np.any(both):
-            raise GeometryConflictError(
-                f"both level sets vanish at {pts[np.argmax(both)].tolist()}")
-    normals = dom.outward_normal(pts, branch)
-    tags = np.where(branch == 1, TAG_DIRICHLET, TAG_STRESS).astype(np.int8)
+    g = dom.outward_gradient(pts, branch)
+    norms = np.hypot(g[:, 0], g[:, 1])
+    bad = both | (norms <= GRAD_FLOOR)
+    if bad.any():
+        owner = _owners(off)
+        cell = owner[np.argmax(bad)]
+        conflict = np.flatnonzero(both & (owner == cell))
+        error = GeometryConflictError(f"both level sets vanish at {pts[conflict[0]].tolist()}") \
+            if len(conflict) else GeometryError("level-set gradient vanishes near the boundary")
+        return pts, wts, None, tags, off, (cell, error)
+    return pts, wts, g / norms[:, None], tags, off, None
+
+
+def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature for the inside part of one clipped cell: points (n,2), positive weights."""
+    pts, wts, _ = _volume_rule(Clips.of(clip), order)
+    return pts, wts
+
+
+def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature for the embedded boundary chords of one clipped cell.
+
+    Returns (points, weights, outward unit normals, part tags); raises
+    GeometryConflictError when both level sets vanish at the same point.
+    """
+    pts, wts, normals, tags, _, failure = _surface_rule(Clips.of(clip), dom, order)
+    if failure is not None:
+        raise failure[1]
     return pts, wts, normals, tags
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellRule:
-    """Quadrature data for one cut cell."""
+    """Quadrature data for one cut cell: views into a `CutRule`."""
 
     vol_pts: np.ndarray
     vol_wts: np.ndarray
@@ -361,64 +475,95 @@ class CellRule:
     bnd_tags: np.ndarray
 
 
-@dataclass
+class _CellRules(Mapping):
+    """Read-only {cut cell: CellRule} over a `CutRule`'s flat arrays."""
+
+    def __init__(self, rule: "CutRule"):
+        self._rule = rule
+
+    def __len__(self) -> int:
+        return len(self._rule.cells)
+
+    def __iter__(self):
+        return iter(self._rule.cells.tolist())
+
+    def __getitem__(self, c) -> CellRule:
+        r = self._rule
+        i = int(np.searchsorted(r.cells, c))
+        if i == len(r.cells) or r.cells[i] != c:
+            raise KeyError(c)
+        v, b = slice(*r.vol_off[i:i + 2]), slice(*r.bnd_off[i:i + 2])
+        return CellRule(r.vol_pts[v], r.vol_wts[v], r.bnd_pts[b], r.bnd_wts[b],
+                        r.bnd_normals[b], r.bnd_tags[b])
+
+
+@dataclass(frozen=True)
 class CutRule:
     """Volume and surface quadrature over an active mesh.
 
     Interior cells share one reference tensor rule (`ref_pts` local in
-    [0,1]^2 with physical weights `int_wts`); cut cells carry per-cell rules
-    in `cut`, keyed by background cell index.
+    [0,1]^2 with physical weights `int_wts`).  The cut cells, `cells` in
+    ascending order, carry their own rules in flat arrays: cut cell i owns
+    rows `vol_off[i]:vol_off[i+1]` of `vol_pts` and `vol_wts`, and rows
+    `bnd_off[i]:bnd_off[i+1]` of `bnd_pts`, `bnd_wts`, `bnd_normals` and
+    `bnd_tags`.  `cut` views the same data per cell.
     """
 
     h: float
     ref_pts: np.ndarray
     int_wts: np.ndarray
-    cut: dict[int, CellRule] = field(default_factory=dict)
+    cells: np.ndarray
+    vol_pts: np.ndarray
+    vol_wts: np.ndarray
+    vol_off: np.ndarray
+    bnd_pts: np.ndarray
+    bnd_wts: np.ndarray
+    bnd_normals: np.ndarray
+    bnd_tags: np.ndarray
+    bnd_off: np.ndarray
+
+    @property
+    def cut(self) -> Mapping[int, CellRule]:
+        return _CellRules(self)
 
     def total_volume(self, active: "ActiveMesh") -> float:
-        v = len(active.interior_cells) * float(self.int_wts.sum())
-        return v + sum(float(r.vol_wts.sum()) for r in self.cut.values())
+        return len(active.interior_cells) * float(self.int_wts.sum()) + float(self.vol_wts.sum())
 
     def boundary_length(self, tag: int) -> float:
-        return sum(float(r.bnd_wts[r.bnd_tags == tag].sum()) for r in self.cut.values())
+        return float(self.bnd_wts[self.bnd_tags == tag].sum())
 
     def boundary_moment(self) -> np.ndarray:
         """Integral of the outward normal over the whole embedded boundary."""
-        m = np.zeros(2)
-        for r in self.cut.values():
-            m += (r.bnd_wts[:, None] * r.bnd_normals).sum(axis=0)
-        return m
+        return (self.bnd_wts[:, None] * self.bnd_normals).sum(axis=0)
 
 
 def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -> CutRule:
     """Generate quadrature for every active cell of a classified mesh.
 
-    Cut cells reuse the clip `classify` stored for them, at the sub-grid
-    depth the classification used.
+    All cut cells are mapped at once from the clips `classify` stored, at
+    the sub-grid depth each was clipped at.  The first cut cell, in
+    ascending order, whose chords fail (see `_surface_rule`) or whose rule
+    is empty raises.
     """
     h = active.mesh.h
     ref, w = tensor_square(order)
-    rule = CutRule(h=h, ref_pts=ref, int_wts=w * h * h)
-
-    for c in active.cut_cells:
-        clip = active.clip_for(int(c))
-        vp, vw = cut_volume_rule(clip, order)
-        bp, bw, bn, bt = cut_surface_rule(clip, dom, order)
-        if len(vp) == 0 and len(bp) == 0:
-            raise GeometryResolutionError(
-                f"cut cell {int(c)} produced an empty rule; classification is stale"
-            )
-        rule.cut[int(c)] = CellRule(vp, vw, bp, bw, bn, bt)
-    return rule
+    vol_pts, vol_wts, vol_off = _volume_rule(active.clips, order)
+    *bnd, failure = _surface_rule(active.clips, dom, order)
+    failures = [] if failure is None else [failure]
+    empty = np.flatnonzero((np.diff(vol_off) == 0) & (np.diff(bnd[-1]) == 0))
+    if len(empty):
+        failures.append((empty[0], GeometryResolutionError(
+            f"cut cell {int(active.cut_cells[empty[0]])} produced an empty rule; "
+            "classification is stale")))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return CutRule(h, ref, w * h * h, active.cut_cells, vol_pts, vol_wts, vol_off, *bnd)
 
 
 def dump_boundary_points(rule: CutRule) -> str:
     """CSV debug dump of the boundary quadrature: x,y,nx,ny,w,tag."""
-    lines = ["x,y,nx,ny,w,tag"]
-    for c in sorted(rule.cut):
-        r = rule.cut[c]
-        for p, n, w, t in zip(r.bnd_pts, r.bnd_normals, r.bnd_wts, r.bnd_tags):
-            part = "dirichlet" if t == TAG_DIRICHLET else "stress"
-            vals = ",".join(repr(float(v)) for v in (p[0], p[1], n[0], n[1], w))
-            lines.append(f"{vals},{part}")
+    rows = np.column_stack([rule.bnd_pts, rule.bnd_normals, rule.bnd_wts]).tolist()
+    parts = np.where(rule.bnd_tags == TAG_DIRICHLET, "dirichlet", "stress").tolist()
+    lines = ["x,y,nx,ny,w,tag"] + [",".join(map(repr, row)) + f",{part}"
+                                   for row, part in zip(rows, parts)]
     return "\n".join(lines) + "\n"

@@ -2,21 +2,23 @@
 
 The background mesh is a uniform grid of axis-aligned square cells over a
 square box.  Classification against an implicit domain probes a uniform
-point grid per cell and refines the verdict for candidate cut cells with the
-marching-triangles clip from the geometry module, demoting slivers whose
-inside area is negligible.  Mesh objects are immutable after construction.
+point grid per cell and refines the verdict for candidate cut cells with one
+batched marching-triangles clip of all of them (`geometry.clip_cells`),
+demoting slivers whose inside area is negligible.  The active mesh keeps the
+flat clips of its cut cells, from which `geometry.build_cut_rules` makes the
+cut rules.  Mesh objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import SLIVER_FRACTION, LevelSetDomain, clip_cell
+from .geometry import SLIVER_FRACTION, CellClip, Clips, LevelSetDomain, clip_cells
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +126,9 @@ class ActiveMesh:
 
     Active cells are the interior and cut ones; ghost facets are the
     interior facets with two active neighbors of which at least one is cut.
+    `clips` holds the clip of each cut cell, in `cut_cells` order; its
+    `subdiv` is the depth each was clipped at, above `subdiv` where the
+    clip escalated.  `sliver_cells` are the candidates demoted to outside.
     """
 
     mesh: BackgroundMesh
@@ -133,10 +138,15 @@ class ActiveMesh:
     cut_cells: np.ndarray
     ghost_facets: np.ndarray
     subdiv: int
-    _clips: dict = field(default_factory=dict, repr=False)
+    clips: Clips
+    sliver_cells: np.ndarray
 
-    def clip_for(self, c: int):
-        return self._clips.get(c)
+    def clip_for(self, c: int) -> CellClip | None:
+        """A view of cut cell c's clip, None for other cells."""
+        i = int(np.searchsorted(self.cut_cells, c))
+        if i == len(self.cut_cells) or self.cut_cells[i] != c:
+            return None
+        return self.clips.cell(i)
 
     @property
     def n_active(self) -> int:
@@ -149,9 +159,10 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
 
     A cell is interior when the membership function is negative at every
     probe point, outside when positive everywhere, cut otherwise.  Candidate
-    cut cells are then clipped; cells whose inside-area fraction falls below
-    the sliver tolerance are demoted to outside (logged), and cells the clip
-    finds entirely inside are promoted to interior.
+    cut cells are then clipped together; cells whose inside-area fraction
+    falls below the sliver tolerance are demoted to outside (one warning
+    lists them), and cells the clip finds entirely inside are promoted to
+    interior.
     """
     if n_probe < 2:
         raise ConfigurationError(f"n_probe must be >= 2, got {n_probe}")
@@ -161,28 +172,25 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
     offsets = np.column_stack([PX.ravel(), PY.ravel()])  # includes corners
 
     origins = mesh.cell_origin(np.arange(mesh.n_cells))
-    pts = origins[:, None, :] + mesh.h * offsets[None, :, :]
-    psi = dom.psi(pts.reshape(-1, 2)).reshape(mesh.n_cells, -1)
+    pts = (origins[:, None, :] + mesh.h * offsets[None, :, :]).reshape(-1, 2)
+    psi = dom.psi(pts).reshape(mesh.n_cells, -1)
+    del pts  # the probe grid is the largest array here; the clip below needs room
 
     tags = np.full(mesh.n_cells, CellTag.CUT, dtype=np.int8)
     tags[(psi < 0.0).all(axis=1)] = CellTag.INTERIOR
     tags[(psi > 0.0).all(axis=1)] = CellTag.OUTSIDE
 
-    clips: dict[int, object] = {}
+    candidates = np.flatnonzero(tags == CellTag.CUT)
+    clips = clip_cells(mesh.cell_origin(candidates), mesh.h, dom, subdiv)
     h2 = mesh.h * mesh.h
-    for c in np.flatnonzero(tags == CellTag.CUT):
-        lo = mesh.cell_origin(int(c))
-        clip = clip_cell(lo, mesh.h, dom, subdiv)
-        if clip.area < SLIVER_FRACTION * h2:
-            logger.warning("cell %d: sliver below tolerance, reclassified outside", c)
-            tags[c] = CellTag.OUTSIDE
-            continue
-        if len(clip.segs) == 0:
-            tags[c] = CellTag.INTERIOR if clip.area >= (1.0 - SLIVER_FRACTION) * h2 \
-                else CellTag.CUT
-            if tags[c] == CellTag.INTERIOR:
-                continue
-        clips[int(c)] = clip
+    sliver = clips.area < SLIVER_FRACTION * h2
+    full = (np.diff(clips.seg_off) == 0) & (clips.area >= (1.0 - SLIVER_FRACTION) * h2)
+    slivers = candidates[sliver]
+    if len(slivers):
+        logger.warning("cells %s: sliver below tolerance, reclassified outside",
+                       slivers.tolist())
+    tags[slivers] = CellTag.OUTSIDE
+    tags[candidates[full]] = CellTag.INTERIOR
 
     active = np.flatnonzero(tags != CellTag.OUTSIDE)
     interior = np.flatnonzero(tags == CellTag.INTERIOR)
@@ -202,7 +210,8 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
         cut_cells=cut,
         ghost_facets=ghost,
         subdiv=subdiv,
-        _clips=clips,
+        clips=clips.take(~(sliver | full)),
+        sliver_cells=slivers,
     )
 
 

@@ -17,11 +17,13 @@ over the sets, one column each, with the block-diagonal preconditioner
 diag(A_uu, (1/(2 mu) + 1/lambda) M_T + G2, -A_FF) of the total-pressure
 formulation (Lee, Mardal & Winther 2017), every block factored by the same
 symmetric LU.  A_uu does not depend on (lambda, K), so one factor serves
-every column and each step solves it for all of them at once.  The operator
-is applied from the grouped unit parts (`forms.apply_groups`); no set's
-matrix is composed.  Every MINRES solution must pass the same residual
-check; a column that breaks down, hits the step cap or fails the check is
-solved by `solve` instead, after the MINRES factors are freed.
+every column and each step solves it for all of them at once; the p_T
+block does not depend on K, so it is factored once per distinct (mu,
+lambda).  The operator is applied from the grouped unit parts
+(`forms.apply_groups`); no set's matrix is composed.  Every MINRES solution
+must pass the same residual check; a column that breaks down, hits the step
+cap or fails the check is solved by `solve` instead, after the MINRES
+factors are freed.
 
 The condition estimate combines extremal singular-value estimates of the
 matrix and of its inverse through the factorization; everything is
@@ -30,6 +32,7 @@ deterministic, including the Lanczos start vectors and the probe.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -128,17 +131,22 @@ class _BlockPreconditioner:
     """diag(A_uu, (1/(2 mu) + 1/lambda) M_T + G2, -A_FF) per parameter set, factored.
 
     Every u-u term scales with mu alone, so they form one group: its unit
-    sum is factored once and each set's solution divided by its mu.  Each
-    set has its own p_T and p_F factor.  Applied to the columns `cols` of an
-    (n, m) block, column j is preconditioned for set `cols[j]`.
+    sum is factored once and each set's solution divided by its mu.  The p_T
+    block does not depend on K, so sets with equal (mu, lambda) share one
+    p_T factor; each set has its own p_F factor.  Applied to the columns
+    `cols` of an (n, m) block, column j is preconditioned for set `cols[j]`.
     """
 
     def __init__(self, base: BlockSystem, groups, params):
         [(a_uu, self.mu)] = [(g.matrix, g.scales) for g in groups if g.row == g.col == "u"]
         self.lu_u = _symmetric_lu(a_uu.tocsc())
         g2 = base.parts.get("g2", 0.0)
-        self.lu_t = [_symmetric_lu(((0.5 / p.mu + 1.0 / p.lam) * base.parts["a2_mass"]
-                                    + g2).tocsc()) for p in params]
+
+        @functools.cache
+        def lu_t(mu, lam):
+            return _symmetric_lu(((0.5 / mu + 1.0 / lam) * base.parts["a2_mass"] + g2).tocsc())
+
+        self.lu_t = [lu_t(p.mu, p.lam) for p in params]
         self.lu_f = [_symmetric_lu(sum(-g.scales[s] * g.matrix for g in groups
                                        if g.row == g.col == "pF").tocsc())
                      for s in range(len(params))]

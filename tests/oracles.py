@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch with its own shape
 functions, quadrature tables and plain Python loops, so that agreement with
-the package is evidence of correctness rather than shared code.
+the package is evidence of correctness rather than shared code.  The
+per-cell geometry path at the end is the package's earlier clip, rule and
+table code, run one cut cell at a time: the batched code must match it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -244,3 +247,200 @@ def mass_pairing_by_summation(x_r, x_c, space_r, space_c, rules, scale):
     for c, r in rules.cut.items():
         total += cell_part(c, r.vol_pts, r.vol_wts)
     return scale * total
+
+
+# ---------------------------------------------------------------------------
+# the per-cell geometry path: one clip, one rule and one table row per cut cell
+
+def _clip_subgrid(lo, h, dom, m):
+    """One marching-triangles pass over one cell at sub-grid depth m.
+
+    Returns (blocks, tris, segs, consistent) exactly as the package's batched
+    pass returns them for that cell.
+    """
+    ns = 2 ** m
+    t = np.arange(ns + 1) / ns
+    X, Y = np.meshgrid(lo[0] + h * t, lo[1] + h * t, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    psi = dom.psi(verts)
+
+    # two triangles per sub-square: (v00,v10,v11) and (v00,v11,v01)
+    ii, jj = np.meshgrid(np.arange(ns), np.arange(ns), indexing="ij")
+    v00 = (ii * (ns + 1) + jj).ravel()
+    v10 = v00 + (ns + 1)
+    v01 = v00 + 1
+    v11 = v10 + 1
+    tri_idx = np.concatenate([
+        np.column_stack([v00, v10, v11]),
+        np.column_stack([v00, v11, v01]),
+    ])
+
+    tp = psi[tri_idx]
+    tv = verts[tri_idx]
+    ins = tp < 0.0
+    count = ins.sum(axis=1)
+    full = count == 3
+    empty = count == 0
+    mixed = ~(full | empty)
+
+    levels = [full.reshape(2, ns, ns).all(axis=0)]
+    for k in range(1, m):
+        levels.append(levels[-1].reshape(ns >> k, 2, ns >> k, 2).all(axis=(1, 3)))
+    levels.append(np.zeros((1, 1), dtype=bool))
+    ijs = []
+    for k in range(m):
+        bi, bj = np.nonzero(levels[k] & ~levels[k + 1].repeat(2, 0).repeat(2, 1))
+        ijs.append((bi << k, bj << k, np.full(len(bi), 1 << k)))
+    i, j, side = (h / ns * np.concatenate(a) for a in zip(*ijs))
+    blocks = np.column_stack([lo[0] + i, lo[1] + j, side])
+
+    tris_out = [tv[full & ~np.tile(levels[0].ravel(), 2)]]
+    segs_out = []
+    if mixed.any():
+        mp, mv, mins = tp[mixed], tv[mixed], ins[mixed]
+        one_in = mins.sum(axis=1) == 1
+        odd = np.where(one_in, np.argmax(mins, axis=1), np.argmax(~mins, axis=1))
+        rows = np.arange(len(mp))
+        nxt, prv = (odd + 1) % 3, (odd + 2) % 3
+        p_o, p_n, p_p = mp[rows, odd], mp[rows, nxt], mp[rows, prv]
+        v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
+        c1 = v_o + (p_o / (p_o - p_n))[:, None] * (v_n - v_o)
+        c2 = v_o + (p_o / (p_o - p_p))[:, None] * (v_p - v_o)
+        segs_out.append(np.stack([c1, c2], axis=1))
+        if one_in.any():
+            tris_out.append(np.stack([v_o[one_in], c1[one_in], c2[one_in]], axis=1))
+        two_in = ~one_in
+        if two_in.any():
+            a, b, q1, q2 = v_n[two_in], v_p[two_in], c1[two_in], c2[two_in]
+            tris_out.append(np.stack([a, b, q2], axis=1))
+            tris_out.append(np.stack([a, q2, q1], axis=1))
+    tris = np.concatenate(tris_out)
+    segs = np.concatenate(segs_out) if segs_out else np.zeros((0, 2, 2))
+
+    consistent = True
+    pure = full | empty
+    if pure.any():
+        sign_in = dom.psi(tv[pure].mean(axis=1)) < 0.0
+        consistent = not np.any(sign_in != full[pure])
+    return blocks, tris, segs, consistent
+
+
+def _tri_areas(tris):
+    d1 = tris[:, 1] - tris[:, 0]
+    d2 = tris[:, 2] - tris[:, 0]
+    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def clip_cell(lo, h, dom, subdiv, max_subdiv=6):
+    """(blocks, tris, segs, area, depth) of one cell, escalating the depth on inconsistency."""
+    from cutbiot.errors import GeometryResolutionError
+
+    lo = np.asarray(lo, dtype=float)
+    for m in range(subdiv, max_subdiv + 1):
+        blocks, tris, segs, ok = _clip_subgrid(lo, h, dom, m)
+        if ok:
+            areas = _tri_areas(tris)
+            total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
+            tris = tris[areas > 1e-14 * h * h]
+            if len(segs):
+                lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
+                segs = segs[lens > 1e-12 * h]
+            return blocks, tris, segs, total, m
+    raise GeometryResolutionError(
+        f"cell at {lo.tolist()} (h={h}): level set not resolved at subdivision {max_subdiv}")
+
+
+def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12):
+    """Cell tags and {cut cell: clip}, clipping each probed candidate cell in turn."""
+    t = np.linspace(0.0, 1.0, n_probe)
+    PX, PY = np.meshgrid(t, t, indexing="ij")
+    offsets = np.column_stack([PX.ravel(), PY.ravel()])
+    origins = mesh.cell_origin(np.arange(mesh.n_cells))
+    psi = dom.psi((origins[:, None, :] + mesh.h * offsets[None]).reshape(-1, 2))
+    psi = psi.reshape(mesh.n_cells, -1)
+    tags = np.full(mesh.n_cells, 2, dtype=np.int8)
+    tags[(psi < 0.0).all(axis=1)] = 1
+    tags[(psi > 0.0).all(axis=1)] = 0
+    clips, h2 = {}, mesh.h * mesh.h
+    for c in np.flatnonzero(tags == 2):
+        clip = clip_cell(mesh.cell_origin(int(c)), mesh.h, dom, subdiv)
+        if clip[3] < sliver * h2:
+            tags[c] = 0
+        elif len(clip[2]) == 0 and clip[3] >= (1.0 - sliver) * h2:
+            tags[c] = 1
+        else:
+            clips[int(c)] = clip
+    return tags, clips
+
+
+def cell_rule(clip, dom, order=5):
+    """(vol_pts, vol_wts, bnd_pts, bnd_wts, bnd_normals, bnd_tags) of one clipped cell."""
+    from cutbiot.errors import GeometryConflictError, GeometryError
+    from cutbiot.quadrature import gauss_1d, tensor_square, triangle_rule
+
+    blocks, tris, segs = clip[:3]
+    ref, w = tensor_square(order)
+    bpts = blocks[:, None, :2] + blocks[:, None, 2:] * ref[None]
+    bwts = blocks[:, 2:] ** 2 * w[None]
+    ref, w = triangle_rule(order)
+    v0 = tris[:, 0][:, None, :]
+    d1 = (tris[:, 1] - tris[:, 0])[:, None, :]
+    d2 = (tris[:, 2] - tris[:, 0])[:, None, :]
+    tpts = v0 + ref[None, :, 0:1] * d1 + ref[None, :, 1:2] * d2
+    twts = 2.0 * _tri_areas(tris)[:, None] * w[None, :]
+
+    branch = dom.branch(segs.mean(axis=1))
+    t, w = gauss_1d(order)
+    a = segs[:, 0][:, None, :]
+    d = (segs[:, 1] - segs[:, 0])[:, None, :]
+    pts = (a + t[None, :, None] * d).reshape(-1, 2)
+    lengths = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
+    branch = np.repeat(branch, len(t))
+    if dom.hole is not None:
+        both = (np.abs(dom.outer.value(pts)) < 1e-8) & (np.abs(dom.hole.value(pts)) < 1e-8)
+        if np.any(both):
+            raise GeometryConflictError(
+                f"both level sets vanish at {pts[np.argmax(both)].tolist()}")
+    g = dom.outer.grad(pts).copy()
+    if dom.hole is not None and (branch == 2).any():
+        g[branch == 2] = -dom.hole.grad(pts[branch == 2])
+    norms = np.hypot(g[:, 0], g[:, 1])
+    if np.any(norms <= 1e-8):
+        raise GeometryError("level-set gradient vanishes near the boundary")
+    return (np.concatenate([bpts.reshape(-1, 2), tpts.reshape(-1, 2)]),
+            np.concatenate([bwts.ravel(), twts.ravel()]),
+            pts, (lengths[:, None] * w[None, :]).ravel(), g / norms[:, None],
+            np.where(branch == 1, 0, 1).astype(np.int8))
+
+
+def cut_rules(clips, dom, order=5):
+    """{cut cell: cell_rule} in ascending cell order; the first failing cell raises."""
+    return {c: cell_rule(clips[c], dom, order) for c in sorted(clips)}
+
+
+def quadrature_rows(active, rules, tag=None):
+    """The volume (tag None) or one boundary part's table, one row per cell, grouped.
+
+    Returns [(cells, pts, wts, normals)] in the order the package's
+    `quadrature_table` promises: ascending point count, interior cells first,
+    then cut cells by ascending id.
+    """
+    rows = []
+    if tag is None and len(active.interior_cells):
+        cells = active.interior_cells
+        pts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
+        rows.append((cells, pts, np.broadcast_to(rules.int_wts, pts.shape[:2]), None))
+    for c in sorted(rules.cut):
+        r = rules.cut[c]
+        if tag is None:
+            pts, w, nrm = r.vol_pts, r.vol_wts, None
+        else:
+            on = r.bnd_tags == tag
+            pts, w, nrm = r.bnd_pts[on], r.bnd_wts[on], r.bnd_normals[on][None]
+        if len(w):
+            rows.append((np.array([c]), pts[None], w[None], nrm))
+    by_count = {}
+    for row in rows:
+        by_count.setdefault(row[2].shape[1], []).append(row)
+    return [tuple(None if col[0] is None else np.concatenate(col) for col in zip(*rs))
+            for _, rs in sorted(by_count.items())]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 
 from cutbiot.errors import (ConfigurationError, GeometryConflictError,
                             GeometryResolutionError)
-from cutbiot.forms import quadrature_table
+from cutbiot import forms
+from cutbiot.forms import QuadGroup, assemble_system, quadrature_table
 from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
                               FlowerLevelSet, LevelSetDomain, build_cut_rules, clip_cell,
                               cut_surface_rule, cut_volume_rule, make_flower_domain,
                               TAG_DIRICHLET, TAG_STRESS)
-from cutbiot.mesh import CellTag, build_mesh, classify
+from cutbiot.quadrature import tensor_square
+from cutbiot.mesh import CellTag, MeshConfig, build_mesh, classify, translate_box
+from cutbiot.verification import make_case
 
+import oracles
 from oracles import CIRCLE_LENGTH, FLOWER_AREA, OMEGA_AREA, flower_arclength, \
     montecarlo_area
 
@@ -302,3 +308,117 @@ def test_sliver_reclassified(caplog):
         act = classify(mesh, dom)
     assert len(act.active_cells) == 0
     assert any("sliver" in rec.message for rec in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# the batched clip and the flat rules against the per-cell path in oracles.py
+
+RULE_FIELDS = ("vol_pts", "vol_wts", "bnd_pts", "bnd_wts", "bnd_normals", "bnd_tags")
+SWEEP_DELTAS = (31 * 9 * 5e-4, 31 * 39 * 5e-4)  # two translations of the paper's sweep
+
+
+def _same(a, b) -> bool:
+    """Equal shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _flower_mesh(n, delta=0.0):
+    mc = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
+    return build_mesh(mc.box_lo, mc.box_hi, n)
+
+
+def _per_cell_rules(mesh, dom, subdiv):
+    """The rules of the per-cell path, shaped like a `CutRule` with a dict `cut`."""
+    _, clips = oracles.classify_cut_cells(mesh, dom, subdiv)
+    ref, w = tensor_square(5)
+    return SimpleNamespace(h=mesh.h, ref_pts=ref, int_wts=w * mesh.h * mesh.h, cut={
+        c: SimpleNamespace(**dict(zip(RULE_FIELDS, r)))
+        for c, r in oracles.cut_rules(clips, dom).items()})
+
+
+def _assert_matches_per_cell(mesh, dom, subdiv):
+    act = classify(mesh, dom, subdiv=subdiv)
+    tags, clips = oracles.classify_cut_cells(mesh, dom, subdiv)
+    assert _same(act.tags, tags)
+    assert act.cut_cells.tolist() == sorted(clips)
+    candidates = np.flatnonzero(oracles.classify_cut_cells(mesh, dom, subdiv, sliver=0.0)[0] == 2)
+    assert act.sliver_cells.tolist() == [c for c in candidates if tags[c] == 0]
+    for c, (blocks, tris, segs, area, depth) in clips.items():
+        clip = act.clip_for(c)
+        assert _same(clip.blocks, blocks) and _same(clip.tris, tris) and _same(clip.segs, segs)
+        assert clip.area == area and clip.subdiv == depth, c
+    rules = build_cut_rules(act, dom, order=5)
+    assert len(rules.cut) == len(clips)
+    for c, expected in oracles.cut_rules(clips, dom).items():
+        got = rules.cut[c]
+        assert all(_same(getattr(got, f), e) for f, e in zip(RULE_FIELDS, expected)), c
+    return act
+
+
+@pytest.mark.parametrize("n, subdiv, delta", [
+    *[(n, 3, d) for n in (16, 60) for d in (0.0, *SWEEP_DELTAS)],
+    (128, 4, 0.0),
+    (8, 1, 0.0),  # two slivers demoted
+    (12, 1, 0.0),  # one cell escalated
+])
+def test_batched_clip_and_flat_rules_match_per_cell_path(flower_domain, n, subdiv, delta):
+    act = _assert_matches_per_cell(_flower_mesh(n, delta), flower_domain, subdiv)
+    if (n, subdiv) == (8, 1):
+        assert len(act.sliver_cells) == 2
+    if (n, subdiv) == (12, 1):
+        assert np.count_nonzero(act.clips.subdiv > subdiv) == 1
+
+
+def test_batched_sliver_case_matches_per_cell_path():
+    dom = LevelSetDomain(AffineLevelSet(-1.0, 0.0, 1.0 - 1e-15))
+    act = _assert_matches_per_cell(build_mesh([0, 0], [1, 1], 2), dom, 3)
+    assert act.sliver_cells.tolist() == [2, 3]
+
+
+class _HalfWiggle:
+    """A straight cut x = 0.3, then a wiggle above x = 0.6 that no sub-grid depth resolves."""
+
+    def value(self, pts):
+        wiggle = np.cos(4000.0 * (pts[:, 0] + 0.37 * pts[:, 1])) + 0.2
+        return np.where(pts[:, 0] > 0.6, wiggle, pts[:, 0] - 0.3)
+
+    def grad(self, pts):
+        return np.zeros((len(pts), 2))
+
+
+@pytest.mark.parametrize("dom, error", [
+    (LevelSetDomain(_HalfWiggle()), GeometryResolutionError),
+    # both zero sets along x = 0.5, inside the middle column of cells
+    (LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5), AffineLevelSet(-1.0, 0.0, 0.5)),
+     GeometryConflictError),
+], ids=["escalate_then_raise", "conflict"])
+def test_batched_errors_name_the_per_cell_path_cell(dom, error):
+    mesh = build_mesh([0, 0], [1, 1], 3)
+    with pytest.raises(error) as expected:
+        oracles.cut_rules(oracles.classify_cut_cells(mesh, dom, 3)[1], dom)
+    with pytest.raises(error) as got:
+        build_cut_rules(classify(mesh, dom, subdiv=3), dom)
+    assert str(got.value) == str(expected.value)
+
+
+def test_tables_and_parts_match_per_cell_path(disc16, params, stab, monkeypatch):
+    d = disc16
+    old = _per_cell_rules(d.mesh, d.dom, 3)
+    for tag in (None, TAG_DIRICHLET, TAG_STRESS):
+        groups = quadrature_table(d.active, d.rules, tag)
+        rows = oracles.quadrature_rows(d.active, old, tag)
+        assert len(groups) == len(rows)
+        for g, row in zip(groups, rows):
+            assert all(b is None if a is None else _same(a, b)
+                       for a, b in zip((g.cells, g.pts, g.wts, g.normals), row))
+    bdata = make_case("trig").boundary_data()
+    new = assemble_system(d.su, d.st, d.sf, d.rules, params, stab, bdata)
+    monkeypatch.setattr(forms, "quadrature_table", lambda active, rules, tag=None: [
+        QuadGroup(*row) for row in oracles.quadrature_rows(active, rules, tag)])
+    ref = assemble_system(d.su, d.st, d.sf, old, params, stab, bdata)
+    assert new.parts.keys() == ref.parts.keys()
+    for name, part in new.parts.items():
+        assert all(_same(getattr(part, a), getattr(ref.parts[name], a))
+                   for a in ("data", "indices", "indptr")), name
+    assert _same(new.rhs, ref.rhs)

@@ -349,7 +349,21 @@ def test_minres_factors_freed_before_the_fallback_factor(monkeypatch, disc12):
     monkeypatch.setattr(solver, "_symmetric_lu", tracked)
     monkeypatch.setattr(solver, "MINRES_MAX_STEPS", 1)
     reports = solve_params(base, PAIRS, rhs)
-    assert len(minres_factors) == 1 + 2 * len(PAIRS) and len(direct_factors) == len(PAIRS)
+    # one A_uu factor, one p_T factor per distinct (mu, lambda), one p_F factor per pair
+    n_t = len({(p.mu, p.lam) for p in PAIRS})
+    assert len(minres_factors) == 1 + n_t + len(PAIRS) and len(direct_factors) == len(PAIRS)
     gc.collect()
     assert all(ref() is None for ref in direct_factors), "a report keeps its factor"
     assert [rep.ordering for rep in reports] == ["MMD_AT_PLUS_A"] * 4
+
+
+def test_pT_factored_once_per_mu_lambda(monkeypatch, disc12):
+    # the paper's four (lambda, K) pairs have two lambdas: 1 + 2 + 4 factors, not 1 + 4 + 4
+    base, rhs = _level(disc12)
+    calls = []
+    real = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu",
+                        lambda matrix: calls.append(matrix) or real(matrix))
+    reports = solve_params(base, PAIRS, rhs)
+    assert [rep.ordering for rep in reports] == ["MINRES"] * 4
+    assert len(calls) == 7
