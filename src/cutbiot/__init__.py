@@ -5,8 +5,7 @@ from .errors import (AssemblyError, ConfigurationError, CutBiotError,
                      SolverError)
 from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
                     assemble_ghost, assemble_rhs, assemble_system)
-from .geometry import (CutRule, LevelSetDomain, build_cut_rules, cut_surface_rule,
-                       cut_volume_rule, make_flower_domain)
+from .geometry import CutRule, LevelSetDomain, build_cut_rules, make_flower_domain
 from .mesh import (ActiveMesh, BackgroundMesh, CellTag, MeshConfig, build_mesh,
                    classify, translate_box)
 from .solver import SolveReport, estimate_condition, solve

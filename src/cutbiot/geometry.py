@@ -15,14 +15,14 @@ whose pass is inconsistent on to the next depth.  Its `Clips` hold every
 cell's blocks, triangles and chords as flat arrays with per-cell offsets.
 `mesh.classify` stores them, and `build_cut_rules` maps them in array
 operations into a `CutRule`, whose volume and boundary points are flat
-arrays with per-cell offsets too.  `clip_cell`, `cut_volume_rule` and
-`cut_surface_rule` are the one-cell calls of the same code.
+arrays with per-cell offsets too.  A single cut cell is the same container
+holding one cell (`Clips.cell`, `CutRule.cell`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -189,25 +189,13 @@ def _run_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CellClip:
-    """Piecewise-linear decomposition of one cell against the domain.
+class Clips:
+    """Piecewise-linear decompositions of cells against the domain, as flat arrays.
 
     blocks: (nb,3) rows (x0, y0, side) of the aligned dyadic squares that
         merge the sub-squares wholly inside the domain.
     tris: (nt,3,2) vertices of the sub-triangles covering the rest of the inside.
     segs: (ns,2,2) endpoints of embedded-boundary chords.
-    """
-
-    blocks: np.ndarray
-    tris: np.ndarray
-    segs: np.ndarray
-    area: float
-    subdiv: int
-
-
-@dataclass(frozen=True)
-class Clips:
-    """The `CellClip`s of many cells as flat arrays.
 
     Cell i owns rows `block_off[i]:block_off[i+1]` of `blocks`, and likewise
     of `tris` and `segs`; `area[i]` is its inside area before degenerate
@@ -223,16 +211,13 @@ class Clips:
     area: np.ndarray
     subdiv: np.ndarray
 
-    @classmethod
-    def of(cls, clip: CellClip) -> "Clips":
-        return cls(clip.blocks, _offsets([len(clip.blocks)]), clip.tris,
-                   _offsets([len(clip.tris)]), clip.segs, _offsets([len(clip.segs)]),
-                   np.array([clip.area]), np.array([clip.subdiv]))
-
-    def cell(self, i: int) -> CellClip:
-        b, t, s = (slice(o[i], o[i + 1]) for o in (self.block_off, self.tri_off, self.seg_off))
-        return CellClip(self.blocks[b], self.tris[t], self.segs[s], float(self.area[i]),
-                        int(self.subdiv[i]))
+    def cell(self, i: int) -> "Clips":
+        """The clip of cell i alone."""
+        flat = []
+        for rows, off in ((self.blocks, self.block_off), (self.tris, self.tri_off),
+                          (self.segs, self.seg_off)):
+            flat += [rows[off[i]:off[i + 1]], off[i:i + 2] - off[i]]
+        return Clips(*flat, self.area[i:i + 1], self.subdiv[i:i + 1])
 
     def take(self, keep: np.ndarray) -> "Clips":
         """The clips of the cells where the boolean mask `keep` holds, in order."""
@@ -375,11 +360,6 @@ def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
                  area, depth)
 
 
-def clip_cell(lo: np.ndarray, h: float, dom: LevelSetDomain, subdiv: int) -> CellClip:
-    """The clip of one cell: `clip_cells` on that cell alone."""
-    return clip_cells(lo, h, dom, subdiv).cell(0)
-
-
 def _volume_rule(clips: Clips, order: int):
     """Volume points, weights and per-cell offsets of the inside parts of clipped cells.
 
@@ -444,59 +424,6 @@ def _surface_rule(clips: Clips, dom: LevelSetDomain, order: int):
     return pts, wts, g / norms[:, None], tags, off, None
 
 
-def cut_volume_rule(clip: CellClip, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the inside part of one clipped cell: points (n,2), positive weights."""
-    pts, wts, _ = _volume_rule(Clips.of(clip), order)
-    return pts, wts
-
-
-def cut_surface_rule(clip: CellClip, dom: LevelSetDomain, order: int = 5,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature for the embedded boundary chords of one clipped cell.
-
-    Returns (points, weights, outward unit normals, part tags); raises
-    GeometryConflictError when both level sets vanish at the same point.
-    """
-    pts, wts, normals, tags, _, failure = _surface_rule(Clips.of(clip), dom, order)
-    if failure is not None:
-        raise failure[1]
-    return pts, wts, normals, tags
-
-
-@dataclass(frozen=True)
-class CellRule:
-    """Quadrature data for one cut cell: views into a `CutRule`."""
-
-    vol_pts: np.ndarray
-    vol_wts: np.ndarray
-    bnd_pts: np.ndarray
-    bnd_wts: np.ndarray
-    bnd_normals: np.ndarray
-    bnd_tags: np.ndarray
-
-
-class _CellRules(Mapping):
-    """Read-only {cut cell: CellRule} over a `CutRule`'s flat arrays."""
-
-    def __init__(self, rule: "CutRule"):
-        self._rule = rule
-
-    def __len__(self) -> int:
-        return len(self._rule.cells)
-
-    def __iter__(self):
-        return iter(self._rule.cells.tolist())
-
-    def __getitem__(self, c) -> CellRule:
-        r = self._rule
-        i = int(np.searchsorted(r.cells, c))
-        if i == len(r.cells) or r.cells[i] != c:
-            raise KeyError(c)
-        v, b = slice(*r.vol_off[i:i + 2]), slice(*r.bnd_off[i:i + 2])
-        return CellRule(r.vol_pts[v], r.vol_wts[v], r.bnd_pts[b], r.bnd_wts[b],
-                        r.bnd_normals[b], r.bnd_tags[b])
-
-
 @dataclass(frozen=True)
 class CutRule:
     """Volume and surface quadrature over an active mesh.
@@ -506,7 +433,7 @@ class CutRule:
     ascending order, carry their own rules in flat arrays: cut cell i owns
     rows `vol_off[i]:vol_off[i+1]` of `vol_pts` and `vol_wts`, and rows
     `bnd_off[i]:bnd_off[i+1]` of `bnd_pts`, `bnd_wts`, `bnd_normals` and
-    `bnd_tags`.  `cut` views the same data per cell.
+    `bnd_tags`.  `cut` maps each cut cell to its one-cell `CutRule`.
     """
 
     h: float
@@ -522,9 +449,17 @@ class CutRule:
     bnd_tags: np.ndarray
     bnd_off: np.ndarray
 
-    @property
-    def cut(self) -> Mapping[int, CellRule]:
-        return _CellRules(self)
+    def cell(self, i: int) -> "CutRule":
+        """The rule of cut cell `cells[i]` alone."""
+        v, b = slice(*self.vol_off[i:i + 2]), slice(*self.bnd_off[i:i + 2])
+        return CutRule(self.h, self.ref_pts, self.int_wts, self.cells[i:i + 1],
+                       self.vol_pts[v], self.vol_wts[v], self.vol_off[i:i + 2] - v.start,
+                       self.bnd_pts[b], self.bnd_wts[b], self.bnd_normals[b],
+                       self.bnd_tags[b], self.bnd_off[i:i + 2] - b.start)
+
+    @cached_property
+    def cut(self) -> dict[int, "CutRule"]:
+        return {c: self.cell(i) for i, c in enumerate(self.cells.tolist())}
 
     def total_volume(self, active: "ActiveMesh") -> float:
         return len(active.interior_cells) * float(self.int_wts.sum()) + float(self.vol_wts.sum())

@@ -6,7 +6,8 @@ point grid per cell and refines the verdict for candidate cut cells with one
 batched marching-triangles clip of all of them (`geometry.clip_cells`),
 demoting slivers whose inside area is negligible.  The active mesh keeps the
 flat clips of its cut cells, from which `geometry.build_cut_rules` makes the
-cut rules.  Mesh objects are immutable after construction.
+cut rules; `ActiveMesh.clip_for` returns one cut cell's clip as a one-cell
+`Clips`.  Mesh objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import SLIVER_FRACTION, CellClip, Clips, LevelSetDomain, clip_cells
+from .geometry import SLIVER_FRACTION, Clips, LevelSetDomain, clip_cells
 
 logger = logging.getLogger(__name__)
 
@@ -141,8 +142,8 @@ class ActiveMesh:
     clips: Clips
     sliver_cells: np.ndarray
 
-    def clip_for(self, c: int) -> CellClip | None:
-        """A view of cut cell c's clip, None for other cells."""
+    def clip_for(self, c: int) -> Clips | None:
+        """The one-cell `Clips` of cut cell c, None for other cells."""
         i = int(np.searchsorted(self.cut_cells, c))
         if i == len(self.cut_cells) or self.cut_cells[i] != c:
             return None

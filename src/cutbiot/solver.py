@@ -48,6 +48,7 @@ logger = logging.getLogger(__name__)
 RESIDUAL_TOL = 1e-9
 MINRES_RTOL = 1e-12  # preconditioned residual, relative to its initial value
 MINRES_MAX_STEPS = 200  # about 3x the most a stabilized ladder level takes (60)
+EIGSH_TOL = 1e-2  # relative accuracy of the extremal eigenvalues behind a condition estimate
 
 
 @dataclass
@@ -271,7 +272,7 @@ def solve_params(base: BlockSystem, params: list[PhysicalParams],
     return reports
 
 
-def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
+def _extremal_magnitude(op_matvec, n: int) -> float:
     """Largest |eigenvalue| of a symmetric operator, deterministic Lanczos."""
     v0 = _probe(n)
     v0 /= np.linalg.norm(v0)
@@ -280,7 +281,7 @@ def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
         return float(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max())
     op = spla.LinearOperator((n, n), matvec=op_matvec, dtype=float)
     try:
-        vals = spla.eigsh(op, k=1, which="LM", tol=tol, v0=v0,
+        vals = spla.eigsh(op, k=1, which="LM", tol=EIGSH_TOL, v0=v0,
                           maxiter=200, return_eigenvectors=False)
         return float(np.abs(vals).max())
     except spla.ArpackNoConvergence as exc:
@@ -299,7 +300,7 @@ def _extremal_magnitude(op_matvec, n: int, tol: float = 1e-2) -> float:
         return float(np.sqrt(lam))
 
 
-def estimate_condition(system: BlockSystem, lu=None, tol: float = 1e-2) -> float:
+def estimate_condition(system: BlockSystem, lu=None) -> float:
     """Spectral condition number estimate, accurate to a few percent.
 
     Without `lu` the factor comes from `solve`, so an unchecked factor raises SolverError.
@@ -308,8 +309,8 @@ def estimate_condition(system: BlockSystem, lu=None, tol: float = 1e-2) -> float
     n = a.shape[0]
     if lu is None:
         lu = solve(system)._lu
-    sigma_max = _extremal_magnitude(lambda v: a @ v, n, tol)
-    inv_max = _extremal_magnitude(lu.solve, n, tol)
+    sigma_max = _extremal_magnitude(lambda v: a @ v, n)
+    inv_max = _extremal_magnitude(lu.solve, n)
     if not np.isfinite(inv_max) or inv_max <= 0:
         raise SolverError("condition estimate failed: inverse iteration broke down")
     return sigma_max * inv_max

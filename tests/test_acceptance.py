@@ -17,7 +17,7 @@ from cutbiot.cli import RunConfig, cmd_convergence, cmd_solve, cmd_sweep, main
 from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_ghost,
                            assemble_system, full_cell_matrix, ghost_seminorm)
 from cutbiot.geometry import (AffineLevelSet, ConstantLevelSet, LevelSetDomain,
-                              build_cut_rules, clip_cell, cut_volume_rule,
+                              _volume_rule, build_cut_rules, clip_cells,
                               make_flower_domain)
 from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
 from cutbiot.solver import solve
@@ -232,7 +232,7 @@ def test_criterion_5_assembly(disc32, params, stab):
     check("5", nnz == 0, f"(u, pF) coupling block nnz = {nnz} (exactly empty)")
 
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))
-    _, wts = cut_volume_rule(clip_cell(np.zeros(2), 1.0, dom, 3), order=5)
+    _, wts, _ = _volume_rule(clip_cells(np.zeros(2), 1.0, dom, 3), 5)
     check("5", abs(wts.sum() - 0.5) < 1e-14,
           f"half-plane cut area = {wts.sum():.16f} (0.5 exact)")
 

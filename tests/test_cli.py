@@ -325,12 +325,20 @@ def test_solve_default_config(tmp_path):
 
 
 def test_parallel_workers_match_serial(monkeypatch, tmp_path):
-    # level threads, worker processes and one core all write the same bytes
+    # level threads, worker processes and one core all write the same bytes,
+    # and so does a sweep on worker processes
     cfg = _write(tmp_path, "cfg.json", CONV_CFG)
     assert main(["convergence", "--config", str(cfg),
                  "--out", str(tmp_path / "w1")]) == 0
     assert main(["convergence", "--config", str(cfg), "--workers", "2",
                  "--out", str(tmp_path / "w2")]) == 0
+    sweep = _write(tmp_path, "sweep.json", SWEEP_CFG)
+    for workers in ("1", "2"):
+        assert main(["sweep", "--config", str(sweep), "--workers", workers,
+                     "--out", str(tmp_path / f"sweep{workers}")]) == 0
+    for name in ("sweep.csv", "sweep_failures.csv"):
+        assert (tmp_path / "sweep1" / name).read_bytes() == \
+            (tmp_path / "sweep2" / name).read_bytes()
     _cores(monkeypatch, 1)
     assert main(["convergence", "--config", str(cfg),
                  "--out", str(tmp_path / "core1")]) == 0

@@ -12,9 +12,9 @@ from cutbiot.errors import (ConfigurationError, GeometryConflictError,
 from cutbiot import forms
 from cutbiot.forms import QuadGroup, assemble_system, quadrature_table
 from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
-                              FlowerLevelSet, LevelSetDomain, build_cut_rules, clip_cell,
-                              cut_surface_rule, cut_volume_rule, make_flower_domain,
-                              TAG_DIRICHLET, TAG_STRESS)
+                              FlowerLevelSet, LevelSetDomain, build_cut_rules, clip_cells,
+                              make_flower_domain, TAG_DIRICHLET, TAG_STRESS,
+                              _surface_rule, _volume_rule)
 from cutbiot.quadrature import tensor_square
 from cutbiot.mesh import CellTag, MeshConfig, build_mesh, classify, translate_box
 from cutbiot.verification import make_case
@@ -35,10 +35,10 @@ _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 
 
 def _halfplane(theta, px, py, subdiv):
-    """The clip of the unit cell by {n.(x - p) < 0}, its domain and the unit normal n."""
+    """The one-cell clip of the unit cell by {n.(x - p) < 0}, its domain and the unit normal n."""
     n = np.array([np.cos(theta), np.sin(theta)])
     dom = LevelSetDomain(AffineLevelSet(n[0], n[1], -(n[0] * px + n[1] * py)))
-    return clip_cell(np.zeros(2), 1.0, dom, subdiv), dom, n
+    return clip_cells(np.zeros(2), 1.0, dom, subdiv), dom, n
 
 
 def _square_cut(n, p):
@@ -96,7 +96,7 @@ def test_gradients_match_finite_differences(ls):
 @example(theta=0.0, px=0.5, py=0.5, subdiv=3)  # the vertical cut x = 0.5
 def test_halfplane_volume_exact(theta, px, py, subdiv):
     clip, _, n = _halfplane(theta, px, py, subdiv)
-    pts, wts = cut_volume_rule(clip, order=5)
+    pts, wts, _ = _volume_rule(clip, 5)
     poly, _ = _square_cut(n, np.array([px, py]))
     area = 0.5 * sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(poly, poly[1:] + poly[:1]))
     assert wts.sum() == pytest.approx(area, abs=1e-14)
@@ -111,8 +111,8 @@ def test_halfplane_volume_exact(theta, px, py, subdiv):
 
 
 def _check_blocks(clip, dom):
-    """The clip's blocks of the unit cell are its maximal inside quadtree squares."""
-    ns = 2 ** clip.subdiv
+    """The blocks of the unit cell's one-cell clip are its maximal inside quadtree squares."""
+    ns = 2 ** int(clip.subdiv[0])
     ij = clip.blocks[:, :2] * ns
     side = clip.blocks[:, 2] * ns  # in sub-squares
     assert np.allclose(ij, np.round(ij), rtol=0, atol=1e-9)
@@ -148,7 +148,7 @@ def test_halfplane_blocks_maximal(theta, px, py, subdiv):
 def test_circle_blocks_maximal(cx, cy, r, hole, subdiv):
     circle = CircleLevelSet(r, (cx, cy))
     dom = LevelSetDomain(ConstantLevelSet(-1.0), circle) if hole else LevelSetDomain(circle)
-    _check_blocks(clip_cell(np.zeros(2), 1.0, dom, subdiv), dom)
+    _check_blocks(clip_cells(np.zeros(2), 1.0, dom, subdiv), dom)
 
 
 def test_blocks_cut_the_points_per_cut_cell(flower_domain):
@@ -163,7 +163,8 @@ def test_blocks_cut_the_points_per_cut_cell(flower_domain):
 @example(theta=0.0, px=0.5, py=0.5, subdiv=3)  # the vertical cut x = 0.5
 def test_halfplane_surface_exact(theta, px, py, subdiv):
     clip, dom, n = _halfplane(theta, px, py, subdiv)
-    pts, wts, normals, tags = cut_surface_rule(clip, dom, order=5)
+    pts, wts, normals, tags, _, failure = _surface_rule(clip, dom, 5)
+    assert failure is None
     _, (a, b) = _square_cut(n, np.array([px, py]))
     length = np.hypot(*(b - a))
     assert wts.sum() == pytest.approx(length, abs=1e-13)
@@ -275,8 +276,8 @@ def test_zero_sets_separated(flower_domain):
 def test_geometry_conflict_error():
     # both zero sets coincide along x=0.5: ambiguous boundary part
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5), AffineLevelSet(-1.0, 0.0, 0.5))
-    with pytest.raises(GeometryConflictError):
-        cut_surface_rule(clip_cell(np.zeros(2), 1.0, dom, 3), dom, order=5)
+    *_, failure = _surface_rule(clip_cells(np.zeros(2), 1.0, dom, 3), dom, 5)
+    assert failure[0] == 0 and isinstance(failure[1], GeometryConflictError)
 
 
 class _Wiggle:
@@ -294,7 +295,7 @@ class _Wiggle:
 def test_resolution_error_escalates_then_raises():
     dom = LevelSetDomain(_Wiggle())
     with pytest.raises(GeometryResolutionError):
-        clip_cell(np.zeros(2), 1.0, dom, 3)
+        clip_cells(np.zeros(2), 1.0, dom, 3)
 
 
 def test_sliver_reclassified(caplog):
@@ -347,7 +348,7 @@ def _assert_matches_per_cell(mesh, dom, subdiv):
     for c, (blocks, tris, segs, area, depth) in clips.items():
         clip = act.clip_for(c)
         assert _same(clip.blocks, blocks) and _same(clip.tris, tris) and _same(clip.segs, segs)
-        assert clip.area == area and clip.subdiv == depth, c
+        assert clip.area[0] == area and clip.subdiv[0] == depth, c
     rules = build_cut_rules(act, dom, order=5)
     assert len(rules.cut) == len(clips)
     for c, expected in oracles.cut_rules(clips, dom).items():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import logging
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TrackedLU, _discretize
@@ -282,6 +283,40 @@ def test_minres_steps_bounded_and_solutions_match_direct(n, delta):
         system = with_params(base, prm, b)
         assert _rel(rep.x, solve(system).x) <= 1e-9
         assert _rel(Y[:, s], system.matrix @ X[:, s]) <= 1e-13
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the schema's whole (mu, lambda, K) box, K = 0 included, log-uniform
+PARAMETER_BOX = st.builds(PhysicalParams, mu=_log_uniform(1e-2, 1e2),
+                          lam=_log_uniform(1e-2, 1e12),
+                          K=st.one_of(st.just(0.0), _log_uniform(1e-12, 1e4)))
+
+
+@functools.cache
+def _robustness_levels():
+    """The unit-parameter systems at N=16 (delta 0.37) and N=32 (delta 0.13), subdiv 3."""
+    discs = (_discretize(16, delta=0.37), _discretize(32, delta=0.13))
+    return [(d, assemble_system(d.su, d.st, d.sf, d.rules, PhysicalParams(),
+                                StabilizationParams())) for d in discs]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=8)
+@given(params=st.lists(PARAMETER_BOX, min_size=4, max_size=4))
+@example(params=[PhysicalParams(mu=1e-2, lam=1e12, K=0.0),  # the most steps measured: 79
+                 PhysicalParams(mu=1e-2, lam=1e-2, K=1e4),
+                 PhysicalParams(mu=1e2, lam=1e12, K=1e-12),
+                 PhysicalParams(mu=1e2, lam=1e-2, K=0.0)])
+def test_minres_robust_over_the_parameter_box(params):
+    # Lee-Mardal-Winther robustness: no direct fallback and a step bound anywhere in the box
+    bdata = make_case("trig").boundary_data()
+    for disc, base in _robustness_levels():
+        rhs = assemble_rhs(disc.su, disc.st, disc.sf, disc.rules, StabilizationParams(),
+                           params, bdata)
+        for prm, rep in zip(params, solve_params(base, params, rhs)):
+            assert rep.ordering == "MINRES" and rep.steps <= 100, (disc.n, prm, rep.steps)
 
 
 def _caught(caplog, disc, **level):
