@@ -32,7 +32,7 @@ from .forms import (PhysicalParams, QuadGroup, StabilizationParams, assemble_rhs
                     assemble_system, dump_matrix, mass_matrix, tabulate, tabulation_columns,
                     with_params, without_ghost)  # noqa: F401
 from .geometry import build_cut_rules, dump_boundary_points, make_flower_domain
-from .mesh import MeshConfig, build_mesh, classify, dump_classification, translate_box
+from .mesh import build_mesh, classify, dump_classification, translate_box
 from .solver import estimate_condition, solve, solve_params
 from .spaces import build_space, make_layout
 from .verification import CASE_NAMES, eoc, error_norms, field_values, make_case
@@ -176,11 +176,6 @@ class RunConfig:
         g = self.raw["geometry"]
         return make_flower_domain(g["radius"], g["r0"], g["r1"], g["petals"])
 
-    def mesh_config(self, n: int | None = None) -> MeshConfig:
-        m = self.raw["mesh"]
-        return MeshConfig(tuple(m["box_lo"]), tuple(m["box_hi"]),
-                          m["n"] if n is None else int(n))
-
     def params(self, lam: float | None = None, K: float | None = None) -> PhysicalParams:
         p = self.raw["params"]
         return PhysicalParams(mu=p["mu"],
@@ -216,15 +211,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _covering_box(cfg: RunConfig, n: int, delta: float) -> MeshConfig:
-    """The box translated by delta; raises unless it still covers the outer circle."""
-    mc = translate_box(cfg.mesh_config(n), delta)
+def _covering_box(cfg: RunConfig, n: int, delta: float):
+    """The box corners translated by delta; raises unless they still cover the outer circle."""
+    lo, hi = translate_box(cfg.raw["mesh"]["box_lo"], cfg.raw["mesh"]["box_hi"], n, delta)
     radius = cfg.raw["geometry"]["radius"]
-    if max(mc.box_lo) > -radius or min(mc.box_hi) < radius:
+    if max(lo) > -radius or min(hi) < radius:
         raise ConfigurationError(
-            f"box {mc.box_lo}..{mc.box_hi} does not cover the outer circle "
+            f"box {lo}..{hi} does not cover the outer circle "
             f"(radius {radius}); reduce the translation delta or refine")
-    return mc
+    return lo, hi
 
 
 # Ladder levels on threads build their meshes one at a time, so a wrapper
@@ -234,11 +229,11 @@ _BUILD_MESH_LOCK = threading.Lock()
 
 
 def _discretize(cfg: RunConfig, n: int, delta: float = 0.0, subdiv: int | None = None):
-    mc = _covering_box(cfg, n, delta)
+    box_lo, box_hi = _covering_box(cfg, n, delta)
     subdiv = cfg.raw["mesh"]["subdiv"] if subdiv is None else subdiv
     dom = cfg.domain()
     with _BUILD_MESH_LOCK:
-        mesh = build_mesh(mc.box_lo, mc.box_hi, mc.n)
+        mesh = build_mesh(box_lo, box_hi, int(n))
     active = classify(mesh, dom, subdiv=subdiv)
     k, l = cfg.raw["spaces"]["k"], cfg.raw["spaces"]["l"]
     # the rule `full_cell_matrix` uses, 2 * degree + 1, for the highest degree
@@ -260,12 +255,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         cfg, n, delta=cfg.raw["mesh"]["delta"])
     params, stab = cfg.params(), cfg.stab()
     case = make_case(cfg.raw["case"])
-    system = assemble_system(su, st, sf, rules, params, stab, case.boundary_data(),
-                             include_ghost=cfg.stabilized)
+    system = assemble_system(su, st, sf, rules, params, stab, case.boundary_data())
+    if not cfg.stabilized:
+        system = without_ghost(system)
     report = solve(system)
     kappa = estimate_condition(system, lu=report._lu)
 
-    xu, xt, xf = report.x[layout.s_u], report.x[layout.s_t], report.x[layout.s_f]
+    xu, xt, xf = (report.x[layout.slice(name)] for name in ("u", "pT", "pF"))
     m_u = mass_matrix(su, su, rules)
     m_t = mass_matrix(st, st, rules)
     m_f = mass_matrix(sf, sf, rules)
@@ -335,8 +331,9 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
     conv = cfg.raw["convergence"]
     _, _, active, rules, su, st, sf, _ = _discretize(cfg, n, subdiv=conv["subdiv"])
     stab = cfg.stab()
-    base = assemble_system(su, st, sf, rules, cfg.params(), stab,
-                           include_ghost=cfg.stabilized)
+    base = assemble_system(su, st, sf, rules, cfg.params(), stab)
+    if not cfg.stabilized:
+        base = without_ghost(base)
     params = [cfg.params(lam=lam, K=K) for lam in conv["lambdas"] for K in conv["Ks"]]
     case = make_case(cfg.raw["case"])
     rhs = assemble_rhs(su, st, sf, rules, stab, params, case.boundary_data())
@@ -391,26 +388,15 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if workers == 1:
         logger.info("%d levels on %d threads, finest first", len(ladder), threads)
     chunks = _run_jobs(_ladder_level_job, cfg, ladder, workers, threads)
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: (r["N"], r["lambda"], r["K"]))
-
-    by_combo: dict[tuple, list[dict]] = {}
-    for r in rows:
-        by_combo.setdefault((r["lambda"], r["K"]), []).append(r)
-    for combo_rows in by_combo.values():
-        combo_rows.sort(key=lambda r: r["N"])
+    rows = sorted((r for chunk in chunks for r in chunk),
+                  key=lambda r: (r["N"], r["lambda"], r["K"]))
+    for combo in dict.fromkeys((r["lambda"], r["K"]) for r in rows):
+        levels = [r for r in rows if (r["lambda"], r["K"]) == combo]  # ascending N
         for name in _ERR_NAMES:
-            levels = [(r["h"], r[name]) for r in combo_rows]
-            rates = eoc(levels)
-            combo_rows[0][f"eoc_{name[4:]}"] = None
-            for r, rate in zip(combo_rows[1:], rates):
+            for r, rate in zip(levels, [None, *eoc([(r["h"], r[name]) for r in levels])]):
                 r[f"eoc_{name[4:]}"] = rate
-
-    header = ["N", "h", "lambda", "K"] + _ERR_NAMES + \
-        [f"eoc_{n[4:]}" for n in _ERR_NAMES]
-    table = [[r["N"], r["h"], r["lambda"], r["K"]] + [r[n] for n in _ERR_NAMES]
-             + [r.get(f"eoc_{n[4:]}") for n in _ERR_NAMES] for r in rows]
-    _write_csv(out_dir / "convergence.csv", header, table)
+    header = ["N", "h", "lambda", "K", *_ERR_NAMES, *(f"eoc_{n[4:]}" for n in _ERR_NAMES)]
+    _write_csv(out_dir / "convergence.csv", header, [[r[h] for h in header] for r in rows])
     return 0
 
 
@@ -446,8 +432,7 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
         return [_sweep_row(delta, stab_on, exc) for stab_on in (True, False)]
     params, stab = cfg.params(), cfg.stab()
     case = make_case(cfg.raw["case"])
-    stabilized = assemble_system(su, st, sf, rules, params, stab,
-                                 case.boundary_data(), include_ghost=True)
+    stabilized = assemble_system(su, st, sf, rules, params, stab, case.boundary_data())
     rows, solved, xs = [], [], []
     for stab_on in (True, False):
         system = stabilized if stab_on else without_ghost(stabilized)

@@ -478,8 +478,7 @@ class BlockSystem:
 
 def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                     rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
-                    bdata: BoundaryData | None = None,
-                    include_ghost: bool = True) -> BlockSystem:
+                    bdata: BoundaryData | None = None) -> BlockSystem:
     """Assemble the full block system.
 
     Row/column blocks over (u, p_T, p_F):
@@ -490,19 +489,17 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     g_p are the facet sums gamma h^(2j-1) ([d_n^j v], [d_n^j w]) over the
     field's own space with factors gamma_g_u and gamma_g_p: gradient-type
     forms take the bare sum, mass-type forms an extra h^2, and each sum
-    runs over the jump orders 1..degree of the field's space.  Dropping
-    `include_ghost` removes exactly the ghost-penalty terms.  Only the unit
-    `parts` are assembled; `BlockSystem.matrix` composes them when read.
+    runs over the jump orders 1..degree of the field's space.  `without_ghost`
+    removes exactly the ghost-penalty terms.  Only the unit `parts` are
+    assembled; `BlockSystem.matrix` composes them when read.
     """
     layout = make_layout(space_u, space_t, space_f)
     h = rules.h
     parts = _bilinear_parts(rules, stab, space_u, space_t, space_f)
-
-    if include_ghost:
-        parts["g1"] = assemble_ghost(space_u, stab.gamma_g_u)
-        parts["g2"] = assemble_ghost(space_t, h * h * stab.gamma_g_p)
-        parts["g3_1"] = assemble_ghost(space_f, stab.gamma_g_u)
-        parts["g3_2"] = (h * h) * parts["g3_1"]
+    parts["g1"] = assemble_ghost(space_u, stab.gamma_g_u)
+    parts["g2"] = assemble_ghost(space_t, h * h * stab.gamma_g_p)
+    parts["g3_1"] = assemble_ghost(space_f, stab.gamma_g_u)
+    parts["g3_2"] = (h * h) * parts["g3_1"]
 
     rhs = np.zeros(layout.total) if bdata is None else \
         assemble_rhs(space_u, space_t, space_f, rules, stab, [params], bdata)[0]
@@ -532,8 +529,9 @@ def compose_matrix(parts: dict, layout: FieldLayout, params: PhysicalParams) -> 
 def without_ghost(system: BlockSystem) -> BlockSystem:
     """The same system with every ghost-penalty term removed.
 
-    Shares the right-hand side (ghost terms never touch it); used by the
-    cut-translation sweep to run the unstabilized arm without reassembly.
+    Shares the right-hand side (ghost terms never touch it).  This is the
+    one way to an unstabilized system: the sweep's unstabilized arm, and
+    `solve` and the ladder when stabilization is disabled.
     """
     return replace(system, parts={name: blk for name, blk in system.parts.items()
                                   if not _TERMS[name].ghost})

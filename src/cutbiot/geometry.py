@@ -137,9 +137,6 @@ class LevelSetDomain:
             return v
         return np.maximum(v, -self.hole.value(pts))
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        return self.psi(pts) < 0.0
-
     def branch(self, pts: np.ndarray) -> np.ndarray:
         """1 where the outer level set governs, 2 where the hole does."""
         if self.hole is None:

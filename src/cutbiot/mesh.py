@@ -1,19 +1,21 @@
 """Structured square background mesh, cell classification, ghost facets.
 
 The background mesh is a uniform grid of axis-aligned square cells over a
-square box.  Classification against an implicit domain probes a uniform
-point grid per cell and refines the verdict for candidate cut cells with one
-batched marching-triangles clip of all of them (`geometry.clip_cells`),
-demoting slivers whose inside area is negligible.  The active mesh keeps the
-flat clips of its cut cells, from which `geometry.build_cut_rules` makes the
-cut rules; `ActiveMesh.clip_for` returns one cut cell's clip as a one-cell
-`Clips`.  Mesh objects are immutable after construction.
+square box given by its two corners; `translate_box` shifts the corners by a
+fraction of a cell for the cut-translation sweep.  Classification against an
+implicit domain probes a uniform point grid per cell and refines the verdict
+for candidate cut cells with one batched marching-triangles clip of all of
+them (`geometry.clip_cells`), demoting slivers whose inside area is
+negligible.  The active mesh keeps the flat clips of its cut cells, from
+which `geometry.build_cut_rules` makes the cut rules; `ActiveMesh.clip_for`
+returns one cut cell's clip as a one-cell `Clips`.  Mesh objects are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -30,29 +32,15 @@ class CellTag(IntEnum):
     CUT = 2
 
 
-@dataclass(frozen=True)
-class MeshConfig:
-    """Box corners and resolution; the unit used by cut-translation sweeps."""
+def translate_box(box_lo, box_hi, n: int, delta: float):
+    """The corners of the n-cell box shifted by delta*h along both axes.
 
-    box_lo: tuple[float, float]
-    box_hi: tuple[float, float]
-    n: int
-
-    @property
-    def h(self) -> float:
-        return (self.box_hi[0] - self.box_lo[0]) / self.n
-
-
-def translate_box(cfg: MeshConfig, delta: float) -> MeshConfig:
-    """Shift the box by delta*h along both axes; the geometry stays fixed."""
+    The geometry stays fixed; h = (box_hi[0] - box_lo[0]) / n.
+    """
     if delta < 0:
         raise ConfigurationError(f"translation delta must be >= 0, got {delta}")
-    s = delta * cfg.h
-    return replace(
-        cfg,
-        box_lo=(cfg.box_lo[0] + s, cfg.box_lo[1] + s),
-        box_hi=(cfg.box_hi[0] + s, cfg.box_hi[1] + s),
-    )
+    s = delta * ((box_hi[0] - box_lo[0]) / n)
+    return (box_lo[0] + s, box_lo[1] + s), (box_hi[0] + s, box_hi[1] + s)
 
 
 class BackgroundMesh:

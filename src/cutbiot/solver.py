@@ -154,12 +154,12 @@ class _BlockPreconditioner:
         self.layout = base.layout
 
     def __call__(self, R: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        lay = self.layout
+        s_u, s_t, s_f = (self.layout.slice(name) for name in ("u", "pT", "pF"))
         Z = np.empty_like(R)
-        Z[lay.s_u] = self.lu_u.solve(R[lay.s_u]) / self.mu[cols]
+        Z[s_u] = self.lu_u.solve(R[s_u]) / self.mu[cols]
         for j, s in enumerate(cols):
-            Z[lay.s_t, j] = self.lu_t[s].solve(R[lay.s_t, j])
-            Z[lay.s_f, j] = self.lu_f[s].solve(R[lay.s_f, j])
+            Z[s_t, j] = self.lu_t[s].solve(R[s_t, j])
+            Z[s_f, j] = self.lu_f[s].solve(R[s_f, j])
         return Z
 
 

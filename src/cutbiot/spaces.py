@@ -159,23 +159,12 @@ class FieldLayout:
     def total(self) -> int:
         return self.n_u + self.n_t + self.n_f
 
-    @property
-    def s_u(self) -> slice:
-        return slice(0, self.n_u)
-
-    @property
-    def s_t(self) -> slice:
-        return slice(self.n_u, self.n_u + self.n_t)
-
-    @property
-    def s_f(self) -> slice:
-        return slice(self.n_u + self.n_t, self.total)
-
     def offset(self, fieldname: str) -> int:
         return {"u": 0, "pT": self.n_u, "pF": self.n_u + self.n_t}[fieldname]
 
     def slice(self, fieldname: str) -> slice:
-        return {"u": self.s_u, "pT": self.s_t, "pF": self.s_f}[fieldname]
+        start = self.offset(fieldname)
+        return slice(start, start + {"u": self.n_u, "pT": self.n_t, "pF": self.n_f}[fieldname])
 
 
 def make_layout(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace) -> FieldLayout:

@@ -37,9 +37,8 @@ PI = math.pi
 class ManufacturedCase:
     """Analytic solution triple with derived data for the one-step system."""
 
-    def __init__(self, bulge: bool = False, name: str = "trig"):
+    def __init__(self, bulge: bool = False):
         self.bulge = bulge
-        self.name = name
 
     # displacement -----------------------------------------------------
     def u(self, p):
@@ -140,7 +139,7 @@ CASE_NAMES = ("trig", "trig_div")
 def make_case(name: str = "trig") -> ManufacturedCase:
     """Manufactured cases: `trig` (divergence-free) and `trig_div` (lambda-sensitive)."""
     if name in CASE_NAMES:
-        return ManufacturedCase(bulge=name == "trig_div", name=name)
+        return ManufacturedCase(bulge=name == "trig_div")
     raise ConfigurationError(f"unknown manufactured case {name!r}")
 
 
@@ -197,7 +196,7 @@ def error_norms(xs: np.ndarray, params: Sequence[PhysicalParams], case: Manufact
         raise ConfigurationError(f"solutions must have shape ({layout.total},), "
                                  f"got {[np.shape(x) for x in xs]}")
     xs = np.asarray(xs, dtype=float)
-    xu, xt, xf = xs[:, layout.s_u], xs[:, layout.s_t], xs[:, layout.s_f]
+    xu, xt, xf = (xs[:, layout.slice(name)] for name in ("u", "pT", "pF"))
     h = rules.h
     spaces = (space_u, space_t, space_f)
     cols = tabulation_columns(spaces)

@@ -6,8 +6,7 @@ import pytest
 
 from cutbiot.forms import PhysicalParams, StabilizationParams
 from cutbiot.geometry import CutRule, build_cut_rules, make_flower_domain
-from cutbiot.mesh import ActiveMesh, BackgroundMesh, MeshConfig, build_mesh, classify, \
-    translate_box
+from cutbiot.mesh import ActiveMesh, BackgroundMesh, build_mesh, classify, translate_box
 from cutbiot.spaces import FeSpace, FieldLayout, build_space, make_layout
 
 
@@ -29,8 +28,7 @@ class Disc:
 def _discretize(n, subdiv=3, delta=0.0):
     """The flower configuration on the box [-1, 1]^2 translated by delta cells."""
     dom = make_flower_domain()
-    mc = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
-    mesh = build_mesh(mc.box_lo, mc.box_hi, n)
+    mesh = build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), n, delta), n)
     active = classify(mesh, dom, subdiv=subdiv)
     rules = build_cut_rules(active, dom, order=5)
     su = build_space(active, 2, ncomp=2)

@@ -19,7 +19,7 @@ from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_ghost,
 from cutbiot.geometry import (AffineLevelSet, ConstantLevelSet, LevelSetDomain,
                               _volume_rule, build_cut_rules, clip_cells,
                               make_flower_domain)
-from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import build_mesh, classify, translate_box
 from cutbiot.solver import solve
 from cutbiot.spaces import build_space
 from cutbiot.verification import eoc, galerkin_residual, make_case
@@ -194,8 +194,7 @@ def test_criterion_4c_extension_inverse_stability(flower_domain, stab):
     ext, inv = [], []
     for j in range(16):
         delta = 0.04375 * (j + 1)  # within box coverage at N=32
-        cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), 32), delta)
-        mesh = build_mesh(cfg.box_lo, cfg.box_hi, 32)
+        mesh = build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), 32, delta), 32)
         act = classify(mesh, flower_domain)
         st = build_space(act, 1)
         h = mesh.h

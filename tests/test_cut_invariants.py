@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS, build_cut_rules, make_flower_domain
-from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import build_mesh, classify, translate_box
 
 from oracles import CIRCLE_LENGTH, OMEGA_AREA, flower_arclength
 
@@ -34,8 +34,8 @@ def _partitions(off, n_runs, *arrays):
 def test_flat_rule_invariants_over_random_cuts(n, delta, petals):
     dom = make_flower_domain(petals=petals)
     side = 2.0 / (n - 1)
-    mc = translate_box(MeshConfig((-1.0 - side, -1.0 - side), (1.0, 1.0), n), delta)
-    act = classify(build_mesh(mc.box_lo, mc.box_hi, n), dom, subdiv=SUBDIV)
+    box = translate_box((-1.0 - side, -1.0 - side), (1.0, 1.0), n, delta)
+    act = classify(build_mesh(*box, n), dom, subdiv=SUBDIV)
     rules = build_cut_rules(act, dom)
     h = act.mesh.h
     h_sub2 = (h / 2 ** SUBDIV) ** 2

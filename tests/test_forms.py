@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cutbiot.errors import AssemblyError, ConfigurationError
 from cutbiot.forms import (_TERMS, BoundaryData, PhysicalParams, StabilizationParams,
-                           assemble_ghost, assemble_rhs, assemble_system,
+                           _bilinear_parts, assemble_ghost, assemble_rhs, assemble_system,
                            full_cell_matrix, mass_matrix, with_params, without_ghost)
 from cutbiot.geometry import (ConstantLevelSet, LevelSetDomain, build_cut_rules,
                               make_flower_domain)
-from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import build_mesh, classify, translate_box
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import error_norms, make_case
 
@@ -32,7 +34,7 @@ def fullbox():
 
 def _bare(su, st, sf, rules, params, stab=StabilizationParams()):
     """The system without ghost penalties, whose blocks are the bare forms."""
-    return assemble_system(su, st, sf, rules, params, stab, include_ghost=False)
+    return without_ghost(assemble_system(su, st, sf, rules, params, stab))
 
 
 def _scaled(system, name):
@@ -145,8 +147,8 @@ def test_a3_linear_field_box(fullbox, stab):
 
 def test_a3_term_scalings(disc16, stab):
     def a3_blocks(prm):
-        sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab,
-                               include_ghost=False)
+        sys_ = without_ghost(assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
+                                             prm, stab))
         return {name: _scaled(sys_, name) for name in sys_.parts}
 
     base = a3_blocks(PhysicalParams(lam=1.0, K=1.0))
@@ -244,10 +246,10 @@ def test_rhs_constant_force(disc16, params, stab):
     [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
                          [params], bdata)
     lay = disc16.layout
-    lu = rhs[lay.s_u]
+    lu = rhs[lay.slice("u")]
     assert lu[0::2].sum() == pytest.approx(c[0] * OMEGA_AREA, abs=1e-3 * abs(c[0]))
     assert lu[1::2].sum() == pytest.approx(c[1] * OMEGA_AREA, abs=1e-3 * abs(c[1]))
-    assert np.all(rhs[lay.s_t] == 0.0)
+    assert np.all(rhs[lay.slice("pT")] == 0.0)
 
 
 def test_rhs_needs_a_load(disc16, stab):
@@ -291,9 +293,8 @@ def test_system_layout_mismatch(disc16, params, stab):
         assemble_system(disc16.su, st_other, disc16.sf, disc16.rules, params, stab)
     # a translated mesh of the same size gives a layout of the same length,
     # which `assemble_rhs` used to accept without complaint
-    mc = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), 16), 0.3)
-    st_moved = build_space(classify(build_mesh(mc.box_lo, mc.box_hi, 16),
-                                    make_flower_domain()), 1)
+    lo, hi = translate_box((-1.0, -1.0), (1.0, 1.0), 16, 0.3)
+    st_moved = build_space(classify(build_mesh(lo, hi, 16), make_flower_domain()), 1)
     d = disc16
     x = np.zeros((1, d.su.n_dofs + st_moved.n_dofs + d.sf.n_dofs))
     with pytest.raises(AssemblyError):
@@ -317,8 +318,8 @@ def test_without_ghost_removes_only_ghost_terms(disc16, params, stab):
     full = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, params, stab)
     bare = without_ghost(full)
     assert not any(k.startswith("g") for k in bare.parts)
-    direct = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
-                             params, stab, include_ghost=False)
+    direct = replace(full, parts=_bilinear_parts(disc16.rules, stab, disc16.su, disc16.st,
+                                                 disc16.sf))
     d = (bare.matrix - direct.matrix).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) == 0.0
 
@@ -371,8 +372,7 @@ def test_a1_a3_coercivity(disc16, params, stab):
 
 def _translation_active(n, delta):
     dom = make_flower_domain()
-    cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
-    mesh = build_mesh(cfg.box_lo, cfg.box_hi, n)
+    mesh = build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), n, delta), n)
     return classify(mesh, dom), mesh
 
 

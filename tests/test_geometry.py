@@ -16,7 +16,7 @@ from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
                               make_flower_domain, TAG_DIRICHLET, TAG_STRESS,
                               _surface_rule, _volume_rule)
 from cutbiot.quadrature import tensor_square
-from cutbiot.mesh import CellTag, MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
 from cutbiot.verification import make_case
 
 import oracles
@@ -325,8 +325,7 @@ def _same(a, b) -> bool:
 
 
 def _flower_mesh(n, delta=0.0):
-    mc = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
-    return build_mesh(mc.box_lo, mc.box_hi, n)
+    return build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), n, delta), n)
 
 
 def _per_cell_rules(mesh, dom, subdiv):

@@ -6,8 +6,7 @@ import pytest
 from cutbiot.errors import ConfigurationError
 from cutbiot.geometry import AffineLevelSet, ConstantLevelSet, LevelSetDomain, \
     CircleLevelSet, make_flower_domain
-from cutbiot.mesh import (CellTag, MeshConfig, build_mesh, classify,
-                          dump_classification, translate_box)
+from cutbiot.mesh import CellTag, build_mesh, classify, dump_classification, translate_box
 
 
 def test_build_mesh_basic():
@@ -129,15 +128,15 @@ def test_cut_layer_scaling(flower_domain):
 
 
 def test_translate_box():
-    cfg = MeshConfig((-1.0, -1.0), (1.0, 1.0), 60)
-    assert translate_box(cfg, 0.0) == cfg
+    lo, hi = (-1.0, -1.0), (1.0, 1.0)
+    assert translate_box(lo, hi, 60, 0.0) == (lo, hi)
     delta = 5e-4
-    moved = translate_box(cfg, delta)
+    moved_lo, moved_hi = translate_box(lo, hi, 60, delta)
     h = 2.0 / 60
-    assert moved.box_lo == pytest.approx((-1 + delta * h, -1 + delta * h))
-    assert moved.box_hi == pytest.approx((1 + delta * h, 1 + delta * h))
+    assert moved_lo == pytest.approx((-1 + delta * h, -1 + delta * h))
+    assert moved_hi == pytest.approx((1 + delta * h, 1 + delta * h))
     with pytest.raises(ConfigurationError):
-        translate_box(cfg, -0.1)
+        translate_box(lo, hi, 60, -0.1)
 
 
 def test_translation_family():

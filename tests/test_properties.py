@@ -7,17 +7,18 @@ example sequence, at N <= 12 so the module stays fast.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, assemble_ghost,
-                           assemble_rhs, assemble_system, ghost_seminorm, with_params,
-                           without_ghost)
+from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, _bilinear_parts,
+                           assemble_ghost, assemble_rhs, assemble_system, ghost_seminorm,
+                           with_params, without_ghost)
 from cutbiot.geometry import build_cut_rules, make_flower_domain
-from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import build_mesh, classify, translate_box
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import CASE_NAMES, error_norms, make_case
 
@@ -61,8 +62,8 @@ def test_with_params_matches_direct_assembly(disc12, unit, prm, base):
 def test_without_ghost_matches_unstabilized_assembly(disc12, prm):
     d = disc12
     full = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams())
-    direct = assemble_system(d.su, d.st, d.sf, d.rules, prm, StabilizationParams(),
-                             include_ghost=False)
+    direct = replace(full, parts=_bilinear_parts(d.rules, StabilizationParams(),
+                                                 d.su, d.st, d.sf))
     bare = without_ghost(full)
     assert set(bare.parts) == set(direct.parts)
     assert _max_abs(bare.matrix - direct.matrix) == 0.0
@@ -91,8 +92,8 @@ def test_block_is_signed_sum_of_placed_parts(unit, prm, stabilized):
 @given(n=st.integers(6, 12), delta=st.floats(0.0, 0.3), degree=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_ghost_seminorm_quadratic_form_and_annihilation(n, delta, degree, seed):
-    cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), n), delta)
-    act = classify(build_mesh(cfg.box_lo, cfg.box_hi, n), make_flower_domain())
+    act = classify(build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), n, delta), n),
+                   make_flower_domain())
     space = build_space(act, degree)
     rng = np.random.default_rng(seed)
 

@@ -17,10 +17,10 @@ from conftest import TrackedLU, _discretize
 from cutbiot import solver
 from cutbiot.errors import SolverError
 from cutbiot.forms import BlockSystem, FieldLayout, PhysicalParams, StabilizationParams, \
-    apply_groups, assemble_rhs, assemble_system, group_terms, with_params
+    apply_groups, assemble_rhs, assemble_system, group_terms, with_params, without_ghost
 from cutbiot.geometry import ConstantLevelSet, LevelSetDomain, build_cut_rules, \
     make_flower_domain
-from cutbiot.mesh import MeshConfig, build_mesh, classify, translate_box
+from cutbiot.mesh import build_mesh, classify, translate_box
 from cutbiot.solver import estimate_condition, solve, solve_params
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import make_case
@@ -99,8 +99,7 @@ def test_condition_stable_across_translations(flower_domain, stab):
     case = make_case("trig")
     kappas = []
     for j in range(6):
-        cfg = translate_box(MeshConfig((-1.0, -1.0), (1.0, 1.0), 32), 0.11 * (j + 1))
-        mesh = build_mesh(cfg.box_lo, cfg.box_hi, 32)
+        mesh = build_mesh(*translate_box((-1.0, -1.0), (1.0, 1.0), 32, 0.11 * (j + 1)), 32)
         act = classify(mesh, flower_domain)
         rules = build_cut_rules(act, flower_domain)
         su, st, sf = build_space(act, 2, 2), build_space(act, 1), build_space(act, 2)
@@ -247,17 +246,41 @@ def test_condition_estimate_rejects_unverified_factors(monkeypatch, disc16, para
         estimate_condition(system)
 
 
+def _stalled_lanczos(monkeypatch, partial):
+    """Past the dense path (n > 64), a diagonal operator whose largest |eigenvalue| is 10;
+    `eigsh` raises ArpackNoConvergence with the Rayleigh quotients of `partial` unit vectors."""
+    n = 100
+    d = np.linspace(1.0, 9.0, n)
+    d[37] = -10.0
+
+    def stalled(op, **kwargs):
+        vals = np.array([op.matvec(e) @ e for e in np.eye(n)[partial]])
+        raise spla.ArpackNoConvergence("no convergence", vals, None)
+
+    monkeypatch.setattr(solver.spla, "eigsh", stalled)
+    return solver._extremal_magnitude(lambda v: d * v, n)
+
+
+def test_condition_estimate_keeps_partial_eigenvalues(monkeypatch):
+    assert _stalled_lanczos(monkeypatch, [0, 37]) == pytest.approx(10.0, rel=1e-2)
+
+
+def test_condition_estimate_power_iteration_without_eigenvalues(monkeypatch):
+    assert _stalled_lanczos(monkeypatch, []) == pytest.approx(10.0, rel=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # lockstep MINRES over a level's (lambda, K) pairs
 
 PAIRS = [PhysicalParams(lam=lam, K=K) for lam in (1.0, 1e8) for K in (1.0, 1e-8)]
 
 
-def _level(disc, include_ghost=True):
+def _level(disc, stabilized=True):
     """The unit-parameter system of `disc` and its four (lambda, K) load vectors."""
     stb = StabilizationParams()
-    base = assemble_system(disc.su, disc.st, disc.sf, disc.rules, PhysicalParams(), stb,
-                           include_ghost=include_ghost)
+    base = assemble_system(disc.su, disc.st, disc.sf, disc.rules, PhysicalParams(), stb)
+    if not stabilized:
+        base = without_ghost(base)
     rhs = assemble_rhs(disc.su, disc.st, disc.sf, disc.rules, stb, PAIRS,
                        make_case("trig").boundary_data())
     return base, rhs
@@ -357,7 +380,7 @@ def test_breakdown_detected_and_sent_to_direct(monkeypatch, caplog, disc12):
 def test_unstabilized_level_passes_the_residual_check(caplog, disc32):
     # here the (lambda, K) = (1, 1e-8) column breaks down within its first
     # steps, with numpy warnings raised as errors, and is solved directly
-    base, rhs, reports = _caught(caplog, disc32, include_ghost=False)
+    base, rhs, reports = _caught(caplog, disc32, stabilized=False)
     assert "breakdown at step" in caplog.text
     for prm, b, rep in zip(PAIRS, rhs, reports):
         system = with_params(base, prm, b)

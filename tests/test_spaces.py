@@ -178,6 +178,7 @@ def test_field_layout(disc16):
     assert isinstance(lay, FieldLayout)
     assert lay.n_u == 2 * disc16.su.n_nodes
     assert lay.total == lay.n_u + lay.n_t + lay.n_f
-    assert lay.s_u == slice(0, lay.n_u)
-    assert lay.s_t.start == lay.s_u.stop and lay.s_f.start == lay.s_t.stop
-    assert lay.s_f.stop == lay.total
+    s_u, s_t, s_f = (lay.slice(name) for name in ("u", "pT", "pF"))
+    assert s_u == slice(0, lay.n_u)
+    assert s_t.start == s_u.stop and s_f.start == s_t.stop
+    assert s_f.stop == lay.total
