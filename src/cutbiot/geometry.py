@@ -6,9 +6,11 @@ decomposed by marching triangles on a dyadic sub-grid: the combined level
 set is linearly interpolated along sub-triangle edges, the inside part is
 triangulated, and the zero-chords become embedded-boundary segments.  Inside
 sub-squares merge into maximal quadtree blocks that carry the interior rule.
-Boundary quadrature points carry outward unit normals (from the analytic
-gradient of whichever level set governs the local cut) and a part tag that
-separates the Dirichlet boundary (outer) from the stress boundary (hole).
+The inside pieces and chords make up the polygon Omega_h, and every integral
+is taken over Omega_h: each chord carries the outward unit normal of Omega_h,
+the gradient of the linear interpolant of psi on the chord's sub-triangle.
+Boundary points also carry a part tag that separates the Dirichlet boundary
+(outer) from the stress boundary (hole).
 All cut cells are clipped together: `clip_cells` runs one batched pass
 over every candidate cell at a sub-grid depth and sends only the cells
 whose pass is inconsistent on to the next depth.  Its `Clips` hold every
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryConflictError, GeometryError, GeometryResolutionError
+from .errors import ConfigurationError, GeometryConflictError, GeometryResolutionError
 from .quadrature import gauss_1d, tensor_square, triangle_rule
 
 if TYPE_CHECKING:
@@ -39,7 +41,7 @@ TAG_STRESS = 1  # hole boundary, Gamma_s
 
 MAX_SUBDIV = 6
 SLIVER_FRACTION = 1e-12
-GRAD_FLOOR = 1e-8
+CONFLICT_TOL = 1e-8  # level-set values below this count as zero in the conflict check
 
 
 class CircleLevelSet:
@@ -54,12 +56,6 @@ class CircleLevelSet:
     def value(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center
         return np.hypot(d[:, 0], d[:, 1]) - self.radius
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        d = pts - self.center
-        r = np.hypot(d[:, 0], d[:, 1])
-        r = np.where(r == 0.0, 1.0, r)
-        return d / r[:, None]
 
 
 class FlowerLevelSet:
@@ -80,18 +76,6 @@ class FlowerLevelSet:
         theta = np.arctan2(y, x)
         return r - self.r0 - self.r1 * np.cos(self.petals * theta)
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
-        r2 = x * x + y * y
-        r = np.sqrt(r2)
-        r = np.where(r == 0.0, 1.0, r)
-        r2 = np.where(r2 == 0.0, 1.0, r2)
-        theta = np.arctan2(y, x)
-        s = self.petals * self.r1 * np.sin(self.petals * theta)
-        gx = x / r - s * y / r2
-        gy = y / r + s * x / r2
-        return np.column_stack([gx, gy])
-
 
 class AffineLevelSet:
     """a*x + b*y + c, used for half-plane cuts in tests and debugging."""
@@ -102,9 +86,6 @@ class AffineLevelSet:
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self.a * pts[:, 0] + self.b * pts[:, 1] + self.c
 
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.array([self.a, self.b]), (len(pts), 2)).copy()
-
 
 class ConstantLevelSet:
     """Constant field; value -1 makes the whole box the physical domain."""
@@ -114,9 +95,6 @@ class ConstantLevelSet:
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return np.full(len(pts), self.c)
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return np.zeros((len(pts), 2))
 
 
 class LevelSetDomain:
@@ -144,15 +122,6 @@ class LevelSetDomain:
         v1 = self.outer.value(pts)
         v2 = -self.hole.value(pts)
         return np.where(v1 >= v2, 1, 2).astype(np.int8)
-
-    def outward_gradient(self, pts: np.ndarray, branch: np.ndarray) -> np.ndarray:
-        """Gradients of the governing level sets for the branch ids, pointing outward."""
-        g = self.outer.grad(pts).copy()
-        if self.hole is not None:
-            mask = branch == 2
-            if mask.any():
-                g[mask] = -self.hole.grad(pts[mask])
-        return g
 
 
 def make_flower_domain(radius: float = 0.95, r0: float = 0.7, r1: float = 0.18,
@@ -193,10 +162,12 @@ class Clips:
         merge the sub-squares wholly inside the domain.
     tris: (nt,3,2) vertices of the sub-triangles covering the rest of the inside.
     segs: (ns,2,2) endpoints of embedded-boundary chords.
+    normals: (ns,2) outward unit normals of the chords, those of Omega_h.
 
     Cell i owns rows `block_off[i]:block_off[i+1]` of `blocks`, and likewise
-    of `tris` and `segs`; `area[i]` is its inside area before degenerate
-    pieces are dropped and `subdiv[i]` the sub-grid depth it was clipped at.
+    of `tris` and of `segs` and `normals`; `area[i]` is its inside area before
+    degenerate pieces are dropped and `subdiv[i]` the sub-grid depth it was
+    clipped at.
     """
 
     blocks: np.ndarray
@@ -204,24 +175,28 @@ class Clips:
     tris: np.ndarray
     tri_off: np.ndarray
     segs: np.ndarray
+    normals: np.ndarray
     seg_off: np.ndarray
     area: np.ndarray
     subdiv: np.ndarray
 
+    def _runs(self):
+        """The row arrays, each group followed by the offsets its rows share."""
+        return ((self.blocks, self.block_off), (self.tris, self.tri_off),
+                (self.segs, self.normals, self.seg_off))
+
     def cell(self, i: int) -> "Clips":
         """The clip of cell i alone."""
         flat = []
-        for rows, off in ((self.blocks, self.block_off), (self.tris, self.tri_off),
-                          (self.segs, self.seg_off)):
-            flat += [rows[off[i]:off[i + 1]], off[i:i + 2] - off[i]]
+        for *rows, off in self._runs():
+            flat += [r[off[i]:off[i + 1]] for r in rows] + [off[i:i + 2] - off[i]]
         return Clips(*flat, self.area[i:i + 1], self.subdiv[i:i + 1])
 
     def take(self, keep: np.ndarray) -> "Clips":
         """The clips of the cells where the boolean mask `keep` holds, in order."""
         flat = []
-        for rows, off in ((self.blocks, self.block_off), (self.tris, self.tri_off),
-                          (self.segs, self.seg_off)):
-            flat += [rows[keep[_owners(off)]], _offsets(np.diff(off)[keep])]
+        for *rows, off in self._runs():
+            flat += [r[keep[_owners(off)]] for r in rows] + [_offsets(np.diff(off)[keep])]
         return Clips(*flat, self.area[keep], self.subdiv[keep])
 
 
@@ -230,7 +205,11 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
 
     Returns (blocks, tris, segs, consistent): each piece array comes with
     the index of its cell, and a stable sort by that index lists every
-    cell's pieces in the cell's own order.  `consistent` (nc,) is False
+    cell's pieces in the cell's own order.  A row of `segs` (ns,3,2) holds a
+    chord's two ends, then its outward unit normal: the normalized gradient
+    G of the linear interpolant of psi on the chord's sub-triangle, which
+    points outward because psi < 0 inside and is never zero because the
+    sub-triangle's vertex values differ in sign.  `consistent` (nc,) is False
     where the sign of psi at the centroid of an uncut sub-triangle
     contradicts its vertex pattern, i.e. the boundary wiggles below the
     sub-grid resolution.
@@ -289,9 +268,15 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
     t1 = (p_o / (p_o - p_n))[:, None]
     t2 = (p_o / (p_o - p_p))[:, None]
-    c1 = v_o + t1 * (v_n - v_o)
-    c2 = v_o + t2 * (v_p - v_o)
-    segs = np.stack([c1, c2], axis=1)
+    e1, e2 = v_n - v_o, v_p - v_o
+    c1 = v_o + t1 * e1
+    c2 = v_o + t2 * e2
+    # solve G.e1 = p_n - p_o and G.e2 = p_p - p_o
+    d1, d2 = p_n - p_o, p_p - p_o
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g = np.column_stack([d1 * e2[:, 1] - d2 * e1[:, 1],
+                         e1[:, 0] * d2 - e2[:, 0] * d1]) / det[:, None]
+    segs = np.stack([c1, c2, g / np.hypot(g[:, 0], g[:, 1])[:, None]], axis=1)
     two_in = ~one_in
     a, b = v_n[two_in], v_p[two_in]
     q1, q2 = c1[two_in], c2[two_in]
@@ -326,7 +311,7 @@ def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
     lo = np.asarray(lo, dtype=float).reshape(-1, 2)
     n, none = len(lo), np.zeros(0, dtype=np.int64)
     pieces = [[(np.zeros((0, 3)), none)], [(np.zeros((0, 3, 2)), none)],
-              [(np.zeros((0, 2, 2)), none)]]  # (rows, cell) of blocks, tris, segs per pass
+              [(np.zeros((0, 3, 2)), none)]]  # (rows, cell) of blocks, tris, segs per pass
     depth = np.zeros(n, dtype=np.int64)
     pending = np.arange(n)
     for m in range(subdiv, MAX_SUBDIV + 1):
@@ -353,8 +338,8 @@ def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
     keep_seg = lens > 1e-12 * h
     return Clips(blocks, block_off,
                  tris[keep_tri], _offsets(np.bincount(_owners(tri_off)[keep_tri], minlength=n)),
-                 segs[keep_seg], _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=n)),
-                 area, depth)
+                 segs[keep_seg, :2], segs[keep_seg, 2],
+                 _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=n)), area, depth)
 
 
 def _volume_rule(clips: Clips, order: int):
@@ -385,40 +370,33 @@ def _volume_rule(clips: Clips, order: int):
 def _surface_rule(clips: Clips, dom: LevelSetDomain, order: int):
     """Boundary points, weights, unit normals, tags and per-cell offsets of clipped cells' chords.
 
-    Normals come from the analytic gradient of the governing level set; tags
-    separate the outer (Dirichlet) and hole (stress) parts.  The last item
-    is None, or (cell, error) for the first cell with a point where both
-    level sets vanish (GeometryConflictError) or the governing gradient
-    does (GeometryError); the normals are then None.
+    Each point carries its chord's normal, that of Omega_h; tags separate the
+    outer (Dirichlet) and hole (stress) parts, by the level set that governs
+    at the chord's midpoint.  The last item is None, or (cell, error) for the
+    first cell with a point where both level sets vanish
+    (GeometryConflictError).
     """
     segs = clips.segs
-    seg_branch = dom.branch(segs.mean(axis=1))
-
     t, w = gauss_1d(order)
     a = segs[:, 0][:, None, :]
     d = (segs[:, 1] - segs[:, 0])[:, None, :]
     pts = (a + t[None, :, None] * d).reshape(-1, 2)
     lengths = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
     wts = (lengths[:, None] * w[None, :]).ravel()
-    branch = np.repeat(seg_branch, len(t))
-    tags = np.where(branch == 1, TAG_DIRICHLET, TAG_STRESS).astype(np.int8)
+    tags = np.where(dom.branch(segs.mean(axis=1)) == 1, TAG_DIRICHLET, TAG_STRESS)
+    tags = np.repeat(tags.astype(np.int8), len(t))
+    normals = np.repeat(clips.normals, len(t), axis=0)
     off = clips.seg_off * len(t)
 
-    both = np.zeros(len(pts), dtype=bool)
+    failure = None
     if dom.hole is not None:
-        both = (np.abs(dom.outer.value(pts)) < GRAD_FLOOR) & \
-            (np.abs(dom.hole.value(pts)) < GRAD_FLOOR)
-    g = dom.outward_gradient(pts, branch)
-    norms = np.hypot(g[:, 0], g[:, 1])
-    bad = both | (norms <= GRAD_FLOOR)
-    if bad.any():
-        owner = _owners(off)
-        cell = owner[np.argmax(bad)]
-        conflict = np.flatnonzero(both & (owner == cell))
-        error = GeometryConflictError(f"both level sets vanish at {pts[conflict[0]].tolist()}") \
-            if len(conflict) else GeometryError("level-set gradient vanishes near the boundary")
-        return pts, wts, None, tags, off, (cell, error)
-    return pts, wts, g / norms[:, None], tags, off, None
+        both = (np.abs(dom.outer.value(pts)) < CONFLICT_TOL) & \
+            (np.abs(dom.hole.value(pts)) < CONFLICT_TOL)
+        if both.any():
+            first = np.argmax(both)
+            failure = (_owners(off)[first],
+                       GeometryConflictError(f"both level sets vanish at {pts[first].tolist()}"))
+    return pts, wts, normals, tags, off, failure
 
 
 @dataclass(frozen=True)

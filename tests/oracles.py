@@ -21,6 +21,9 @@ _GW = np.array([5.0, 8.0, 5.0]) / 18.0
 FLOWER_AREA = np.pi * (0.7 ** 2 + 0.18 ** 2 / 2.0)
 OMEGA_AREA = np.pi * 0.95 ** 2 - FLOWER_AREA
 CIRCLE_LENGTH = 2.0 * np.pi * 0.95
+# the integral of the outward normal over a closed polygon vanishes; this
+# bounds the rounding of its quadrature
+MOMENT_TOL = 1e-12
 
 
 def q1_shape(t):
@@ -255,8 +258,10 @@ def mass_pairing_by_summation(x_r, x_c, space_r, space_c, rules, scale):
 def _clip_subgrid(lo, h, dom, m):
     """One marching-triangles pass over one cell at sub-grid depth m.
 
-    Returns (blocks, tris, segs, consistent) exactly as the package's batched
-    pass returns them for that cell.
+    Returns (blocks, tris, segs, normals, consistent), the pieces as the
+    package's batched pass returns them for that cell.  A chord's normal is
+    the normalized gradient of the linear interpolant of psi on its
+    sub-triangle.
     """
     ns = 2 ** m
     t = np.arange(ns + 1) / ns
@@ -295,7 +300,7 @@ def _clip_subgrid(lo, h, dom, m):
     blocks = np.column_stack([lo[0] + i, lo[1] + j, side])
 
     tris_out = [tv[full & ~np.tile(levels[0].ravel(), 2)]]
-    segs_out = []
+    segs_out, normals_out = [], []
     if mixed.any():
         mp, mv, mins = tp[mixed], tv[mixed], ins[mixed]
         one_in = mins.sum(axis=1) == 1
@@ -304,9 +309,16 @@ def _clip_subgrid(lo, h, dom, m):
         nxt, prv = (odd + 1) % 3, (odd + 2) % 3
         p_o, p_n, p_p = mp[rows, odd], mp[rows, nxt], mp[rows, prv]
         v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
-        c1 = v_o + (p_o / (p_o - p_n))[:, None] * (v_n - v_o)
-        c2 = v_o + (p_o / (p_o - p_p))[:, None] * (v_p - v_o)
+        e1, e2 = v_n - v_o, v_p - v_o
+        c1 = v_o + (p_o / (p_o - p_n))[:, None] * e1
+        c2 = v_o + (p_o / (p_o - p_p))[:, None] * e2
         segs_out.append(np.stack([c1, c2], axis=1))
+        # G.e1 = p_n - p_o and G.e2 = p_p - p_o by Cramer's rule
+        d1, d2 = p_n - p_o, p_p - p_o
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        g = np.column_stack([d1 * e2[:, 1] - d2 * e1[:, 1],
+                             e1[:, 0] * d2 - e2[:, 0] * d1]) / det[:, None]
+        normals_out.append(g / np.hypot(g[:, 0], g[:, 1])[:, None])
         if one_in.any():
             tris_out.append(np.stack([v_o[one_in], c1[one_in], c2[one_in]], axis=1))
         two_in = ~one_in
@@ -316,13 +328,14 @@ def _clip_subgrid(lo, h, dom, m):
             tris_out.append(np.stack([a, q2, q1], axis=1))
     tris = np.concatenate(tris_out)
     segs = np.concatenate(segs_out) if segs_out else np.zeros((0, 2, 2))
+    normals = np.concatenate(normals_out) if normals_out else np.zeros((0, 2))
 
     consistent = True
     pure = full | empty
     if pure.any():
         sign_in = dom.psi(tv[pure].mean(axis=1)) < 0.0
         consistent = not np.any(sign_in != full[pure])
-    return blocks, tris, segs, consistent
+    return blocks, tris, segs, normals, consistent
 
 
 def _tri_areas(tris):
@@ -332,20 +345,21 @@ def _tri_areas(tris):
 
 
 def clip_cell(lo, h, dom, subdiv, max_subdiv=6):
-    """(blocks, tris, segs, area, depth) of one cell, escalating the depth on inconsistency."""
+    """(blocks, tris, segs, normals, area, depth) of one cell, escalating on inconsistency."""
     from cutbiot.errors import GeometryResolutionError
 
     lo = np.asarray(lo, dtype=float)
     for m in range(subdiv, max_subdiv + 1):
-        blocks, tris, segs, ok = _clip_subgrid(lo, h, dom, m)
+        blocks, tris, segs, normals, ok = _clip_subgrid(lo, h, dom, m)
         if ok:
             areas = _tri_areas(tris)
             total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
             tris = tris[areas > 1e-14 * h * h]
             if len(segs):
                 lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
-                segs = segs[lens > 1e-12 * h]
-            return blocks, tris, segs, total, m
+                keep = lens > 1e-12 * h
+                segs, normals = segs[keep], normals[keep]
+            return blocks, tris, segs, normals, total, m
     raise GeometryResolutionError(
         f"cell at {lo.tolist()} (h={h}): level set not resolved at subdivision {max_subdiv}")
 
@@ -364,9 +378,9 @@ def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12):
     clips, h2 = {}, mesh.h * mesh.h
     for c in np.flatnonzero(tags == 2):
         clip = clip_cell(mesh.cell_origin(int(c)), mesh.h, dom, subdiv)
-        if clip[3] < sliver * h2:
+        if clip[4] < sliver * h2:
             tags[c] = 0
-        elif len(clip[2]) == 0 and clip[3] >= (1.0 - sliver) * h2:
+        elif len(clip[2]) == 0 and clip[4] >= (1.0 - sliver) * h2:
             tags[c] = 1
         else:
             clips[int(c)] = clip
@@ -375,10 +389,10 @@ def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12):
 
 def cell_rule(clip, dom, order=5):
     """(vol_pts, vol_wts, bnd_pts, bnd_wts, bnd_normals, bnd_tags) of one clipped cell."""
-    from cutbiot.errors import GeometryConflictError, GeometryError
+    from cutbiot.errors import GeometryConflictError
     from cutbiot.quadrature import gauss_1d, tensor_square, triangle_rule
 
-    blocks, tris, segs = clip[:3]
+    blocks, tris, segs, normals = clip[:4]
     ref, w = tensor_square(order)
     bpts = blocks[:, None, :2] + blocks[:, None, 2:] * ref[None]
     bwts = blocks[:, 2:] ** 2 * w[None]
@@ -401,15 +415,9 @@ def cell_rule(clip, dom, order=5):
         if np.any(both):
             raise GeometryConflictError(
                 f"both level sets vanish at {pts[np.argmax(both)].tolist()}")
-    g = dom.outer.grad(pts).copy()
-    if dom.hole is not None and (branch == 2).any():
-        g[branch == 2] = -dom.hole.grad(pts[branch == 2])
-    norms = np.hypot(g[:, 0], g[:, 1])
-    if np.any(norms <= 1e-8):
-        raise GeometryError("level-set gradient vanishes near the boundary")
     return (np.concatenate([bpts.reshape(-1, 2), tpts.reshape(-1, 2)]),
             np.concatenate([bwts.ravel(), twts.ravel()]),
-            pts, (lengths[:, None] * w[None, :]).ravel(), g / norms[:, None],
+            pts, (lengths[:, None] * w[None, :]).ravel(), np.repeat(normals, len(t), axis=0),
             np.where(branch == 1, 0, 1).astype(np.int8))
 
 

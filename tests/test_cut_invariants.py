@@ -4,8 +4,14 @@ Each draw clips the circle-minus-flower domain on an n x n mesh of the box
 [-1 - h, 1]^2, h = 2 / (n - 1), translated by delta*h: every translation
 keeps the outer circle inside the box.  The geometric checks compare with
 the analytic values in `oracles.py`, within bounds that scale with the
-square of the sub-grid resolution; no value that depends on the quadrature
-is pinned.
+square of the sub-grid resolution.  The boundary moment is checked to
+rounding where the chords close up into a polygon.  They do not where a cell
+was clipped deeper than its neighbour, where a sliver cell was demoted, or
+where the probes of `classify` miss a crossing that the neighbour's clip
+finds on the shared edge.  There the uncovered pieces of cell edges carry
+no boundary points, and the moment is held only to a bound that scales with
+the square of the sub-grid resolution.  No value that depends on the
+quadrature is pinned.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS, build_cut_rules, make_flower_domain
 from cutbiot.mesh import build_mesh, classify, translate_box
 
-from oracles import CIRCLE_LENGTH, OMEGA_AREA, flower_arclength
+from oracles import CIRCLE_LENGTH, MOMENT_TOL, OMEGA_AREA, flower_arclength
 
 SUBDIV = 3
 
@@ -26,6 +33,13 @@ def _partitions(off, n_runs, *arrays):
     """The offsets start at 0, never fall, and end at the length of every array."""
     return (len(off) == n_runs + 1 and off[0] == 0 and np.all(np.diff(off) >= 0)
             and all(len(a) == off[-1] for a in arrays))
+
+
+def _closed(segs, tol):
+    """Every chord end meets the end of another chord, within tol."""
+    ends = segs.reshape(-1, 2)
+    dist, _ = cKDTree(ends).query(ends, k=2)
+    return bool(np.all(dist[:, 1] <= tol))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -57,7 +71,9 @@ def test_flat_rule_invariants_over_random_cuts(n, delta, petals):
     local = (rules.vol_pts - act.mesh.cell_origin(act.cut_cells[owner])) / h
     assert np.all((local >= 0.0) & (local <= 1.0))  # every point in its own cell
 
-    assert np.abs(rules.boundary_moment()).max() <= 2.0 * petals ** 2 * h_sub2
+    closed = _closed(clips.segs, 1e-12 * h)
+    assert np.abs(rules.boundary_moment()).max() <= \
+        (MOMENT_TOL if closed else 2.0 * petals ** 2 * h_sub2)
     assert abs(rules.total_volume(act) - OMEGA_AREA) <= 15.0 * h_sub2
     assert abs(rules.boundary_length(TAG_DIRICHLET) - CIRCLE_LENGTH) <= 2.0 * h_sub2
     assert abs(rules.boundary_length(TAG_STRESS) - flower_arclength(petals=petals)) \

@@ -1,7 +1,8 @@
 """Golden values of two small CLI runs, pinned to guard refactors of assembly.
 
 The numbers were produced with the cut-cell volume rule that merges the
-inside sub-squares into quadtree blocks; a refactor may change summation
+inside sub-squares into quadtree blocks and with each boundary chord's own
+normal, that of the clipped polygon; a refactor may change summation
 order, so they are compared to relative 1e-8, not bitwise.  The unstabilized
 sweep arm is ill-conditioned enough that its errors and kappa move with the
 rounding of single matrix entries, so only its status and its kappa blow-up
@@ -24,69 +25,69 @@ ERR_NAMES = ["err_u_star", "err_u_L2", "err_pT_star", "err_pT_L2", "err_pF_star"
 # (N, lambda, K) -> (errors in ERR_NAMES order, EOCs in the same order)
 CONVERGENCE = {
     (8, 1.0, 1e-08): (
-        [0.35506801261437443, 0.008474060021092689, 0.09034341616294331,
-         0.04427988997234675, 0.02372498760367738, 0.0237247771012504],
+        [0.35518293888328645, 0.008386872791807757, 0.09031621806259288,
+         0.044020513674725384, 0.02364045520044481, 0.023640248499121365],
         [None] * 6),
     (8, 1.0, 1.0): (
-        [0.35783225610249464, 0.008738797459895378, 0.07267535196096575,
-         0.03640969297732731, 0.10178170940376616, 0.0035012516571404037],
+        [0.35801308455714853, 0.008616777656580324, 0.07261806151974368,
+         0.03620899017977014, 0.10167094565155345, 0.0035093713539848673],
         [None] * 6),
     (8, 1e8, 1e-08): (
-        [0.3474024307739953, 0.008208716375630759, 0.12168436354270533,
-         0.05971912654061292, 1.0205689787070261e-05, 0.0035173833433506394],
+        [0.3473770011796299, 0.008173295943703002, 0.12160468547615984,
+         0.05930383969819402, 1.0195020552030843e-05, 0.0035226932393355183],
         [None] * 6),
     (8, 1e8, 1.0): (
-        [0.34740243077548805, 0.008208716375574205, 0.12168436353620073,
-         0.059719126537324606, 0.0999577100317285, 0.0034241691523048735],
+        [0.3473770011821389, 0.008173295943569234, 0.12160468546424309,
+         0.05930383969241439, 0.09983388973024618, 0.0034354014144219584],
         [None] * 6),
     (12, 1.0, 1e-08): (
-        [0.12948888163682168, 0.002741619649776098, 0.027636011684423454,
-         0.015209402292831142, 0.006558700916592622, 0.006558587179148527],
-        [2.4877956559411034, 2.783126966452522, 2.9213326298919893,
-         2.635533349577349, 3.1710158135589586, 3.1710367005987976]),
+        [0.12940487734730846, 0.0026941407346408952, 0.027549003915154104,
+         0.015032288586509646, 0.006453140477086821, 0.006453032128942529],
+        [2.490194307659222, 2.8007056124418845, 2.9283670608378265,
+         2.6499327897619023, 3.2022300166437376, 3.2022498618710014]),
     (12, 1.0, 1.0): (
-        [0.13028187903508795, 0.0027593924717139087, 0.023520364585822427,
-         0.013250362388206666, 0.05279276693913109, 0.0009258459851809771],
-        [2.491864021491642, 2.8430610432141545, 2.7823248975303483,
-         2.492964517672767, 1.6190202595450032, 3.2805977016515984]),
+        [0.13021488121513283, 0.0027042918897953283, 0.023450413297603622,
+         0.013117487985477074, 0.05257837912646474, 0.0009271353255470173],
+        [2.4943786684967257, 2.8581277898046324, 2.7877258244468153,
+         2.5041886824266006, 1.626370728882775, 3.282878440609449]),
     (12, 1e8, 1e-08): (
-        [0.12777437993473484, 0.0027447416857866768, 0.03779664168657467,
-         0.019946042788014158, 5.284659538380908e-06, 0.0009311813282487722],
-        [2.4668406207469045, 2.701859108097544, 2.8836272969574903,
-         2.7046015983961893, 1.6231660307684073, 3.2777631705343624]),
+        [0.12764623127488342, 0.002714130995702519, 0.037724447099635905,
+         0.019719077772205273, 5.261806020699537e-06, 0.0009320808699056129],
+        [2.4691348516338283, 2.7188539749872573, 2.886727190050998,
+         2.715615845394252, 1.6312750195504238, 3.27910217932651]),
     (12, 1e8, 1.0): (
-        [0.12777437993504712, 0.002744741685758923, 0.03779664168519473,
-         0.01994604278722876, 0.05243043768706012, 0.000919318113784565],
-        [2.4668406207514737, 2.701859108105491, 2.8836272969156984,
-         2.7046015983575007, 1.5914067311293036, 3.243144470731764]),
+        [0.12764623127509012, 0.0027141309956850083, 0.03772444709917,
+         0.019719077771726268, 0.05223412970492784, 0.0009214096660422685],
+        [2.469134851647647, 2.7188539749628045, 2.8867271898397706,
+         2.715615845213801, 1.5976013278913288, 3.2456166722020328]),
     (16, 1.0, 1e-08): (
-        [0.06902646060292955, 0.0011649003382165014, 0.015089993552631627,
-         0.008124700843845768, 0.002944819578055876, 0.0029447432675449737],
-        [2.186806768742887, 2.9752056315529978, 2.1033213600976355,
-         2.1795063378459156, 2.783437264980961, 2.7834670624652857]),
+        [0.06900197218276348, 0.001143797112655341, 0.01504438206925607,
+         0.008052234072392066, 0.0028863354493714995, 0.002886262650235108],
+        [2.185784402445075, 2.9780298132600374, 2.1028830096627056,
+         2.1699332089165777, 2.796765242294027, 2.7967945530691787]),
     (16, 1.0, 1.0): (
-        [0.06940815092848378, 0.0011745321297097382, 0.013155220202065271,
-         0.007276323297163085, 0.02863871433921509, 0.00043862094490430646],
-        [2.1888610883361364, 2.969043737964918, 2.019757316347404,
-         2.083547313078997, 2.126009228285442, 2.596867795424154]),
+        [0.0693869981674509, 0.0011500009702310409, 0.01312545389638291,
+         0.007226593287627178, 0.028530235009388547, 0.0004397622247785589],
+        [2.188132577239352, 2.9722996168059206, 2.0172780457296438,
+         2.072352168684332, 2.125056262091131, 2.5926723490003267]),
     (16, 1e8, 1e-08): (
-        [0.06824656177063555, 0.0011637558053089192, 0.02114112952297445,
-         0.01074172962369224, 2.8649345259546503e-06, 0.00044109352315890795],
-        [2.1799724629988, 2.982578725310899, 2.019590028108273,
-         2.151314611802784, 2.1282615730286265, 2.5973015819537406]),
+        [0.06820810539653219, 0.0011500777303993406, 0.02109189863903145,
+         0.010648065793845786, 2.853466772474332e-06, 0.0004423216145861532],
+        [2.1784437548440705, 2.9846917044320356, 2.021048192265932,
+         2.14197678935612, 2.127138636412009, 2.5909933231625293]),
     (16, 1e8, 1.0): (
-        [0.06824656177069469, 0.0011637558053045525, 0.021141129522600603,
-         0.010741729623489541, 0.028518069351559004, 0.0004363218201482551],
-        [2.1799724630042836, 2.9825787252887936, 2.0195900280428325,
-         2.151314611731504, 2.116744330565303, 2.590540722727996]),
+        [0.06820810539563796, 0.0011500777305075488, 0.02109189864478515,
+         0.010648065796757856, 0.028419364964805884, 0.0004374120390360222],
+        [2.1784437548952718, 2.984691704082555, 2.021048191274761,
+         2.1419767883210366, 2.1157568980727706, 2.58976551701413]),
 }
 
 # delta -> (err_u_star, err_pT_star, err_pF_star, err_u_L2, kappa), stabilized arm
 SWEEP_STABILIZED = {
-    0.1: (0.06840747035351391, 0.013316550864513187, 0.027842805427053814,
-          0.0011371230622581618, 653978.6129356743),
-    0.3: (0.0695412612234535, 0.013199394532338031, 0.03076769578334504,
-          0.0011848652535201014, 557080.2893921714),
+    0.1: (0.06837980344558853, 0.01329562094921968, 0.027734724815478857,
+          0.001110586780690651, 653975.4757796552),
+    0.3: (0.06949565993502502, 0.013174155668604541, 0.030665176369684213,
+          0.001158892533604946, 557085.9090034583),
 }
 
 

@@ -377,10 +377,10 @@ def test_breakdown_detected_and_sent_to_direct(monkeypatch, caplog, disc12):
     _assert_direct(base, rhs, reports)
 
 
-def test_unstabilized_level_passes_the_residual_check(caplog, disc32):
-    # here the (lambda, K) = (1, 1e-8) column breaks down within its first
-    # steps, with numpy warnings raised as errors, and is solved directly
-    base, rhs, reports = _caught(caplog, disc32, stabilized=False)
+def test_unstabilized_level_passes_the_residual_check(caplog, disc12):
+    # here three of the four columns break down, at steps 37 to 44 with
+    # numpy warnings raised as errors, and are solved directly
+    base, rhs, reports = _caught(caplog, disc12, stabilized=False)
     assert "breakdown at step" in caplog.text
     for prm, b, rep in zip(PAIRS, rhs, reports):
         system = with_params(base, prm, b)

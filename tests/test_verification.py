@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import _discretize
 from cutbiot.errors import ConfigurationError
-from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_system,
+from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_rhs, assemble_system,
                            quadrature_table)
 from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS
-from cutbiot.solver import solve
+from cutbiot.solver import solve, solve_params
 from cutbiot.verification import (ErrorReport, eoc, error_norms, galerkin_residual,
                                   make_case)
 
@@ -269,3 +270,27 @@ def test_divergence_variant_rates(flower_domain, stab):
     for k, gate in [("u_star", 1.85), ("pT_star", 1.85), ("pF_star", 1.85),
                     ("pF_L2", 2.5)]:
         assert eoc(seq[k])[-1] >= gate, (k, seq[k])
+
+
+def _lambda_errors(n, subdiv, lams, stab):
+    """The trig_div errors at mu = K = 1 and each lambda, from one solve_params call."""
+    d = _discretize(n, subdiv=subdiv)
+    prms = [PhysicalParams(mu=1.0, lam=lam, K=1.0) for lam in lams]
+    case = make_case("trig_div")
+    base = assemble_system(d.su, d.st, d.sf, d.rules, PhysicalParams(), stab)
+    rhs = assemble_rhs(d.su, d.st, d.sf, d.rules, stab, prms, case.boundary_data())
+    xs = np.array([rep.x for rep in solve_params(base, prms, rhs)])
+    return error_norms(xs, prms, case, d.su, d.st, d.sf, d.rules, stab)
+
+
+def test_lambda_sensitive_case_is_parameter_robust(stab):
+    # p_T = p_F - 2 lambda x here, so the stress data grow with lambda: a
+    # boundary normal other than the chord's own gave an err_u_star that grew
+    # linearly in lambda (4.96e4 at lambda = 1e8 against 6.95e-2 at 1, N = 16)
+    for n in (16, 32):
+        errs = _lambda_errors(n, 3, (1.0, 1e4, 1e8), stab)
+        for err in errs[1:]:
+            assert 1 / 1.1 <= err.u_star / errs[0].u_star <= 1.1, (n, err)
+            assert 1 / 1.1 <= err.u_L2 / errs[0].u_L2 <= 1.1, (n, err)
+    [coarse], [fine] = (_lambda_errors(16, m, (1e8,), stab) for m in (2, 4))
+    assert abs(fine.u_star - coarse.u_star) < 0.01 * fine.u_star
