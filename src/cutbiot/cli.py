@@ -255,16 +255,16 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         cfg, n, delta=cfg.raw["mesh"]["delta"])
     params, stab = cfg.params(), cfg.stab()
     case = make_case(cfg.raw["case"])
-    system = assemble_system(su, st, sf, rules, params, stab, case.boundary_data())
+    system = assemble_system(su, st, sf, rules, params, stab, case)
     if not cfg.stabilized:
         system = without_ghost(system)
     report = solve(system)
     kappa = estimate_condition(system, lu=report._lu)
 
     xu, xt, xf = (report.x[layout.slice(name)] for name in ("u", "pT", "pF"))
-    m_u = mass_matrix(su, su, rules)
-    m_t = mass_matrix(st, st, rules)
-    m_f = mass_matrix(sf, sf, rules)
+    m_u = mass_matrix(su, rules)
+    m_t = mass_matrix(st, rules)
+    m_f = mass_matrix(sf, rules)
     norms = {
         "u_L2": float(np.sqrt(xu[0::2] @ (m_u @ xu[0::2]) + xu[1::2] @ (m_u @ xu[1::2]))),
         "pT_L2": float(np.sqrt(xt @ (m_t @ xt))),
@@ -336,7 +336,7 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
         base = without_ghost(base)
     params = [cfg.params(lam=lam, K=K) for lam in conv["lambdas"] for K in conv["Ks"]]
     case = make_case(cfg.raw["case"])
-    rhs = assemble_rhs(su, st, sf, rules, stab, params, case.boundary_data())
+    rhs = assemble_rhs(su, st, sf, rules, stab, params, case)
     reports = solve_params(base, params, rhs)
     logger.info("N=%d: MINRES steps per (lambda, K): %s; %d direct fallbacks", n,
                 ", ".join(f"({p.lam:g}, {p.K:g}) {r.steps}" for p, r in zip(params, reports)),
@@ -432,7 +432,7 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
         return [_sweep_row(delta, stab_on, exc) for stab_on in (True, False)]
     params, stab = cfg.params(), cfg.stab()
     case = make_case(cfg.raw["case"])
-    stabilized = assemble_system(su, st, sf, rules, params, stab, case.boundary_data())
+    stabilized = assemble_system(su, st, sf, rules, params, stab, case)
     rows, solved, xs = [], [], []
     for stab_on in (True, False):
         system = stabilized if stab_on else without_ghost(stabilized)

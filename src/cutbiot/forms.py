@@ -13,7 +13,7 @@ tabulated once per degree as [N, dN/dx, dN/dy]; a
 bilinear form is a slice or sum of the per-cell Gram matrices of that stack
 (one batched matmul per group), a load term a weighted moment of it, and
 each block one COO scatter.  `assemble_rhs` builds the load vectors of one
-data object, one per parameter set, from one tabulation of each table.  Ghost
+case, one per parameter set, from one tabulation of each table.  Ghost
 facets of equal orientation share one jump matrix, and one walk over them
 serves the assembled penalty and the direct seminorm.  `_TERMS` is the only
 record of where each term goes in the 3x3 system (row, column, sign), how it
@@ -79,33 +79,6 @@ class StabilizationParams:
             raise ConfigurationError("Nitsche parameters must be positive")
         if self.gamma_g_u < 0 or self.gamma_g_p < 0:
             raise ConfigurationError("ghost-penalty factors must be >= 0")
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Problem data: volume sources and traces on the boundary parts.
-
-    Normal-dependent data (g_N, sigma_N) receive (points, normals); f, g, g_N
-    and sigma_N also receive the `PhysicalParams` last, u_D and p_FD do not.
-    """
-
-    f: Callable[[np.ndarray, PhysicalParams], np.ndarray]
-    g: Callable[[np.ndarray, PhysicalParams], np.ndarray]
-    u_D: Callable[[np.ndarray], np.ndarray]
-    g_N: Callable[[np.ndarray, np.ndarray, PhysicalParams], np.ndarray]
-    sigma_N: Callable[[np.ndarray, np.ndarray, PhysicalParams], np.ndarray]
-    p_FD: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def zero(cls) -> "BoundaryData":
-        return cls(
-            f=lambda p, prm: np.zeros((len(p), 2)),
-            g=lambda p, prm: np.zeros(len(p)),
-            u_D=lambda p: np.zeros((len(p), 2)),
-            g_N=lambda p, n, prm: np.zeros(len(p)),
-            sigma_N=lambda p, n, prm: np.zeros((len(p), 2)),
-            p_FD=lambda p: np.zeros(len(p)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +190,7 @@ def _keys(space: FeSpace):
 
 def _dofs(space: FeSpace, cells: np.ndarray, scalar: bool = False) -> np.ndarray:
     """Cell dofs; vector fields list component 0 of every node, then component 1."""
-    d = space.cell_dofs[space._cell_row[cells]]
+    d = space.cell_dofs[cells]
     return d if scalar or space.ncomp == 1 else np.concatenate([2 * d, 2 * d + 1], axis=1)
 
 
@@ -268,11 +241,11 @@ def _bilinear_parts(rules: CutRule, stab: StabilizationParams,
     }
 
 
-def mass_matrix(space_r: FeSpace, space_c: FeSpace, rules: CutRule) -> sp.csr_matrix:
-    """Scalar mass pairing over the physical domain (cut cells restricted)."""
-    vol = _Gram(quadrature_table(space_r.active, rules), (space_r, space_c))
-    loc = vol(("N", space_r.degree), ("N", space_c.degree))
-    return _form(space_r, space_c, vol.cells, loc, scalar=True)
+def mass_matrix(space: FeSpace, rules: CutRule) -> sp.csr_matrix:
+    """Scalar mass over the physical domain (cut cells restricted), one row per node."""
+    vol = _Gram(quadrature_table(space.active, rules), (space,))
+    N = ("N", space.degree)
+    return _form(space, space, vol.cells, vol(N, N), scalar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +295,11 @@ def _ghost_walk(space: FeSpace) -> list:
     fax = active.mesh.facet_axis[active.ghost_facets]
     walk = []
     for axis in (0, 1):
-        rows = space._cell_row[fc[fax == axis][:, ::-1]]  # (plus, minus) cell rows
-        if np.any(rows < 0):
+        dofs = space.cell_dofs[fc[fax == axis][:, ::-1]]  # (plus, minus) cells
+        if np.any(dofs < 0):
             raise AssemblyError("ghost facet with inactive neighbor")
-        if len(rows):
-            dofs = space.cell_dofs[rows].reshape(len(rows), -1)
+        if len(dofs):
+            dofs = dofs.reshape(len(dofs), -1)
             walk += [(axis, dofs if space.ncomp == 1 else 2 * dofs + comp)
                      for comp in range(space.ncomp)]
     return walk
@@ -367,9 +340,14 @@ def ghost_seminorm(space: FeSpace, v: np.ndarray) -> float:
 
 def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                  rules: CutRule, stab: StabilizationParams,
-                 params: Sequence[PhysicalParams], bdata: BoundaryData) -> np.ndarray:
+                 params: Sequence[PhysicalParams], case) -> np.ndarray:
     """Load vectors (L1, L2, L3) over the field layout, one row per parameter set.
 
+    `case` supplies the data at points p (n, 2), outward normals nrm (n, 2)
+    and one `PhysicalParams` prm:
+        f(p, prm) (n, 2) and g(p, prm) (n,)       volume sources;
+        u(p) (n, 2) and g_N(p, nrm, prm) (n,)     Dirichlet-part traces;
+        sigma_N(p, nrm, prm) (n, 2) and p_F(p) (n,)  stress-part traces.
     Each load term is a moment of pointwise data against tabulation columns,
     weighted on the boundary parts by a normal component where the term has one.
     Each table is built and tabulated once; its Gram holds three data rows
@@ -382,9 +360,9 @@ def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     h = rules.h
     off_t, off_f = layout.offset("pT"), layout.offset("pF")
     (Nu, xu, yu), (Nt, _, _), (Nf, xf, yf) = _keys(space_u), _keys(space_t), _keys(space_f)
-    sources = {None: lambda p, n, prm: [*bdata.f(p, prm).T, bdata.g(p, prm)],
-               TAG_DIRICHLET: lambda p, n, prm: [*bdata.u_D(p).T, bdata.g_N(p, n, prm)],
-               TAG_STRESS: lambda p, n, prm: [*bdata.sigma_N(p, n, prm).T, bdata.p_FD(p)]}
+    sources = {None: lambda p, n, prm: [*case.f(p, prm).T, case.g(p, prm)],
+               TAG_DIRICHLET: lambda p, n, prm: [*case.u(p).T, case.g_N(p, n, prm)],
+               TAG_STRESS: lambda p, n, prm: [*case.sigma_N(p, n, prm).T, case.p_F(p)]}
     for tag, source in sources.items():
         groups = quadrature_table(space_u.active, rules, tag)
         if not groups:  # no points, no load; an empty Gram has no data rows to index
@@ -399,7 +377,7 @@ def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                 terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
                          (space_f, off_f, m(k, Nf))]
             elif tag == TAG_DIRICHLET:
-                # L1: -(u_D, mu eps(v) n) + gamma_u mu / h (u_D, v); L2: (u_D . n, q_T);
+                # L1: -(u, mu eps(v) n) + gamma_u mu / h (u, v); L2: (u . n, q_T);
                 # L3: -(g_N, q_F)
                 terms = [(space_u, 0, np.block([
                     -mu * (m(i, xu, 1) + 0.5 * m(i, yu, 2) + 0.5 * m(j, yu, 1))
@@ -407,7 +385,7 @@ def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                     -mu * (0.5 * m(i, xu, 2) + 0.5 * m(j, xu, 1) + m(j, yu, 2))
                     + pen_u * m(j, Nu)])),
                     (space_t, off_t, m(i, Nt, 1) + m(j, Nt, 2)), (space_f, off_f, -m(k, Nf))]
-            else:  # L1: (sigma_N, v); L3: +(p_FD, K grad q . n) - gamma_p K / h (p_FD, q)
+            else:  # L1: (sigma_N, v); L3: +(p_F, K grad q . n) - gamma_p K / h (p_F, q)
                 terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
                          (space_f, off_f, K * (m(k, xf, 1) + m(k, yf, 2)) - pen_f * m(k, Nf))]
             for space, offset, vals in terms:
@@ -470,15 +448,10 @@ class BlockSystem:
         """The assembled matrix restricted to one field's rows and another's columns."""
         return self.matrix[self.layout.slice(row_field), self.layout.slice(col_field)]
 
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        amax = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
-        return (np.abs(d.data).max() / amax) if d.nnz else 0.0
-
 
 def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                     rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
-                    bdata: BoundaryData | None = None) -> BlockSystem:
+                    case=None) -> BlockSystem:
     """Assemble the full block system.
 
     Row/column blocks over (u, p_T, p_F):
@@ -491,7 +464,8 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     forms take the bare sum, mass-type forms an extra h^2, and each sum
     runs over the jump orders 1..degree of the field's space.  `without_ghost`
     removes exactly the ghost-penalty terms.  Only the unit `parts` are
-    assembled; `BlockSystem.matrix` composes them when read.
+    assembled; `BlockSystem.matrix` composes them when read.  The load comes
+    from `case` (see `assemble_rhs`); without one it is zero.
     """
     layout = make_layout(space_u, space_t, space_f)
     h = rules.h
@@ -501,8 +475,8 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
     parts["g3_1"] = assemble_ghost(space_f, stab.gamma_g_u)
     parts["g3_2"] = (h * h) * parts["g3_1"]
 
-    rhs = np.zeros(layout.total) if bdata is None else \
-        assemble_rhs(space_u, space_t, space_f, rules, stab, [params], bdata)[0]
+    rhs = np.zeros(layout.total) if case is None else \
+        assemble_rhs(space_u, space_t, space_f, rules, stab, [params], case)[0]
     return BlockSystem(rhs=rhs, layout=layout, params=params, parts=parts)
 
 
@@ -584,24 +558,18 @@ def apply_groups(groups: list[TermGroup], layout: FieldLayout, X: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# helpers for property tests and norms over whole background cells
+# the mass over whole background cells, for the inf-sup constant
 
-def full_cell_matrix(space: FeSpace, kind: str = "mass",
-                     cells: np.ndarray | None = None) -> sp.csr_matrix:
-    """Mass or stiffness over entire background cells (no cut restriction)."""
-    if kind not in ("mass", "stiff"):
-        raise ConfigurationError(f"unknown kind {kind!r}")
+def full_cell_matrix(space: FeSpace) -> sp.csr_matrix:
+    """Scalar mass over the entire active cells (no cut restriction)."""
     ref, w = tensor_square(2 * space.degree + 1)
     mesh = space.active.mesh
-    cells = space.active.active_cells if cells is None else np.asarray(cells)
+    cells = space.active.active_cells
     pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref
     gram = _Gram([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]))],
                  (space,))
-    N, x, y = _keys(space)
-    scalar = _form(space, space, cells, gram(N, N) if kind == "mass"
-                   else gram(x, x) + gram(y, y), scalar=True)
-    # vector dofs interleave components: 2 * node + comp
-    return scalar if space.ncomp == 1 else sp.kron(scalar, sp.eye(2), format="csr")
+    N = ("N", space.degree)
+    return _form(space, space, cells, gram(N, N), scalar=True)
 
 
 def dump_matrix(system: BlockSystem, path) -> None:

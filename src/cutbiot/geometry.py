@@ -77,26 +77,6 @@ class FlowerLevelSet:
         return r - self.r0 - self.r1 * np.cos(self.petals * theta)
 
 
-class AffineLevelSet:
-    """a*x + b*y + c, used for half-plane cuts in tests and debugging."""
-
-    def __init__(self, a: float, b: float, c: float):
-        self.a, self.b, self.c = float(a), float(b), float(c)
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.a * pts[:, 0] + self.b * pts[:, 1] + self.c
-
-
-class ConstantLevelSet:
-    """Constant field; value -1 makes the whole box the physical domain."""
-
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(len(pts), self.c)
-
-
 class LevelSetDomain:
     """Implicit domain: inside iff outer < 0 and (if present) hole > 0.
 
@@ -438,13 +418,6 @@ class CutRule:
 
     def total_volume(self, active: "ActiveMesh") -> float:
         return len(active.interior_cells) * float(self.int_wts.sum()) + float(self.vol_wts.sum())
-
-    def boundary_length(self, tag: int) -> float:
-        return float(self.bnd_wts[self.bnd_tags == tag].sum())
-
-    def boundary_moment(self) -> np.ndarray:
-        """Integral of the outward normal over the whole embedded boundary."""
-        return (self.bnd_wts[:, None] * self.bnd_normals).sum(axis=0)
 
 
 def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -> CutRule:

@@ -88,14 +88,10 @@ class BackgroundMesh:
             np.column_stack([v_minus, v_plus]),
             np.column_stack([h_minus, h_plus]),
         ]).astype(np.int64)
-        self.n_facets = len(self.facet_axis)
 
     @property
     def interior_facets(self) -> np.ndarray:
         return np.flatnonzero((self.facet_cells >= 0).all(axis=1))
-
-    def cell_index(self, ix: int, iy: int) -> int:
-        return ix * self.n + iy
 
     def cell_origin(self, c) -> np.ndarray:
         """Lower-left corner of cell(s) c; vectorized over arrays."""

@@ -26,7 +26,7 @@ cap or fails the check is solved by `solve` instead, after the MINRES
 factors are freed.
 
 The condition estimate combines extremal singular-value estimates of the
-matrix and of its inverse through the factorization; everything is
+matrix and of its inverse through the factor `solve` kept; everything is
 deterministic, including the Lanczos start vectors and the probe.
 """
 
@@ -300,15 +300,14 @@ def _extremal_magnitude(op_matvec, n: int) -> float:
         return float(np.sqrt(lam))
 
 
-def estimate_condition(system: BlockSystem, lu=None) -> float:
+def estimate_condition(system: BlockSystem, lu) -> float:
     """Spectral condition number estimate, accurate to a few percent.
 
-    Without `lu` the factor comes from `solve`, so an unchecked factor raises SolverError.
+    `lu` is the factor of `system.matrix` that `solve` kept in its report
+    (`SolveReport._lu`), so it has passed the residual check.
     """
     a = system.matrix
     n = a.shape[0]
-    if lu is None:
-        lu = solve(system)._lu
     sigma_max = _extremal_magnitude(lambda v: a @ v, n)
     inv_max = _extremal_magnitude(lu.solve, n)
     if not np.isfinite(inv_max) or inv_max <= 0:

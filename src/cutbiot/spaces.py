@@ -3,11 +3,12 @@
 Each space is Q_k on the active cells with equispaced nodes; degrees of
 freedom exist exactly at lattice nodes touched by at least one active cell
 and are numbered deterministically (lexicographic in the node lattice, y
-index major).  A space holds its dof maps and its reference basis; fields
-are evaluated at physical points only through `forms.tabulate`, which maps
-the points into their cells.  The reference basis extrapolates naturally
-outside [0,1]^2, which cut-cell quadrature relies on.  Spaces are immutable
-and evaluation is pure.
+index major).  A space holds one dof map, indexed by background cell;
+fields are evaluated at physical points only through `forms.tabulate`,
+which maps the points into their cells and tabulates `ref_basis` of the
+space's degree.  The reference basis extrapolates naturally outside
+[0,1]^2, which cut-cell quadrature relies on.  Spaces are immutable and
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -77,8 +78,10 @@ def ref_basis(degree: int) -> RefLagrangeBasis:
 class FeSpace:
     """Q_k space (scalar or 2-vector) over the active cells of a mesh.
 
-    `cell_dofs[row]` lists the global scalar-node dofs of active cell `row`
-    in local tensor order; vector dofs interleave components (2*dof + comp).
+    `cell_dofs[c]` lists the global scalar-node dofs of background cell `c`
+    in local tensor order, and is -1 throughout for an inactive cell, so
+    every reader indexes it by cell.  Vector dofs interleave components
+    (2*dof + comp).
     """
 
     def __init__(self, active: ActiveMesh, degree: int, ncomp: int = 1):
@@ -89,9 +92,8 @@ class FeSpace:
         self.active = active
         self.degree = degree
         self.ncomp = ncomp
-        self.basis = ref_basis(degree)
+        nloc = ref_basis(degree).n_basis  # rejects an unsupported degree
         mesh = active.mesh
-        self.h = mesh.h
 
         k, n = degree, mesh.n
         nn = k * n + 1  # lattice nodes per axis
@@ -106,29 +108,11 @@ class FeSpace:
         used = np.unique(lattice)
         self.n_nodes = len(used)
         self.n_dofs = ncomp * self.n_nodes
-        self.cell_dofs = np.searchsorted(used, lattice)
+        self.cell_dofs = np.full((mesh.n_cells, nloc), -1, dtype=np.int64)
+        self.cell_dofs[cells] = np.searchsorted(used, lattice)
 
         gxu, gyu = used % nn, used // nn
         self.node_coords = mesh.box_lo + (mesh.h / k) * np.column_stack([gxu, gyu])
-
-        self._cell_row = np.full(mesh.n_cells, -1, dtype=np.int64)
-        self._cell_row[cells] = np.arange(len(cells))
-
-    def row_of_cell(self, c: int) -> int:
-        r = self._cell_row[c]
-        if r < 0:
-            raise ConfigurationError(f"cell {c} is not active")
-        return int(r)
-
-    def dofs_on_cell(self, c: int) -> np.ndarray:
-        return self.cell_dofs[self.row_of_cell(c)]
-
-    def vector_dofs(self, scalar_dofs: np.ndarray) -> np.ndarray:
-        """Interleaved component dofs, shape (..., nloc*ncomp)."""
-        if self.ncomp == 1:
-            return scalar_dofs
-        expanded = 2 * scalar_dofs[..., None] + np.arange(2)
-        return expanded.reshape(*scalar_dofs.shape[:-1], -1)
 
     def interpolate(self, f) -> np.ndarray:
         """Nodal interpolant: dof value = f at the node coordinates."""

@@ -26,8 +26,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError
-from .forms import (BlockSystem, BoundaryData, PhysicalParams, StabilizationParams,
-                    full_cell_matrix, quadrature_table, tabulate, tabulation_columns, with_params)
+from .forms import (BlockSystem, PhysicalParams, StabilizationParams, full_cell_matrix,
+                    quadrature_table, tabulate, tabulation_columns, with_params)
 from .geometry import TAG_DIRICHLET, TAG_STRESS, CutRule
 from .spaces import FeSpace, make_layout
 
@@ -120,10 +120,6 @@ class ManufacturedCase:
     def g_N(self, p, normals, prm: PhysicalParams):
         return prm.K * np.einsum("nk,nk->n", self.grad_p_F(p), normals)
 
-    def boundary_data(self) -> BoundaryData:
-        return BoundaryData(f=self.f, g=self.g, u_D=self.u, g_N=self.g_N,
-                            sigma_N=self.sigma_N, p_FD=self.p_F)
-
     def strong_residuals(self, p, prm: PhysicalParams):
         """Pointwise residuals of the three strong equations; ~0 by calculus."""
         r1 = -prm.mu * self.div_eps_u(p) + self.grad_p_T(p, prm) - self.f(p, prm)
@@ -171,7 +167,7 @@ def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.nd
                  cols: dict) -> np.ndarray:
     """[v, dv/dx, dv/dy] (S, nc, nq, 3) of S scalar fields with node coefficients
     `coeffs` (S, n), from the stack B that `tabulate` yields for `cells`."""
-    c = coeffs[:, space.cell_dofs[space._cell_row[cells]]].transpose(1, 2, 0)  # (nc, nloc, S)
+    c = coeffs[:, space.cell_dofs[cells]].transpose(1, 2, 0)  # (nc, nloc, S)
     return np.stack([(B[:, :, cols[kind, space.degree]] @ c).transpose(2, 0, 1)
                      for kind in "Nxy"], axis=-1)
 
@@ -263,16 +259,6 @@ def eoc(levels: list[tuple[float, float]]) -> list[float]:
         else:
             rates.append(math.log(e1 / e2) / math.log(h1 / h2))
     return rates
-
-
-def galerkin_residual(system: BlockSystem, x: np.ndarray) -> float:
-    """Max-norm residual of the assembled equations at the discrete solution.
-
-    Consistency check behind the weak orthogonality property: the residual
-    must vanish to solver tolerance and be independent of the Nitsche
-    penalties.
-    """
-    return float(np.abs(system.matrix @ x - system.rhs).max())
 
 
 def infsup_constant(system: BlockSystem, space_t: FeSpace) -> float:

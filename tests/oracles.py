@@ -5,7 +5,10 @@ functions, quadrature tables and plain Python loops, so that agreement with
 the package is evidence of correctness rather than shared code.  The
 per-cell geometry path at the end is the package's earlier clip, rule and
 table code, run one cut cell at a time: the batched code must match it bit
-for bit.
+for bit.  The test data (straight and constant level sets, a zero case) and
+the small measures of rules and matrices that only tests read live here
+too; `full_cell_stiffness` alone reuses the package's per-cell Gram, so the
+extension-constant spreads it feeds keep their values.
 """
 
 from __future__ import annotations
@@ -24,6 +27,85 @@ CIRCLE_LENGTH = 2.0 * np.pi * 0.95
 # the integral of the outward normal over a closed polygon vanishes; this
 # bounds the rounding of its quadrature
 MOMENT_TOL = 1e-12
+
+
+class AffineLevelSet:
+    """a*x + b*y + c: half-plane cuts."""
+
+    def __init__(self, a: float, b: float, c: float):
+        self.a, self.b, self.c = float(a), float(b), float(c)
+
+    def value(self, pts):
+        return self.a * pts[:, 0] + self.b * pts[:, 1] + self.c
+
+
+class ConstantLevelSet:
+    """Constant field; value -1 makes the whole box the physical domain."""
+
+    def __init__(self, c: float):
+        self.c = float(c)
+
+    def value(self, pts):
+        return np.full(len(pts), self.c)
+
+
+class ZeroCase:
+    """Problem data that vanish everywhere but for a constant body force `force`."""
+
+    def __init__(self, force=(0.0, 0.0)):
+        self.force = np.asarray(force, dtype=float)
+
+    def f(self, p, prm):
+        return np.tile(self.force, (len(p), 1))
+
+    def u(self, p, *_):
+        return np.zeros((len(p), 2))
+
+    def g(self, p, *_):
+        return np.zeros(len(p))
+
+    sigma_N, g_N, p_F = u, g, g
+
+
+def boundary_length(rules, tag):
+    """Length of one boundary part: the sum of its quadrature weights."""
+    return float(rules.bnd_wts[rules.bnd_tags == tag].sum())
+
+
+def boundary_moment(rules):
+    """Integral of the outward normal over the whole embedded boundary."""
+    return (rules.bnd_wts[:, None] * rules.bnd_normals).sum(axis=0)
+
+
+def symmetry_defect(matrix):
+    """max |A - A^T| relative to max |A|."""
+    d = matrix - matrix.T
+    amax = np.abs(matrix.data).max() if matrix.nnz else 1.0
+    return (np.abs(d.data).max() / amax) if d.nnz else 0.0
+
+
+def vector_dofs(scalar_dofs):
+    """The interleaved displacement dofs 2*node + comp of scalar node dofs (..., nloc)."""
+    expanded = 2 * scalar_dofs[..., None] + np.arange(2)
+    return expanded.reshape(*scalar_dofs.shape[:-1], -1)
+
+
+def full_cell_stiffness(space, cells):
+    """Scalar stiffness of `space` over the entire background `cells` (no cut restriction).
+
+    Built with the package's per-cell Gram and scatter at the rule of degree
+    2*degree + 1, as the whole-cell mass of `forms.full_cell_matrix` is.
+    """
+    from cutbiot.forms import QuadGroup, _form, _Gram
+    from cutbiot.quadrature import tensor_square
+
+    ref, w = tensor_square(2 * space.degree + 1)
+    mesh = space.active.mesh
+    pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref
+    gram = _Gram([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]))],
+                 (space,))
+    x, y = ("x", space.degree), ("y", space.degree)
+    return _form(space, space, cells, gram(x, x) + gram(y, y), scalar=True)
 
 
 def q1_shape(t):
@@ -181,7 +263,7 @@ def a1_energy_by_summation(x_u, space_u, rules, mu, gamma_u):
     total = 0.0
 
     def cell_energy(c, pts, wts):
-        dofs = space_u.vector_dofs(space_u.dofs_on_cell(int(c)))
+        dofs = vector_dofs(space_u.cell_dofs[c])
         coeff = x_u[dofs]
         e = 0.0
         lo = mesh.cell_origin(int(c))
@@ -206,7 +288,7 @@ def a1_energy_by_summation(x_u, space_u, rules, mu, gamma_u):
         m = r.bnd_tags == TAG_DIRICHLET
         if not m.any():
             continue
-        dofs = space_u.vector_dofs(space_u.dofs_on_cell(int(c)))
+        dofs = vector_dofs(space_u.cell_dofs[c])
         coeff = x_u[dofs]
         lo = mesh.cell_origin(int(c))
         for p, w, nrm in zip(r.bnd_pts[m], r.bnd_wts[m], r.bnd_normals[m]):
@@ -232,8 +314,8 @@ def mass_pairing_by_summation(x_r, x_c, space_r, space_c, rules, scale):
     total = 0.0
 
     def cell_part(c, pts, wts):
-        dr = space_r.dofs_on_cell(int(c))
-        dc = space_c.dofs_on_cell(int(c))
+        dr = space_r.cell_dofs[c]
+        dc = space_c.cell_dofs[c]
         lo = mesh.cell_origin(int(c))
         e = 0.0
         for p, w in zip(pts, wts):

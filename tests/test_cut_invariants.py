@@ -24,7 +24,8 @@ from scipy.spatial import cKDTree
 from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS, build_cut_rules, make_flower_domain
 from cutbiot.mesh import build_mesh, classify, translate_box
 
-from oracles import CIRCLE_LENGTH, MOMENT_TOL, OMEGA_AREA, flower_arclength
+from oracles import CIRCLE_LENGTH, MOMENT_TOL, OMEGA_AREA, boundary_length, boundary_moment, \
+    flower_arclength
 
 SUBDIV = 3
 
@@ -72,9 +73,9 @@ def test_flat_rule_invariants_over_random_cuts(n, delta, petals):
     assert np.all((local >= 0.0) & (local <= 1.0))  # every point in its own cell
 
     closed = _closed(clips.segs, 1e-12 * h)
-    assert np.abs(rules.boundary_moment()).max() <= \
+    assert np.abs(boundary_moment(rules)).max() <= \
         (MOMENT_TOL if closed else 2.0 * petals ** 2 * h_sub2)
     assert abs(rules.total_volume(act) - OMEGA_AREA) <= 15.0 * h_sub2
-    assert abs(rules.boundary_length(TAG_DIRICHLET) - CIRCLE_LENGTH) <= 2.0 * h_sub2
-    assert abs(rules.boundary_length(TAG_STRESS) - flower_arclength(petals=petals)) \
+    assert abs(boundary_length(rules, TAG_DIRICHLET) - CIRCLE_LENGTH) <= 2.0 * h_sub2
+    assert abs(boundary_length(rules, TAG_STRESS) - flower_arclength(petals=petals)) \
         <= 5.0 * petals ** 2 * h_sub2

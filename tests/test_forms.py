@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from cutbiot.errors import AssemblyError, ConfigurationError
-from cutbiot.forms import (_TERMS, BoundaryData, PhysicalParams, StabilizationParams,
-                           _bilinear_parts, assemble_ghost, assemble_rhs, assemble_system,
-                           full_cell_matrix, mass_matrix, with_params, without_ghost)
-from cutbiot.geometry import (ConstantLevelSet, LevelSetDomain, build_cut_rules,
-                              make_flower_domain)
-from cutbiot.mesh import build_mesh, classify, translate_box
+from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, _bilinear_parts,
+                           assemble_ghost, assemble_rhs, assemble_system, full_cell_matrix,
+                           mass_matrix, with_params, without_ghost)
+from cutbiot.geometry import LevelSetDomain, build_cut_rules, make_flower_domain
+from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import error_norms, make_case
 
-from oracles import (FLOWER_AREA, OMEGA_AREA, a1_energy_by_summation,
-                     fitted_biot_system, mass_pairing_by_summation)
+from oracles import (FLOWER_AREA, OMEGA_AREA, AffineLevelSet, ConstantLevelSet, ZeroCase,
+                     a1_energy_by_summation, boundary_length, fitted_biot_system,
+                     full_cell_stiffness, mass_pairing_by_summation, symmetry_defect)
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +129,7 @@ def test_a3_constant_field(disc16, stab):
     prm = PhysicalParams(mu=1.0, lam=4.0, K=2.0)
     a31, a32 = _a3((disc16.su, disc16.st, disc16.sf), disc16.rules, prm, stab)
     ones = np.ones(disc16.sf.n_dofs)
-    gamma_len = stab.gamma_p / disc16.rules.h * prm.K * \
-        disc16.rules.boundary_length(1)
+    gamma_len = stab.gamma_p / disc16.rules.h * prm.K * boundary_length(disc16.rules, 1)
     assert ones @ (a31 @ ones) == pytest.approx(gamma_len, rel=1e-10)
     assert ones @ (a32 @ ones) == pytest.approx(2.0 * OMEGA_AREA / prm.lam, abs=1e-3)
 
@@ -195,8 +194,6 @@ def test_ghost_single_facet_value():
     # box [0,1]^2, 2x2 cells, domain cut through the right column: the two
     # vertical mid-facets carry a unit normal-derivative jump of the hat
     # profile, each contributing gamma*h^2
-    from cutbiot.geometry import AffineLevelSet
-
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.55))
     mesh = build_mesh([0, 0], [1, 1], 2)
     act = classify(mesh, dom)
@@ -221,6 +218,15 @@ def test_ghost_weak_consistency_decay(flower_domain):
     assert vals[0] > vals[1] > vals[2]
 
 
+def test_ghost_facet_with_inactive_neighbour_rejected(disc8):
+    act = disc8.active
+    nb = act.mesh.facet_cells[act.mesh.interior_facets]
+    on_edge = act.mesh.interior_facets[(act.tags[nb] == CellTag.OUTSIDE).sum(axis=1) == 1]
+    broken = replace(act, ghost_facets=np.append(act.ghost_facets, on_edge[0]))
+    with pytest.raises(AssemblyError, match="inactive neighbor"):
+        assemble_ghost(build_space(broken, 1), 1.0)
+
+
 def test_ghost_positive_semidefinite(disc16):
     g = assemble_ghost(disc16.st, 0.01)
     rng = np.random.default_rng(8)
@@ -234,17 +240,14 @@ def test_ghost_positive_semidefinite(disc16):
 
 def test_rhs_zero_data(disc16, params, stab):
     [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
-                         [params], BoundaryData.zero())
+                         [params], ZeroCase())
     assert np.all(rhs == 0.0)
 
 
 def test_rhs_constant_force(disc16, params, stab):
     c = np.array([2.5, -1.0])
-    bd = BoundaryData.zero()
-    bdata = BoundaryData(f=lambda p, prm: np.tile(c, (len(p), 1)), g=bd.g, u_D=bd.u_D,
-                         g_N=bd.g_N, sigma_N=bd.sigma_N, p_FD=bd.p_FD)
     [rhs] = assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab,
-                         [params], bdata)
+                         [params], ZeroCase(force=c))
     lay = disc16.layout
     lu = rhs[lay.slice("u")]
     assert lu[0::2].sum() == pytest.approx(c[0] * OMEGA_AREA, abs=1e-3 * abs(c[0]))
@@ -254,8 +257,7 @@ def test_rhs_constant_force(disc16, params, stab):
 
 def test_rhs_needs_a_load(disc16, stab):
     with pytest.raises(ConfigurationError, match="at least one parameter set"):
-        assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab, [],
-                     BoundaryData.zero())
+        assemble_rhs(disc16.su, disc16.st, disc16.sf, disc16.rules, stab, [], ZeroCase())
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def test_rhs_needs_a_load(disc16, stab):
 def test_system_symmetry_and_sparsity(disc16, params, stab):
     sys_ = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules,
                            params, stab)
-    assert sys_.symmetry_defect() <= 1e-12
+    assert symmetry_defect(sys_.matrix) <= 1e-12
     assert sys_.block("u", "pF").count_nonzero() == 0
     assert sys_.block("pF", "u").count_nonzero() == 0
 
@@ -298,7 +300,7 @@ def test_system_layout_mismatch(disc16, params, stab):
     d = disc16
     x = np.zeros((1, d.su.n_dofs + st_moved.n_dofs + d.sf.n_dofs))
     with pytest.raises(AssemblyError):
-        assemble_rhs(d.su, st_moved, d.sf, d.rules, stab, [params], BoundaryData.zero())
+        assemble_rhs(d.su, st_moved, d.sf, d.rules, stab, [params], ZeroCase())
     with pytest.raises(AssemblyError):
         error_norms(x, [params], make_case(), d.su, st_moved, d.sf, d.rules, stab)
 
@@ -385,9 +387,9 @@ def test_extension_and_inverse_inequalities_across_cuts(stab):
         act, mesh = _translation_active(24, 0.075 * (j + 1))
         st = build_space(act, 1)
         h = mesh.h
-        s_full = full_cell_matrix(st, "stiff")
-        s_int = full_cell_matrix(st, "stiff", cells=act.interior_cells)
-        m_full = full_cell_matrix(st, "mass")
+        s_full = full_cell_stiffness(st, act.active_cells)
+        s_int = full_cell_stiffness(st, act.interior_cells)
+        m_full = full_cell_matrix(st)
         g2 = assemble_ghost(st, h * h * stab.gamma_g_p)
         g_unit = assemble_ghost(st, 1.0)
         c_ext = c_inv = 0.0
@@ -404,6 +406,6 @@ def test_extension_and_inverse_inequalities_across_cuts(stab):
 
 
 def test_mass_matrix_total(disc16):
-    m = mass_matrix(disc16.st, disc16.st, disc16.rules)
+    m = mass_matrix(disc16.st, disc16.rules)
     ones = np.ones(disc16.st.n_nodes)
     assert ones @ (m @ ones) == pytest.approx(OMEGA_AREA, abs=1e-3)

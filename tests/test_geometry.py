@@ -11,17 +11,16 @@ from cutbiot.errors import (ConfigurationError, GeometryConflictError,
                             GeometryResolutionError)
 from cutbiot import forms
 from cutbiot.forms import QuadGroup, assemble_system, quadrature_table
-from cutbiot.geometry import (AffineLevelSet, CircleLevelSet, ConstantLevelSet,
-                              FlowerLevelSet, LevelSetDomain, build_cut_rules, clip_cells,
-                              make_flower_domain, TAG_DIRICHLET, TAG_STRESS,
-                              _surface_rule, _volume_rule)
+from cutbiot.geometry import (CircleLevelSet, FlowerLevelSet, LevelSetDomain,
+                              build_cut_rules, clip_cells, make_flower_domain, TAG_DIRICHLET,
+                              TAG_STRESS, _surface_rule, _volume_rule)
 from cutbiot.quadrature import tensor_square
 from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
 from cutbiot.verification import make_case
 
 import oracles
-from oracles import CIRCLE_LENGTH, FLOWER_AREA, MOMENT_TOL, OMEGA_AREA, flower_arclength, \
-    montecarlo_area
+from oracles import CIRCLE_LENGTH, FLOWER_AREA, MOMENT_TOL, OMEGA_AREA, AffineLevelSet, \
+    ConstantLevelSet, boundary_length, boundary_moment, flower_arclength, montecarlo_area
 
 # random straight cuts through the unit cell: the normal's angle, a point the
 # cut passes through, and the sub-grid depth of the clip
@@ -187,15 +186,15 @@ def test_boundary_lengths(flower_domain):
     mesh = build_mesh([-1, -1], [1, 1], 64)
     act = classify(mesh, flower_domain)
     rules = build_cut_rules(act, flower_domain)
-    assert rules.boundary_length(TAG_DIRICHLET) == pytest.approx(CIRCLE_LENGTH, abs=1e-3)
-    assert rules.boundary_length(TAG_STRESS) == pytest.approx(flower_arclength(), abs=1e-3)
+    assert boundary_length(rules, TAG_DIRICHLET) == pytest.approx(CIRCLE_LENGTH, abs=1e-3)
+    assert boundary_length(rules, TAG_STRESS) == pytest.approx(flower_arclength(), abs=1e-3)
 
 
 def test_geometric_conservation(disc16, disc32):
     # divergence theorem on a constant field over the closed polygon boundary:
     # the chord normals are those of the polygon, so the moment is rounding
     for disc in (disc16, disc32):
-        moment = disc.rules.boundary_moment()
+        moment = boundary_moment(disc.rules)
         assert np.abs(moment).max() <= MOMENT_TOL, disc.n
 
 
@@ -390,11 +389,11 @@ def test_tables_and_parts_match_per_cell_path(disc16, params, stab, monkeypatch)
         for g, row in zip(groups, rows):
             assert all(b is None if a is None else _same(a, b)
                        for a, b in zip((g.cells, g.pts, g.wts, g.normals), row))
-    bdata = make_case("trig").boundary_data()
-    new = assemble_system(d.su, d.st, d.sf, d.rules, params, stab, bdata)
+    case = make_case("trig")
+    new = assemble_system(d.su, d.st, d.sf, d.rules, params, stab, case)
     monkeypatch.setattr(forms, "quadrature_table", lambda active, rules, tag=None: [
         QuadGroup(*row) for row in oracles.quadrature_rows(active, rules, tag)])
-    ref = assemble_system(d.su, d.st, d.sf, old, params, stab, bdata)
+    ref = assemble_system(d.su, d.st, d.sf, old, params, stab, case)
     assert new.parts.keys() == ref.parts.keys()
     for name, part in new.parts.items():
         assert all(_same(getattr(part, a), getattr(ref.parts[name], a))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cutbiot.errors import ConfigurationError
-from cutbiot.geometry import AffineLevelSet, ConstantLevelSet, LevelSetDomain, \
-    CircleLevelSet, make_flower_domain
+from cutbiot.geometry import LevelSetDomain, CircleLevelSet, make_flower_domain
 from cutbiot.mesh import CellTag, build_mesh, classify, dump_classification, translate_box
+
+from oracles import AffineLevelSet, ConstantLevelSet, boundary_length
 
 
 def test_build_mesh_basic():
@@ -48,9 +49,9 @@ def test_classify_circle_corners():
     mesh = build_mesh([-1, -1], [1, 1], 4)
     dom = LevelSetDomain(CircleLevelSet(0.95))
     act = classify(mesh, dom)
-    cut_cell = mesh.cell_index(3, 3)  # [0.5,1] x [0.5,1]
+    cut_cell = 3 * mesh.n + 3  # [0.5,1] x [0.5,1]
     assert act.tags[cut_cell] == CellTag.CUT
-    inner = mesh.cell_index(1, 1)  # [-0.5,0] x [-0.5,0] contains [-0.25,0]^2
+    inner = 1 * mesh.n + 1  # [-0.5,0] x [-0.5,0] contains [-0.25,0]^2
     assert act.tags[inner] == CellTag.INTERIOR
 
 
@@ -76,7 +77,7 @@ def test_classify_boundary_on_facet():
 
     rules = build_cut_rules(act, dom)
     assert rules.total_volume(act) == pytest.approx(2.0, abs=1e-12)
-    assert rules.boundary_length(0) == pytest.approx(2.0, abs=1e-12)
+    assert boundary_length(rules, 0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ghost_facets_invariants(disc16):

@@ -125,15 +125,14 @@ def test_stacked_loads_and_norms_match_single_calls(n, prms, name, seed):
     su, st_, sf, rules, total = _spaces(n)
     stab = StabilizationParams()
     case = make_case(name)
-    bdata = case.boundary_data()
     xs = np.random.default_rng(seed).standard_normal((len(prms), total))
     perm = np.random.default_rng(seed).permutation(len(prms))
 
     # each row of the stack is the one-parameter-set vector
-    rhs = assemble_rhs(su, st_, sf, rules, stab, prms, bdata)
+    rhs = assemble_rhs(su, st_, sf, rules, stab, prms, case)
     assert rhs.shape == (len(prms), total)
     for row, prm in zip(rhs, prms):
-        [one] = assemble_rhs(su, st_, sf, rules, stab, [prm], bdata)
+        [one] = assemble_rhs(su, st_, sf, rules, stab, [prm], case)
         assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
 
     # each report of the stack is the one-solution report
@@ -144,7 +143,7 @@ def test_stacked_loads_and_norms_match_single_calls(n, prms, name, seed):
             assert getattr(rep, field) == pytest.approx(value, rel=1e-12), field
 
     # permuting the stack permutes the outputs
-    rhs_p = assemble_rhs(su, st_, sf, rules, stab, [prms[i] for i in perm], bdata)
+    rhs_p = assemble_rhs(su, st_, sf, rules, stab, [prms[i] for i in perm], case)
     assert np.abs(rhs_p - rhs[perm]).max() <= 1e-14 * np.abs(rhs).max()
     reports_p = error_norms(xs[perm], [prms[i] for i in perm], case, su, st_, sf, rules, stab)
     for rep_p, i in zip(reports_p, perm):
