@@ -9,6 +9,6 @@ from .geometry import CutRule, LevelSetDomain, build_cut_rules, make_flower_doma
 from .mesh import ActiveMesh, BackgroundMesh, CellTag, build_mesh, classify, translate_box
 from .solver import SolveReport, estimate_condition, solve
 from .spaces import FeSpace, FieldLayout, build_space
-from .verification import ErrorReport, ManufacturedCase, eoc, error_norms, make_case
+from .verification import ManufacturedCase, eoc, error_norms, make_case
 
 __version__ = "0.1.0"

@@ -29,13 +29,13 @@ import numpy as np
 from .errors import ConfigurationError, CutBiotError, GeometryError, SolverError
 # `with_params` is not called here any more, but bench/tracing.py wraps it by name.
 from .forms import (PhysicalParams, QuadGroup, StabilizationParams, assemble_rhs,
-                    assemble_system, dump_matrix, mass_matrix, tabulate, tabulation_columns,
+                    assemble_system, mass_matrix, tabulate, tabulation_columns,
                     with_params, without_ghost)  # noqa: F401
-from .geometry import build_cut_rules, dump_boundary_points, make_flower_domain
-from .mesh import build_mesh, classify, dump_classification, translate_box
+from .geometry import MAX_SUBDIV, TAG_DIRICHLET, build_cut_rules, make_flower_domain
+from .mesh import CellTag, build_mesh, classify, translate_box
 from .solver import estimate_condition, solve, solve_params
 from .spaces import build_space, make_layout
-from .verification import CASE_NAMES, eoc, error_norms, field_values, make_case
+from .verification import CASE_NAMES, ERR_NAMES, eoc, error_norms, field_values, make_case
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +62,7 @@ CONFIG_SCHEMA = {
                 "box_hi": {"type": "array", "items": {"type": "number"},
                            "minItems": 2, "maxItems": 2, "default": [1.0, 1.0]},
                 "n": {"type": "integer", "minimum": 2, "default": 32},
-                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6, "default": 3},
+                "subdiv": {"type": "integer", "minimum": 1, "maximum": MAX_SUBDIV, "default": 3},
                 "delta": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
@@ -105,7 +105,7 @@ CONFIG_SCHEMA = {
                             "minItems": 1, "uniqueItems": True, "default": [1.0, 1e8]},
                 "Ks": {"type": "array", "items": {"type": "number", "minimum": 0},
                        "minItems": 1, "uniqueItems": True, "default": [1.0, 1e-8]},
-                "subdiv": {"type": "integer", "minimum": 1, "maximum": 6, "default": 4},
+                "subdiv": {"type": "integer", "minimum": 1, "maximum": MAX_SUBDIV, "default": 4},
             },
         },
         "sweep": {
@@ -285,7 +285,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "factorization": {"ordering": report.ordering, "factor_nnz": report.factor_nnz},
         "kappa": kappa,
         "solution_norms": norms,
-        "errors": err.as_dict(),
+        "errors": err,
         "quadrature": {"volume_points": len(rules.vol_wts),
                        "boundary_points": len(rules.bnd_wts)},
     }
@@ -304,19 +304,20 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         _write_csv(out_dir / "solution_points.csv", ["x", "y", "ux", "uy", "pT", "pF"],
                    np.column_stack([centers[inside], *vals]).tolist())
     if cfg.raw["output"]["write_matrix"]:
-        dump_matrix(system, out_dir / "system.mtx")
+        from scipy.io import mmwrite
+        mmwrite(out_dir / "system.mtx", system.matrix.tocoo())
     if cfg.raw["output"]["write_debug"]:
-        (out_dir / "classification.txt").write_text(dump_classification(active))
-        (out_dir / "boundary_points.csv").write_text(dump_boundary_points(rules))
+        _write_csv(out_dir / "classification.txt", ["cell_index", "tag"],
+                   [[c, CellTag(t).name.lower()] for c, t in enumerate(active.tags)])
+        bnd = np.column_stack([rules.bnd_pts, rules.bnd_normals, rules.bnd_wts]).tolist()
+        _write_csv(out_dir / "boundary_points.csv", ["x", "y", "nx", "ny", "w", "tag"],
+                   [[*row, "dirichlet" if tag == TAG_DIRICHLET else "stress"]
+                    for row, tag in zip(bnd, rules.bnd_tags)])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # convergence ladder
-
-_ERR_NAMES = ["err_u_star", "err_u_L2", "err_pT_star", "err_pT_L2", "err_pF_star",
-              "err_pF_L2"]
-
 
 def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
     """All (lambda, K) runs of one refinement level, sharing the assembly.
@@ -343,7 +344,7 @@ def _ladder_level_job(cfg_dict: dict, n: int) -> list[dict]:
                 sum(r.ordering != "MINRES" for r in reports))
     errs = error_norms(np.array([r.x for r in reports]), params, case, su, st, sf, rules, stab)
     return [{"N": n, "h": rules.h, "lambda": prm.lam, "K": prm.K, "residual": r.rel_residual,
-             **err.as_dict()} for prm, r, err in zip(params, reports, errs)]
+             **err} for prm, r, err in zip(params, reports, errs)]
 
 
 def _run_jobs(job, cfg: RunConfig, items: list, workers: int, threads: int = 1) -> list:
@@ -392,10 +393,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
                   key=lambda r: (r["N"], r["lambda"], r["K"]))
     for combo in dict.fromkeys((r["lambda"], r["K"]) for r in rows):
         levels = [r for r in rows if (r["lambda"], r["K"]) == combo]  # ascending N
-        for name in _ERR_NAMES:
+        for name in ERR_NAMES:
             for r, rate in zip(levels, [None, *eoc([(r["h"], r[name]) for r in levels])]):
                 r[f"eoc_{name[4:]}"] = rate
-    header = ["N", "h", "lambda", "K", *_ERR_NAMES, *(f"eoc_{n[4:]}" for n in _ERR_NAMES)]
+    header = ["N", "h", "lambda", "K", *ERR_NAMES, *(f"eoc_{n[4:]}" for n in ERR_NAMES)]
     _write_csv(out_dir / "convergence.csv", header, [[r[h] for h in header] for r in rows])
     return 0
 
@@ -450,8 +451,7 @@ def _sweep_delta_job(cfg_dict: dict, delta: float) -> list[dict]:
     if xs:
         for row, err in zip(solved, error_norms(np.array(xs), [params] * len(xs), case,
                                                 su, st, sf, rules, stab)):
-            row.update({"err_u_star": err.u_star, "err_pT_star": err.pT_star,
-                        "err_pF_star": err.pF_star, "err_u_L2": err.u_L2})
+            row.update(err)
     return rows
 
 

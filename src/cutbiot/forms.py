@@ -571,9 +571,3 @@ def full_cell_matrix(space: FeSpace) -> sp.csr_matrix:
     N = ("N", space.degree)
     return _form(space, space, cells, gram(N, N), scalar=True)
 
-
-def dump_matrix(system: BlockSystem, path) -> None:
-    """MatrixMarket coordinate dump for external inspection."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, system.matrix.tocoo())

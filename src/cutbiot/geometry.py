@@ -442,11 +442,3 @@ def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -
         raise min(failures, key=lambda f: f[0])[1]
     return CutRule(h, ref, w * h * h, active.cut_cells, vol_pts, vol_wts, vol_off, *bnd)
 
-
-def dump_boundary_points(rule: CutRule) -> str:
-    """CSV debug dump of the boundary quadrature: x,y,nx,ny,w,tag."""
-    rows = np.column_stack([rule.bnd_pts, rule.bnd_normals, rule.bnd_wts]).tolist()
-    parts = np.where(rule.bnd_tags == TAG_DIRICHLET, "dirichlet", "stress").tolist()
-    lines = ["x,y,nx,ny,w,tag"] + [",".join(map(repr, row)) + f",{part}"
-                                   for row, part in zip(rows, parts)]
-    return "\n".join(lines) + "\n"

@@ -199,10 +199,3 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
         sliver_cells=slivers,
     )
 
-
-def dump_classification(active: ActiveMesh) -> str:
-    """Plain-text debug table `cell_index,tag`, one row per cell."""
-    names = {CellTag.OUTSIDE: "outside", CellTag.INTERIOR: "interior", CellTag.CUT: "cut"}
-    lines = ["cell_index,tag"]
-    lines += [f"{c},{names[CellTag(t)]}" for c, t in enumerate(active.tags)]
-    return "\n".join(lines) + "\n"

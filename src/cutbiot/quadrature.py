@@ -3,7 +3,8 @@
 All rules are given on reference domains with positive weights: [0,1] for
 lines, [0,1]^2 for squares, and the unit triangle (0,0)-(1,0)-(0,1) with
 weights summing to 1/2. `order` always means the polynomial degree that is
-integrated exactly.
+integrated exactly.  Triangles take a symmetric degree-5 rule up to order 5
+and a collapsed Gauss-Legendre square rule above it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 @functools.cache
@@ -54,15 +54,13 @@ _TRI_DEG5 = _tri_deg5()
 
 
 def _tri_collapsed(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # Duffy-type collapse of a square rule; Gauss-Jacobi absorbs the (1-u)
-    # Jacobian exactly, so the rule is exact for total degree `order`.
-    q = math.ceil((order + 1) / 2)
-    xj, wj = roots_jacobi(q, 1.0, 0.0)
-    u = 0.5 * (xj + 1.0)
-    wu = 0.25 * wj  # (1-u) du = ((1-x)/2)(dx/2) on [-1,1]
+    # Duffy-type collapse of a square rule: x = u, y = v (1-u).  The (1-u)
+    # Jacobian raises the degree in u by one, so Gauss-Legendre of degree
+    # order + 1 in u keeps the rule exact for total degree `order`.
+    u, wu = gauss_1d(order + 1)
     v, wv = gauss_1d(order)
     U, V = np.meshgrid(u, v, indexing="ij")
-    WU, WV = np.meshgrid(wu, wv, indexing="ij")
+    WU, WV = np.meshgrid(wu * (1.0 - u), wv, indexing="ij")
     pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
     return pts, (WU * WV).ravel()
 

@@ -1,15 +1,15 @@
 """Solution of the assembled system and conditioning estimates.
 
-Direct solves: the `(u, p_T, p_F)` matrix is symmetric, so the sparse LU
-first orders it by multiple minimum degree on A+Aᵀ in SuperLU's symmetric
-mode, with diagonal pivots.  Every solution is checked for finite entries
-and a relative residual of at most `RESIDUAL_TOL`; any linear factor solves
-a zero right-hand side, so there the factor must also solve a fixed
-non-zero probe.  When that attempt fails the check, or SuperLU raises, the
-factor is freed and the system is factored again with COLAMD and partial
-pivoting, under the same check.  `solve` keeps the factor in its report but
-never builds copies of L and U; the factor's nonzero count is made only
-when read.
+Direct solves: the `(u, p_T, p_F)` matrix is symmetric, so `solve` loops
+over two orderings.  It first orders by multiple minimum degree on A+Aᵀ in
+SuperLU's symmetric mode, with diagonal pivots; when that attempt fails the
+check, or SuperLU raises, the factor is freed and the system is factored
+again with COLAMD and partial pivoting.  Every solution, direct or MINRES,
+must have finite entries and a relative residual (`_relative_residual`) of
+at most `RESIDUAL_TOL`; any linear factor solves a zero right-hand side, so
+there the factor must also solve a fixed non-zero probe.  `solve` keeps the
+factor in its report but never builds copies of L and U; the factor's
+nonzero count is made only when read.
 
 One system at several parameter sets (a ladder level's (lambda, K) pairs):
 `solve_params` steps preconditioned MINRES (Paige & Saunders) in lockstep
@@ -78,6 +78,14 @@ def _probe(n: int) -> np.ndarray:
     return np.sin(np.arange(1, n + 1, dtype=float))
 
 
+def _relative_residual(rnorm: float, bnorm: float):
+    """`(rel, failure)`: the residual over the load's norm (the plain residual for a
+    zero load), failure None when it is at most `RESIDUAL_TOL`."""
+    rel = float(rnorm / bnorm if bnorm > 0 else rnorm)
+    return rel, (None if rel <= RESIDUAL_TOL else
+                 f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
+
+
 def _solve_checked(a: sp.spmatrix, lu, b: np.ndarray):
     """Solve `a x = b` with `lu`: `(x, rel, failure)`, failure None if `x` passes.
 
@@ -87,45 +95,28 @@ def _solve_checked(a: sp.spmatrix, lu, b: np.ndarray):
     if not np.all(np.isfinite(x)):
         return x, float("nan"), "solution contains non-finite entries (singular system)"
     bnorm = np.linalg.norm(b)
-    rnorm = np.linalg.norm(a @ x - b)
-    rel = float(rnorm / bnorm if bnorm > 0 else rnorm)
-    if rel > RESIDUAL_TOL:
-        return x, rel, f"relative residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}"
-    return x, rel, None if bnorm > 0 else _solve_checked(a, lu, _probe(len(b)))[2]
-
-
-def _factorize(a: sp.spmatrix, b: np.ndarray):
-    """Factor `a` and solve `a x = b`: the symmetric attempt, else COLAMD.
-
-    Returns `(lu, x, rel, failure, ordering)`, where `failure` is the
-    fallback's reason for rejecting `x` (None if it passes).
-    """
-    csc = a.tocsc()
-    try:
-        lu = _symmetric_lu(csc)
-    except RuntimeError as exc:  # SuperLU reports the failing pivot here
-        failure = f"sparse factorization failed: {exc}"
-    else:
-        x, rel, failure = _solve_checked(a, lu, b)
-        if failure is None:
-            return lu, x, rel, None, "MMD_AT_PLUS_A"
-    logger.warning("symmetric MMD_AT_PLUS_A factorization rejected (%s); "
-                   "refactoring with COLAMD and partial pivoting", failure)
-    lu = x = None  # free the rejected factor before the fallback is made
-    try:
-        lu = spla.splu(csc)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x, rel, failure = _solve_checked(a, lu, b)
-    return lu, x, rel, failure, "COLAMD"
+    rel, failure = _relative_residual(np.linalg.norm(a @ x - b), bnorm)
+    return x, rel, failure if failure or bnorm > 0 else _solve_checked(a, lu, _probe(len(b)))[2]
 
 
 def solve(system: BlockSystem) -> SolveReport:
-    """Factor and solve; raises SolverError on breakdown or a bad residual."""
-    lu, x, rel, failure, ordering = _factorize(system.matrix, system.rhs)
-    if failure is not None:
-        raise SolverError(failure)
-    return SolveReport(x=x, rel_residual=rel, ordering=ordering, _lu=lu)
+    """Factor and solve: the symmetric attempt, else COLAMD; raises SolverError with
+    the last attempt's failure when neither passes the check."""
+    csc = system.matrix.tocsc()
+    for ordering, factorize in (("MMD_AT_PLUS_A", _symmetric_lu), ("COLAMD", spla.splu)):
+        lu = cause = None  # free a rejected factor before the next one is made
+        try:
+            lu = factorize(csc)
+        except RuntimeError as exc:  # SuperLU reports the failing pivot here
+            failure, cause = f"sparse factorization failed: {exc}", exc
+        else:
+            x, rel, failure = _solve_checked(system.matrix, lu, system.rhs)
+            if failure is None:
+                return SolveReport(x=x, rel_residual=rel, ordering=ordering, _lu=lu)
+        if ordering == "MMD_AT_PLUS_A":
+            logger.warning("symmetric MMD_AT_PLUS_A factorization rejected (%s); "
+                           "refactoring with COLAMD and partial pivoting", failure)
+    raise SolverError(failure) from cause
 
 
 class _BlockPreconditioner:
@@ -255,13 +246,12 @@ def solve_params(base: BlockSystem, params: list[PhysicalParams],
     with np.errstate(all="ignore"):  # a non-finite column fails the check below
         rnorm = np.linalg.norm(apply_a(X, np.arange(len(params))) - B, axis=0)
     bnorm = np.linalg.norm(B, axis=0)
-    rel = rnorm / np.where(bnorm > 0, bnorm, 1.0)  # the plain residual for a zero load
     reports = []
     for s, prm in enumerate(params):
-        failure = stops[s] or (None if rel[s] <= RESIDUAL_TOL else
-                               f"relative residual {rel[s]:.3e} exceeds {RESIDUAL_TOL:.0e}")
+        rel, failure = _relative_residual(rnorm[s], bnorm[s])
+        failure = stops[s] or failure
         if failure is None:
-            reports.append(SolveReport(x=X[:, s].copy(), rel_residual=float(rel[s]),
+            reports.append(SolveReport(x=X[:, s].copy(), rel_residual=rel,
                                        ordering="MINRES", steps=int(steps[s])))
             continue
         logger.warning("MINRES rejected for lambda=%g, K=%g (%s); solving directly",

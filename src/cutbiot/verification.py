@@ -10,15 +10,16 @@ depends on them takes them last.  Error norms are weighted sums of pointwise
 error densities over the same quadrature table and basis tabulation as
 assembly.  `error_norms` measures S solutions of one case, one per parameter
 set, in one pass that tabulates each point group and evaluates each
-parameter-free field once.  `field_values` is the one evaluation of discrete
-fields from that tabulation, also used for the CLI's point output.
+parameter-free field once; each solution's norms come back as a dict keyed
+by `ERR_NAMES`, the names of the CLI's CSV columns.  `field_values` is the
+one evaluation of discrete fields from that tabulation, also used for the
+CLI's point output.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -142,25 +143,8 @@ def make_case(name: str = "trig") -> ManufacturedCase:
 # ---------------------------------------------------------------------------
 # error norms
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Discrete-norm, starred-norm and L2 errors for one solve."""
-
-    u_V: float
-    u_star: float
-    u_L2: float
-    pT_L2: float
-    pT_star: float
-    pF_F: float
-    pF_star: float
-    pF_L2: float
-
-    def as_dict(self) -> dict:
-        return {
-            "err_u_star": self.u_star, "err_u_L2": self.u_L2,
-            "err_pT_star": self.pT_star, "err_pT_L2": self.pT_L2,
-            "err_pF_star": self.pF_star, "err_pF_L2": self.pF_L2,
-        }
+# the six norms `error_norms` measures, in the order of the CLI's CSV columns
+ERR_NAMES = ("err_u_star", "err_u_L2", "err_pT_star", "err_pT_L2", "err_pF_star", "err_pF_L2")
 
 
 def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.ndarray,
@@ -174,8 +158,8 @@ def field_values(space: FeSpace, coeffs: np.ndarray, cells: np.ndarray, B: np.nd
 
 def error_norms(xs: np.ndarray, params: Sequence[PhysicalParams], case: ManufacturedCase,
                 space_u: FeSpace, space_t: FeSpace, space_f: FeSpace, rules: CutRule,
-                stab: StabilizationParams) -> list[ErrorReport]:
-    """Quadrature evaluation of all error norms, one report per solution.
+                stab: StabilizationParams) -> list[dict]:
+    """Quadrature evaluation of the error norms, one dict keyed by `ERR_NAMES` per solution.
 
     `xs` (S, total) stacks S solutions, row s measured against `case` at
     `params[s]` in the norms weighted by those parameters.  One pass per
@@ -233,10 +217,9 @@ def error_norms(xs: np.ndarray, params: Sequence[PhysicalParams], case: Manufact
     mu, lam, K = np.array([(prm.mu, prm.lam, prm.K) for prm in params]).T
     uV2 = mu * acc["strain"] + stab.gamma_u * mu / h * acc["pen_u"]
     pF_F2 = K * acc["gradF"] + stab.gamma_p * K / h * acc["pen_F"] + acc["FL2"] / lam
-    squares = {"u_V": uV2, "u_star": uV2 + mu * h * acc["flux_u"], "u_L2": acc["uL2"],
-               "pT_L2": acc["TL2"], "pT_star": acc["TL2"] + h * acc["T_bnd"],
-               "pF_F": pF_F2, "pF_star": pF_F2 + K * h * acc["flux_F"], "pF_L2": acc["FL2"]}
-    return [ErrorReport(**{name: math.sqrt(sq[s]) for name, sq in squares.items()})
+    squares = (uV2 + mu * h * acc["flux_u"], acc["uL2"], acc["TL2"] + h * acc["T_bnd"],
+               acc["TL2"], pF_F2 + K * h * acc["flux_F"], acc["FL2"])
+    return [{name: math.sqrt(sq[s]) for name, sq in zip(ERR_NAMES, squares)}
             for s in range(len(params))]
 
 

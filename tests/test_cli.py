@@ -39,7 +39,7 @@ def _write(tmp_path, name, cfg):
 def _stub_level(n):
     """What `_ladder_level_job` returns for one (lambda, K) at level n."""
     return [{"N": n, "h": 2.0 / n, "lambda": 1.0, "K": 1.0,
-             **{name: 1.0 / n for name in cli._ERR_NAMES}}]
+             **{name: 1.0 / n for name in cli.ERR_NAMES}}]
 
 
 def _cores(monkeypatch, count):
@@ -202,8 +202,8 @@ def test_convergence_rows_and_eoc(caplog, tmp_path):
     assert all(m.endswith("; 0 direct fallbacks") for m in steps)
     lines = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header == ["N", "h", "lambda", "K"] + cli._ERR_NAMES + \
-        [f"eoc_{name[4:]}" for name in cli._ERR_NAMES]
+    assert header == ["N", "h", "lambda", "K", *cli.ERR_NAMES] + \
+        [f"eoc_{name[4:]}" for name in cli.ERR_NAMES]
     assert len(lines) == 1 + 3  # one row per level per combo
     first = lines[1].split(",")
     last = lines[-1].split(",")
@@ -412,18 +412,30 @@ def test_failing_levels_raise_the_coarsest_error(monkeypatch, tmp_path):
     assert set(threading.enumerate()) <= before  # no level thread left running
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this cutbiot, installed or not."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"mesh": {"n": 8}})
-    # the child imports the same cutbiot, installed or not
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cutbiot.cli", "solve", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "solution.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special costs about 0.1 s of every fresh start, and no rule needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cutbiot.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_box_coverage_guard(tmp_path):

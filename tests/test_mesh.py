@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cutbiot.cli import RunConfig, cmd_solve
 from cutbiot.errors import ConfigurationError
-from cutbiot.geometry import LevelSetDomain, CircleLevelSet, make_flower_domain
-from cutbiot.mesh import CellTag, build_mesh, classify, dump_classification, translate_box
+from cutbiot.geometry import TAG_DIRICHLET, LevelSetDomain, CircleLevelSet, make_flower_domain
+from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
 
 from oracles import AffineLevelSet, ConstantLevelSet, boundary_length
 
@@ -155,9 +156,15 @@ def test_translation_family():
     assert deltas[-1] <= 1.0
 
 
-def test_dump_classification(disc16):
-    text = dump_classification(disc16.active)
-    lines = text.strip().split("\n")
-    assert lines[0] == "cell_index,tag"
-    assert len(lines) == 1 + disc16.mesh.n_cells
-    assert lines[1].split(",")[1] in {"outside", "interior", "cut"}
+def test_dump_classification(disc16, tmp_path):
+    # the CLI's debug tables: every cell's tag in cell order, every boundary point's part
+    cmd_solve(RunConfig.from_dict({"mesh": {"n": 16}, "output": {"write_debug": True}}),
+              tmp_path)
+    names = {CellTag.OUTSIDE: "outside", CellTag.INTERIOR: "interior", CellTag.CUT: "cut"}
+    lines = (tmp_path / "classification.txt").read_text().splitlines()
+    assert lines == ["cell_index,tag"] + [f"{c},{names[t]}"
+                                          for c, t in enumerate(disc16.active.tags)]
+    rows = (tmp_path / "boundary_points.csv").read_text().splitlines()
+    assert rows[0] == "x,y,nx,ny,w,tag"
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == [
+        "dirichlet" if t == TAG_DIRICHLET else "stress" for t in disc16.rules.bnd_tags]

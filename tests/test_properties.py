@@ -139,13 +139,13 @@ def test_stacked_loads_and_norms_match_single_calls(n, prms, name, seed):
     reports = error_norms(xs, prms, case, su, st_, sf, rules, stab)
     for x, prm, rep in zip(xs, prms, reports):
         [one] = error_norms(x[None], [prm], case, su, st_, sf, rules, stab)
-        for field, value in vars(one).items():
-            assert getattr(rep, field) == pytest.approx(value, rel=1e-12), field
+        for key, value in one.items():
+            assert rep[key] == pytest.approx(value, rel=1e-12), key
 
     # permuting the stack permutes the outputs
     rhs_p = assemble_rhs(su, st_, sf, rules, stab, [prms[i] for i in perm], case)
     assert np.abs(rhs_p - rhs[perm]).max() <= 1e-14 * np.abs(rhs).max()
     reports_p = error_norms(xs[perm], [prms[i] for i in perm], case, su, st_, sf, rules, stab)
     for rep_p, i in zip(reports_p, perm):
-        for field, value in vars(reports[i]).items():
-            assert getattr(rep_p, field) == pytest.approx(value, rel=1e-12), field
+        for key, value in reports[i].items():
+            assert rep_p[key] == pytest.approx(value, rel=1e-12), key

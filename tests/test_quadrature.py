@@ -26,7 +26,7 @@ def test_tensor_square_exactness(order):
             assert got == pytest.approx(exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 6, 7, 9])
 def test_triangle_rule_exactness(order):
     # reference triangle (0,0)-(1,0)-(0,1): int x^a y^b = a! b! / (a+b+2)!
     pts, wts = triangle_rule(order)
