@@ -279,7 +279,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "case": cfg.raw["case"],
         "dofs": {"u": layout.n_u, "pT": layout.n_t, "pF": layout.n_f,
                  "total": layout.total},
-        "cells": {"active": int(active.n_active), "cut": int(len(active.cut_cells)),
+        "cells": {"active": len(active.active_cells), "cut": int(len(active.cut_cells)),
                   "interior": int(len(active.interior_cells))},
         "rel_residual": report.rel_residual,
         "factorization": {"ordering": report.ordering, "factor_nnz": report.factor_nnz},
@@ -409,10 +409,8 @@ def sweep_deltas(cfg: RunConfig) -> list[float]:
 
 
 def _sweep_row(delta: float, stab_on: bool, exc: Exception | None = None) -> dict:
-    """One arm's row, empty; marked failed with the error's class and message if given."""
-    row = {"delta": delta, "stabilized": stab_on, "err_u_star": None,
-           "err_pT_star": None, "err_pF_star": None, "err_u_L2": None,
-           "kappa": None, "solver_status": "ok", "error": "", "message": ""}
+    """One arm's row, unset columns empty; marked failed with the error's class and message."""
+    row = {"delta": delta, "stabilized": stab_on, "solver_status": "ok"}
     if exc is not None:
         row.update(solver_status="failed", error=type(exc).__name__, message=str(exc))
     return row
@@ -466,11 +464,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     rows.sort(key=lambda r: (r["delta"], not r["stabilized"]))
     header = ["delta", "stabilized", "err_u_star", "err_pT_star", "err_pF_star",
               "err_u_L2", "kappa", "solver_status"]
-    _write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
+    _write_csv(out_dir / "sweep.csv", header, [[r.get(h) for h in header] for r in rows])
     # why each failed arm failed; only the header when none did
     header = ["delta", "stabilized", "error", "message"]
     _write_csv(out_dir / "sweep_failures.csv", header,
-               [[r[h] for h in header] for r in rows if r["solver_status"] == "failed"])
+               [[r.get(h) for h in header] for r in rows if r["solver_status"] == "failed"])
     return 0
 
 

@@ -11,14 +11,16 @@ is taken over Omega_h: each chord carries the outward unit normal of Omega_h,
 the gradient of the linear interpolant of psi on the chord's sub-triangle.
 Boundary points also carry a part tag that separates the Dirichlet boundary
 (outer) from the stress boundary (hole).
-All cut cells are clipped together: `clip_cells` runs one batched pass
-over every candidate cell at a sub-grid depth and sends only the cells
-whose pass is inconsistent on to the next depth.  Its `Clips` hold every
-cell's blocks, triangles and chords as flat arrays with per-cell offsets.
-`mesh.classify` stores them, and `build_cut_rules` maps them in array
-operations into a `CutRule`, whose volume and boundary points are flat
-arrays with per-cell offsets too.  A single cut cell is the same container
-holding one cell (`Clips.cell`, `CutRule.cell`).
+The `subgrid`s of a mesh's cells at one depth make one lattice, in which
+neighbours share the vertices of their common edge.  `mesh.classify`
+decides on its psi values which cells are cut, and `clip_cells` clips them
+in one batched pass from the same values, so the chords of neighbouring
+cells meet on their common edge.  Its `Clips` hold every cell's blocks,
+triangles and chords as flat arrays with per-cell offsets, and
+`build_cut_rules` maps them in array operations into a `CutRule`, whose
+volume and boundary points are flat arrays with per-cell offsets too.  A
+single cut cell is the same container holding one cell (`Clips.cell`,
+`CutRule.cell`).
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ class Clips:
 
     Cell i owns rows `block_off[i]:block_off[i+1]` of `blocks`, and likewise
     of `tris` and of `segs` and `normals`; `area[i]` is its inside area before
-    degenerate pieces are dropped and `subdiv[i]` the sub-grid depth it was
-    clipped at.
+    degenerate pieces are dropped and `subdiv[i]` the sub-grid depth of the
+    pass, the same for every cell.
     """
 
     blocks: np.ndarray
@@ -180,27 +182,42 @@ class Clips:
         return Clips(*flat, self.area[keep], self.subdiv[keep])
 
 
-def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
-    """One marching-triangles pass over the cells with lower-left corners lo (nc,2) at depth m.
+def subgrid(lo: np.ndarray, h: float, m: int) -> np.ndarray:
+    """The vertices (nc, (2**m+1)**2, 2) of the depth-m sub-grids of the cells with corners lo.
 
-    Returns (blocks, tris, segs, consistent): each piece array comes with
-    the index of its cell, and a stable sort by that index lists every
-    cell's pieces in the cell's own order.  A row of `segs` (ns,3,2) holds a
-    chord's two ends, then its outward unit normal: the normalized gradient
-    G of the linear interpolant of psi on the chord's sub-triangle, which
-    points outward because psi < 0 inside and is never zero because the
-    sub-triangle's vertex values differ in sign.  `consistent` (nc,) is False
-    where the sign of psi at the centroid of an uncut sub-triangle
-    contradicts its vertex pattern, i.e. the boundary wiggles below the
-    sub-grid resolution.
+    Column i * (2**m + 1) + j of a cell's row is its vertex lo + h * (i, j) / 2**m.
     """
     nc, ns = len(lo), 2 ** m
     t = np.arange(ns + 1) / ns
     verts = np.empty((nc, ns + 1, ns + 1, 2))
     verts[..., 0] = (lo[:, 0:1] + h * t)[:, :, None]
     verts[..., 1] = (lo[:, 1:2] + h * t)[:, None, :]
-    verts = verts.reshape(nc, (ns + 1) ** 2, 2)
-    psi = dom.psi(verts.reshape(-1, 2)).reshape(nc, -1)
+    return verts.reshape(nc, (ns + 1) ** 2, 2)
+
+
+def _tri_areas(tris: np.ndarray) -> np.ndarray:
+    d1 = tris[:, 1] - tris[:, 0]
+    d2 = tris[:, 2] - tris[:, 0]
+    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def clip_cells(lo: np.ndarray, psi: np.ndarray, h: float, dom: LevelSetDomain, m: int):
+    """One marching-triangles pass over the cells with lower-left corners lo (nc,2) at depth m.
+
+    psi (nc, (2**m+1)**2) holds the level set at the cells' `subgrid`
+    vertices.  Returns the `Clips` and the (nc,) mask of the cells whose
+    pass is consistent: it is False where the sign of psi at the centroid
+    of an uncut sub-triangle contradicts its vertex pattern, i.e. the
+    boundary wiggles below the sub-grid resolution.  A chord's outward unit
+    normal is the normalized gradient G of the linear interpolant of psi on
+    its sub-triangle; it points outward because psi < 0 inside and is never
+    zero because the sub-triangle's vertex values differ in sign.
+    Degenerate pieces (zero-area triangles, zero-length chords from cuts
+    passing exactly through sub-grid vertices) are dropped so that every
+    derived quadrature weight is strictly positive.
+    """
+    nc, ns = len(lo), 2 ** m
+    verts = subgrid(lo, h, m)
 
     # two triangles per sub-square: (v00,v10,v11) and (v00,v11,v01)
     ii, jj = np.meshgrid(np.arange(ns), np.arange(ns), indexing="ij")
@@ -208,10 +225,7 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     v10 = v00 + (ns + 1)
     v01 = v00 + 1
     v11 = v10 + 1
-    tri_idx = np.concatenate([
-        np.column_stack([v00, v10, v11]),
-        np.column_stack([v00, v11, v01]),
-    ])
+    tri_idx = np.concatenate([np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])])
 
     inv = psi < 0.0
     ins = inv[:, tri_idx]  # (nc, ntri, 3)
@@ -232,7 +246,7 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     i, j, side = (h / ns * a for a in (i, j, side))
     blocks = np.column_stack([lo[bc, 0] + i, lo[bc, 1] + j, side])
 
-    oc, ot = np.nonzero(full & ~np.tile(levels[0].reshape(nc, -1), 2))
+    oc, ot = np.nonzero(full & ~np.tile(levels[0].reshape(nc, ns * ns), 2))
     tris_out, tri_cells = [verts[oc[:, None], tri_idx[ot]]], [oc]
 
     mc, mt = np.nonzero(~(full | empty))
@@ -242,15 +256,12 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     # odd vertex: the one whose side differs from the other two
     odd = np.where(one_in, np.argmax(mins, axis=1), np.argmax(~mins, axis=1))
     rows = np.arange(len(mp))
-    nxt = (odd + 1) % 3
-    prv = (odd + 2) % 3
+    nxt, prv = (odd + 1) % 3, (odd + 2) % 3
     p_o, p_n, p_p = mp[rows, odd], mp[rows, nxt], mp[rows, prv]
     v_o, v_n, v_p = mv[rows, odd], mv[rows, nxt], mv[rows, prv]
-    t1 = (p_o / (p_o - p_n))[:, None]
-    t2 = (p_o / (p_o - p_p))[:, None]
     e1, e2 = v_n - v_o, v_p - v_o
-    c1 = v_o + t1 * e1
-    c2 = v_o + t2 * e2
+    c1 = v_o + (p_o / (p_o - p_n))[:, None] * e1
+    c2 = v_o + (p_o / (p_o - p_p))[:, None] * e2
     # solve G.e1 = p_n - p_o and G.e2 = p_p - p_o
     d1, d2 = p_n - p_o, p_p - p_o
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -269,47 +280,12 @@ def _clip_subgrid(lo: np.ndarray, h: float, dom: LevelSetDomain, m: int):
     cent = (verts[pc, pv[:, 0]] + verts[pc, pv[:, 1]] + verts[pc, pv[:, 2]]) / 3
     consistent = np.ones(nc, dtype=bool)
     consistent[pc[(dom.psi(cent) < 0.0) != full[pc, pt]]] = False
-    return (blocks, bc), (np.concatenate(tris_out), tc), (segs, mc), consistent
 
-
-def _tri_areas(tris: np.ndarray) -> np.ndarray:
-    d1 = tris[:, 1] - tris[:, 0]
-    d2 = tris[:, 2] - tris[:, 0]
-    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
-    """Decompose the cells with lower-left corners lo (nc,2), all at once.
-
-    Every cell goes through one batched pass at depth `subdiv`; the cells
-    whose pass is inconsistent go on together to the next depth, up to
-    `MAX_SUBDIV`.  Degenerate pieces (zero-area triangles, zero-length chords
-    from cuts passing exactly through sub-grid vertices) are dropped so that
-    every derived quadrature weight is strictly positive.  Raises
-    GeometryResolutionError for the first cell that no depth resolves.
-    """
-    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
-    n, none = len(lo), np.zeros(0, dtype=np.int64)
-    pieces = [[(np.zeros((0, 3)), none)], [(np.zeros((0, 3, 2)), none)],
-              [(np.zeros((0, 3, 2)), none)]]  # (rows, cell) of blocks, tris, segs per pass
-    depth = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n)
-    for m in range(subdiv, MAX_SUBDIV + 1):
-        if not len(pending):
-            break
-        *out, ok = _clip_subgrid(lo[pending], h, dom, m)
-        for acc, (rows, cell) in zip(pieces, out):
-            acc.append((rows[ok[cell]], pending[cell[ok[cell]]]))
-        depth[pending[ok]] = m
-        pending = pending[~ok]
-    if len(pending):
-        raise GeometryResolutionError(f"cell at {lo[pending[0]].tolist()} (h={h}): level set "
-                                      f"not resolved at subdivision {MAX_SUBDIV}")
+    # a stable sort by cell lists every cell's pieces in the cell's own order
     flat = []
-    for acc in pieces:
-        rows, cell = (np.concatenate(col) for col in zip(*acc))
+    for rows, cell in ((blocks, bc), (np.concatenate(tris_out), tc), (segs, mc)):
         order = np.argsort(cell, kind="stable")
-        flat.append((rows[order], _offsets(np.bincount(cell, minlength=n))))
+        flat.append((rows[order], _offsets(np.bincount(cell, minlength=nc))))
     (blocks, block_off), (tris, tri_off), (segs, seg_off) = flat
     areas = _tri_areas(tris)
     area = _run_sums(areas, tri_off) + _run_sums(blocks[:, 2] ** 2, block_off)
@@ -317,9 +293,10 @@ def clip_cells(lo, h: float, dom: LevelSetDomain, subdiv: int) -> Clips:
     lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
     keep_seg = lens > 1e-12 * h
     return Clips(blocks, block_off,
-                 tris[keep_tri], _offsets(np.bincount(_owners(tri_off)[keep_tri], minlength=n)),
+                 tris[keep_tri], _offsets(np.bincount(_owners(tri_off)[keep_tri], minlength=nc)),
                  segs[keep_seg, :2], segs[keep_seg, 2],
-                 _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=n)), area, depth)
+                 _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=nc)), area,
+                 np.full(nc, m, dtype=np.int64)), consistent
 
 
 def _volume_rule(clips: Clips, order: int):
@@ -424,7 +401,7 @@ def build_cut_rules(active: "ActiveMesh", dom: LevelSetDomain, order: int = 5) -
     """Generate quadrature for every active cell of a classified mesh.
 
     All cut cells are mapped at once from the clips `classify` stored, at
-    the sub-grid depth each was clipped at.  The first cut cell, in
+    the mesh's sub-grid depth.  The first cut cell, in
     ascending order, whose chords fail (see `_surface_rule`) or whose rule
     is empty raises.
     """

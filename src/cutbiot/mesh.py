@@ -3,13 +3,13 @@
 The background mesh is a uniform grid of axis-aligned square cells over a
 square box given by its two corners; `translate_box` shifts the corners by a
 fraction of a cell for the cut-translation sweep.  Classification against an
-implicit domain probes a uniform point grid per cell and refines the verdict
-for candidate cut cells with one batched marching-triangles clip of all of
-them (`geometry.clip_cells`), demoting slivers whose inside area is
-negligible.  The active mesh keeps the flat clips of its cut cells, from
-which `geometry.build_cut_rules` makes the cut rules; `ActiveMesh.clip_for`
-returns one cut cell's clip as a one-cell `Clips`.  Mesh objects are
-immutable after construction.
+implicit domain takes one sub-grid lattice per mesh: a cell is cut when psi
+changes sign on its own sub-grid vertices, whose values the batched clip
+(`geometry.clip_cells`) reuses, so neighbours' chords meet on their common
+edge and Omega_h closes.  The active mesh keeps the flat clips of its cut
+cells, from which `geometry.build_cut_rules` makes the cut rules;
+`ActiveMesh.clip_for` returns one cut cell's clip as a one-cell `Clips`.
+Mesh objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .geometry import SLIVER_FRACTION, Clips, LevelSetDomain, clip_cells
+from .errors import ConfigurationError, GeometryResolutionError
+from .geometry import MAX_SUBDIV, SLIVER_FRACTION, Clips, LevelSetDomain, clip_cells, subgrid
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +111,10 @@ class ActiveMesh:
 
     Active cells are the interior and cut ones; ghost facets are the
     interior facets with two active neighbors of which at least one is cut.
-    `clips` holds the clip of each cut cell, in `cut_cells` order; its
-    `subdiv` is the depth each was clipped at, above `subdiv` where the
-    clip escalated.  `sliver_cells` are the candidates demoted to outside.
+    `subdiv` is the requested sub-grid depth.  `clips` holds the clip of
+    each cut cell, in `cut_cells` order; its `subdiv` is the depth of the
+    mesh's lattice, above `subdiv` where classification escalated.
+    `sliver_cells` are the clipped cells demoted to outside.
     """
 
     mesh: BackgroundMesh
@@ -133,25 +134,48 @@ class ActiveMesh:
             return None
         return self.clips.cell(i)
 
-    @property
-    def n_active(self) -> int:
-        return len(self.active_cells)
+
+def _clip_lattice(mesh: BackgroundMesh, dom: LevelSetDomain, seeds: np.ndarray, m: int):
+    """(cells, clips, consistent) at depth m of the seeds and the cells reached from them.
+
+    A cell is reached across an edge on whose sub-grid vertices a clipped
+    cell's psi changes sign: it has those vertices too, so it is cut.
+    """
+    n, ns = mesh.n, 2 ** m
+    cells, psis, new = [seeds[:0]], [np.zeros((0, (ns + 1) ** 2))], seeds
+    while len(new):
+        psis.append(dom.psi(subgrid(mesh.cell_origin(new), mesh.h, m).reshape(-1, 2))
+                    .reshape(len(new), -1))
+        cells.append(new)
+        inside = (psis[-1] < 0.0).reshape(-1, ns + 1, ns + 1)
+        ix, iy = new // n, new % n
+        edges = ((inside[:, 0], -n, ix > 0), (inside[:, ns], n, ix < n - 1),
+                 (inside[:, :, 0], -1, iy > 0), (inside[:, :, ns], 1, iy < n - 1))
+        new = np.setdiff1d(np.concatenate([(new + step)[has & e.any(axis=1) & ~e.all(axis=1)]
+                                           for e, step, has in edges]), np.concatenate(cells))
+    cells = np.concatenate(cells)
+    order = np.argsort(cells)
+    psi = np.concatenate(psis)[order]
+    del psis  # the per-round arrays would add to the clip's peak memory
+    return (cells[order], *clip_cells(mesh.cell_origin(cells[order]), psi, mesh.h, dom, m))
 
 
 def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
              subdiv: int = 3) -> ActiveMesh:
     """Tag every cell OUTSIDE / INTERIOR / CUT against the domain.
 
-    A cell is interior when the membership function is negative at every
-    probe point, outside when positive everywhere, cut otherwise.  Candidate
-    cut cells are then clipped together; cells whose inside-area fraction
-    falls below the sliver tolerance are demoted to outside (one warning
-    lists them), and cells the clip finds entirely inside are promoted to
-    interior.
+    An n_probe x n_probe point grid per cell screens for candidates: cells
+    where psi is neither negative nor positive at every probe.  They, and
+    the cells reached from them (`_clip_lattice`), are clipped at depth
+    `subdiv`; when a clip is inconsistent, the whole mesh is classified and
+    clipped again one depth finer, up to `MAX_SUBDIV`, and one warning names
+    the final depth and the first inconsistent cell.  Clipped cells below
+    the sliver tolerance of inside area are demoted to outside (one warning
+    lists them), those the clip finds entirely inside are interior, and the
+    others are cut.
     """
     if n_probe < 2:
         raise ConfigurationError(f"n_probe must be >= 2, got {n_probe}")
-    n = mesh.n
     t = np.linspace(0.0, 1.0, n_probe)
     PX, PY = np.meshgrid(t, t, indexing="ij")
     offsets = np.column_stack([PX.ravel(), PY.ravel()])  # includes corners
@@ -165,37 +189,36 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
     tags[(psi < 0.0).all(axis=1)] = CellTag.INTERIOR
     tags[(psi > 0.0).all(axis=1)] = CellTag.OUTSIDE
 
-    candidates = np.flatnonzero(tags == CellTag.CUT)
-    clips = clip_cells(mesh.cell_origin(candidates), mesh.h, dom, subdiv)
+    seeds, first = np.flatnonzero(tags == CellTag.CUT), None
+    for m in range(subdiv, MAX_SUBDIV + 1):
+        cells, clips, consistent = _clip_lattice(mesh, dom, seeds, m)
+        if consistent.all():
+            break
+        first = cells[np.argmin(consistent)] if first is None else first
+    else:
+        raise GeometryResolutionError(
+            f"cell at {mesh.cell_origin(cells[np.argmin(consistent)]).tolist()} (h={mesh.h}): "
+            f"level set not resolved at subdivision {MAX_SUBDIV}")
+    if first is not None:
+        logger.warning("cell %d: level set not resolved at subdivision %d, mesh classified "
+                       "and clipped at subdivision %d", first, subdiv, m)
     h2 = mesh.h * mesh.h
     sliver = clips.area < SLIVER_FRACTION * h2
     full = (np.diff(clips.seg_off) == 0) & (clips.area >= (1.0 - SLIVER_FRACTION) * h2)
-    slivers = candidates[sliver]
+    slivers = cells[sliver]
     if len(slivers):
         logger.warning("cells %s: sliver below tolerance, reclassified outside",
                        slivers.tolist())
+    tags[cells] = CellTag.CUT
     tags[slivers] = CellTag.OUTSIDE
-    tags[candidates[full]] = CellTag.INTERIOR
-
-    active = np.flatnonzero(tags != CellTag.OUTSIDE)
-    interior = np.flatnonzero(tags == CellTag.INTERIOR)
-    cut = np.flatnonzero(tags == CellTag.CUT)
+    tags[cells[full]] = CellTag.INTERIOR
 
     inter = mesh.interior_facets
     nb = mesh.facet_cells[inter]
     both_active = (tags[nb[:, 0]] != CellTag.OUTSIDE) & (tags[nb[:, 1]] != CellTag.OUTSIDE)
     any_cut = (tags[nb[:, 0]] == CellTag.CUT) | (tags[nb[:, 1]] == CellTag.CUT)
-    ghost = inter[both_active & any_cut]
-
-    return ActiveMesh(
-        mesh=mesh,
-        tags=tags,
-        active_cells=active,
-        interior_cells=interior,
-        cut_cells=cut,
-        ghost_facets=ghost,
-        subdiv=subdiv,
-        clips=clips.take(~(sliver | full)),
-        sliver_cells=slivers,
-    )
-
+    return ActiveMesh(mesh=mesh, tags=tags, active_cells=np.flatnonzero(tags != CellTag.OUTSIDE),
+                      interior_cells=np.flatnonzero(tags == CellTag.INTERIOR),
+                      cut_cells=np.flatnonzero(tags == CellTag.CUT),
+                      ghost_facets=inter[both_active & any_cut], subdiv=subdiv,
+                      clips=clips.take(~(sliver | full)), sliver_cells=slivers)

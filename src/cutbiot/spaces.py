@@ -87,7 +87,7 @@ class FeSpace:
     def __init__(self, active: ActiveMesh, degree: int, ncomp: int = 1):
         if ncomp not in (1, 2):
             raise ConfigurationError(f"ncomp must be 1 or 2, got {ncomp}")
-        if active.n_active == 0:
+        if len(active.active_cells) == 0:
             raise ConfigurationError("active mesh has no cells")
         self.active = active
         self.degree = degree

@@ -4,10 +4,11 @@ Everything here is deliberately written from scratch with its own shape
 functions, quadrature tables and plain Python loops, so that agreement with
 the package is evidence of correctness rather than shared code.  The
 per-cell geometry path at the end is the package's earlier clip, rule and
-table code, run one cut cell at a time: the batched code must match it bit
-for bit.  The test data (straight and constant level sets, a zero case) and
-the small measures of rules and matrices that only tests read live here
-too; `full_cell_stiffness` alone reuses the package's per-cell Gram, so the
+table code, run one cut cell at a time under the same classification rule
+(one sub-grid depth per mesh): the batched code must match it bit for bit.
+The test data (straight and constant level sets, a zero case) and the small
+measures of rules and matrices that only tests read live here too;
+`full_cell_stiffness` alone reuses the package's per-cell Gram, so the
 extension-constant spreads it feeds keep their values.
 """
 
@@ -65,6 +66,14 @@ class ZeroCase:
         return np.zeros(len(p))
 
     sigma_N, g_N, p_F = u, g, g
+
+
+def unit_cell_clip(dom, m):
+    """The package's `Clips` of the unit cell [0, 1]^2 at sub-grid depth m."""
+    from cutbiot.geometry import clip_cells, subgrid
+
+    lo = np.zeros((1, 2))
+    return clip_cells(lo, dom.psi(subgrid(lo, 1.0, m)[0])[None], 1.0, dom, m)[0]
 
 
 def boundary_length(rules, tag):
@@ -340,10 +349,11 @@ def mass_pairing_by_summation(x_r, x_c, space_r, space_c, rules, scale):
 def _clip_subgrid(lo, h, dom, m):
     """One marching-triangles pass over one cell at sub-grid depth m.
 
-    Returns (blocks, tris, segs, normals, consistent), the pieces as the
-    package's batched pass returns them for that cell.  A chord's normal is
-    the normalized gradient of the linear interpolant of psi on its
-    sub-triangle.
+    Returns (blocks, tris, segs, normals, consistent, inside), the pieces as
+    the package's batched pass returns them for that cell, and whether psi
+    < 0 at each sub-grid vertex, indexed (i, j) along (x, y).  A chord's
+    normal is the normalized gradient of the linear interpolant of psi on
+    its sub-triangle.
     """
     ns = 2 ** m
     t = np.arange(ns + 1) / ns
@@ -417,7 +427,7 @@ def _clip_subgrid(lo, h, dom, m):
     if pure.any():
         sign_in = dom.psi(tv[pure].mean(axis=1)) < 0.0
         consistent = not np.any(sign_in != full[pure])
-    return blocks, tris, segs, normals, consistent
+    return blocks, tris, segs, normals, consistent, (psi < 0.0).reshape(ns + 1, ns + 1)
 
 
 def _tri_areas(tris):
@@ -426,28 +436,28 @@ def _tri_areas(tris):
     return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def clip_cell(lo, h, dom, subdiv, max_subdiv=6):
-    """(blocks, tris, segs, normals, area, depth) of one cell, escalating on inconsistency."""
+def _trimmed(blocks, tris, segs, normals, h):
+    """The pieces without degenerate triangles and chords, and the area before trimming."""
+    areas = _tri_areas(tris)
+    total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
+    tris = tris[areas > 1e-14 * h * h]
+    if len(segs):
+        lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
+        keep = lens > 1e-12 * h
+        segs, normals = segs[keep], normals[keep]
+    return blocks, tris, segs, normals, total
+
+
+def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12, max_subdiv=6):
+    """Cell tags and {cut cell: (blocks, tris, segs, normals, area, depth)}.
+
+    The probed candidates are clipped one at a time at depth m, and so is
+    every cell across an edge on whose sub-grid vertices a clipped cell's
+    psi changes sign.  When a clip is inconsistent, all of it is done again
+    at m + 1.
+    """
     from cutbiot.errors import GeometryResolutionError
 
-    lo = np.asarray(lo, dtype=float)
-    for m in range(subdiv, max_subdiv + 1):
-        blocks, tris, segs, normals, ok = _clip_subgrid(lo, h, dom, m)
-        if ok:
-            areas = _tri_areas(tris)
-            total = float(areas.sum() + (blocks[:, 2] ** 2).sum())
-            tris = tris[areas > 1e-14 * h * h]
-            if len(segs):
-                lens = np.hypot(segs[:, 1, 0] - segs[:, 0, 0], segs[:, 1, 1] - segs[:, 0, 1])
-                keep = lens > 1e-12 * h
-                segs, normals = segs[keep], normals[keep]
-            return blocks, tris, segs, normals, total, m
-    raise GeometryResolutionError(
-        f"cell at {lo.tolist()} (h={h}): level set not resolved at subdivision {max_subdiv}")
-
-
-def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12):
-    """Cell tags and {cut cell: clip}, clipping each probed candidate cell in turn."""
     t = np.linspace(0.0, 1.0, n_probe)
     PX, PY = np.meshgrid(t, t, indexing="ij")
     offsets = np.column_stack([PX.ravel(), PY.ravel()])
@@ -457,15 +467,37 @@ def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12):
     tags = np.full(mesh.n_cells, 2, dtype=np.int8)
     tags[(psi < 0.0).all(axis=1)] = 1
     tags[(psi > 0.0).all(axis=1)] = 0
-    clips, h2 = {}, mesh.h * mesh.h
-    for c in np.flatnonzero(tags == 2):
-        clip = clip_cell(mesh.cell_origin(int(c)), mesh.h, dom, subdiv)
-        if clip[4] < sliver * h2:
+    n, h = mesh.n, mesh.h
+    for m in range(subdiv, max_subdiv + 1):
+        queue = [int(c) for c in np.flatnonzero(tags == 2)]
+        seen, passes = set(queue), {}
+        while queue:
+            c = queue.pop()
+            passes[c] = _clip_subgrid(mesh.cell_origin(c), h, dom, m)
+            inside = passes[c][5]
+            ix, iy = divmod(c, n)
+            edges = ((inside[0], c - n, ix > 0), (inside[-1], c + n, ix < n - 1),
+                     (inside[:, 0], c - 1, iy > 0), (inside[:, -1], c + 1, iy < n - 1))
+            for edge, nb, has in edges:
+                if has and edge.any() and not edge.all() and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        bad = sorted(c for c, clip in passes.items() if not clip[4])
+        if not bad:
+            break
+    else:
+        raise GeometryResolutionError(f"cell at {mesh.cell_origin(bad[0]).tolist()} (h={h}): "
+                                      f"level set not resolved at subdivision {max_subdiv}")
+    clips = {}
+    for c in sorted(passes):
+        *pieces, area = _trimmed(*passes[c][:4], h)
+        if area < sliver * h * h:
             tags[c] = 0
-        elif len(clip[2]) == 0 and clip[4] >= (1.0 - sliver) * h2:
+        elif len(pieces[2]) == 0 and area >= (1.0 - sliver) * h * h:
             tags[c] = 1
         else:
-            clips[int(c)] = clip
+            tags[c] = 2
+            clips[c] = (*pieces, area, m)
     return tags, clips
 
 

@@ -16,15 +16,14 @@ import pytest
 from cutbiot.cli import RunConfig, cmd_convergence, cmd_solve, cmd_sweep, main
 from cutbiot.forms import (PhysicalParams, StabilizationParams, assemble_ghost,
                            assemble_system, full_cell_matrix, ghost_seminorm)
-from cutbiot.geometry import (LevelSetDomain, _volume_rule, build_cut_rules, clip_cells,
-                              make_flower_domain)
+from cutbiot.geometry import LevelSetDomain, _volume_rule, build_cut_rules, make_flower_domain
 from cutbiot.mesh import build_mesh, classify, translate_box
 from cutbiot.solver import solve
 from cutbiot.spaces import build_space
 from cutbiot.verification import eoc, make_case
 
 from oracles import CIRCLE_LENGTH, OMEGA_AREA, AffineLevelSet, ConstantLevelSet, \
-    boundary_length, fitted_biot_system, full_cell_stiffness, symmetry_defect
+    boundary_length, fitted_biot_system, full_cell_stiffness, symmetry_defect, unit_cell_clip
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -231,7 +230,7 @@ def test_criterion_5_assembly(disc32, params, stab):
     check("5", nnz == 0, f"(u, pF) coupling block nnz = {nnz} (exactly empty)")
 
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))
-    _, wts, _ = _volume_rule(clip_cells(np.zeros(2), 1.0, dom, 3), 5)
+    _, wts, _ = _volume_rule(unit_cell_clip(dom, 3), 5)
     check("5", abs(wts.sum() - 0.5) < 1e-14,
           f"half-plane cut area = {wts.sum():.16f} (0.5 exact)")
 

@@ -12,7 +12,7 @@ from cutbiot.errors import (ConfigurationError, GeometryConflictError,
 from cutbiot import forms
 from cutbiot.forms import QuadGroup, assemble_system, quadrature_table
 from cutbiot.geometry import (CircleLevelSet, FlowerLevelSet, LevelSetDomain,
-                              build_cut_rules, clip_cells, make_flower_domain, TAG_DIRICHLET,
+                              build_cut_rules, make_flower_domain, subgrid, TAG_DIRICHLET,
                               TAG_STRESS, _surface_rule, _volume_rule)
 from cutbiot.quadrature import tensor_square
 from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
@@ -20,7 +20,8 @@ from cutbiot.verification import make_case
 
 import oracles
 from oracles import CIRCLE_LENGTH, FLOWER_AREA, MOMENT_TOL, OMEGA_AREA, AffineLevelSet, \
-    ConstantLevelSet, boundary_length, boundary_moment, flower_arclength, montecarlo_area
+    ConstantLevelSet, boundary_length, boundary_moment, flower_arclength, montecarlo_area, \
+    unit_cell_clip
 
 # random straight cuts through the unit cell: the normal's angle, a point the
 # cut passes through, and the sub-grid depth of the clip
@@ -37,7 +38,7 @@ def _halfplane(theta, px, py, subdiv):
     """The one-cell clip of the unit cell by {n.(x - p) < 0}, its domain and the unit normal n."""
     n = np.array([np.cos(theta), np.sin(theta)])
     dom = LevelSetDomain(AffineLevelSet(n[0], n[1], -(n[0] * px + n[1] * py)))
-    return clip_cells(np.zeros(2), 1.0, dom, subdiv), dom, n
+    return unit_cell_clip(dom, subdiv), dom, n
 
 
 def _square_cut(n, p):
@@ -135,7 +136,7 @@ def test_halfplane_blocks_maximal(theta, px, py, subdiv):
 def test_circle_blocks_maximal(cx, cy, r, hole, subdiv):
     circle = CircleLevelSet(r, (cx, cy))
     dom = LevelSetDomain(ConstantLevelSet(-1.0), circle) if hole else LevelSetDomain(circle)
-    _check_blocks(clip_cells(np.zeros(2), 1.0, dom, subdiv), dom)
+    _check_blocks(unit_cell_clip(dom, subdiv), dom)
 
 
 def test_blocks_cut_the_points_per_cut_cell(flower_domain):
@@ -260,7 +261,7 @@ def test_zero_sets_separated(flower_domain):
 def test_geometry_conflict_error():
     # both zero sets coincide along x=0.5: ambiguous boundary part
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5), AffineLevelSet(-1.0, 0.0, 0.5))
-    *_, failure = _surface_rule(clip_cells(np.zeros(2), 1.0, dom, 3), dom, 5)
+    *_, failure = _surface_rule(unit_cell_clip(dom, 3), dom, 5)
     assert failure[0] == 0 and isinstance(failure[1], GeometryConflictError)
 
 
@@ -273,8 +274,8 @@ class _Wiggle:
 
 def test_resolution_error_escalates_then_raises():
     dom = LevelSetDomain(_Wiggle())
-    with pytest.raises(GeometryResolutionError):
-        clip_cells(np.zeros(2), 1.0, dom, 3)
+    with pytest.raises(GeometryResolutionError, match="not resolved at subdivision 6"):
+        classify(build_mesh([0, 0], [1, 1], 2), dom, subdiv=3)
 
 
 def test_sliver_reclassified(caplog):
@@ -339,15 +340,36 @@ def _assert_matches_per_cell(mesh, dom, subdiv):
 @pytest.mark.parametrize("n, subdiv, delta", [
     *[(n, 3, d) for n in (16, 60) for d in (0.0, *SWEEP_DELTAS)],
     (128, 4, 0.0),
-    (8, 1, 0.0),  # two slivers demoted
-    (12, 1, 0.0),  # one cell escalated
+    (8, 1, 0.0),  # two probed candidates without an inside lattice vertex
+    (12, 1, 0.0),  # one inconsistent cell sends the mesh to depth 2
 ])
 def test_batched_clip_and_flat_rules_match_per_cell_path(flower_domain, n, subdiv, delta):
-    act = _assert_matches_per_cell(_flower_mesh(n, delta), flower_domain, subdiv)
+    mesh = _flower_mesh(n, delta)
+    act = _assert_matches_per_cell(mesh, flower_domain, subdiv)
     if (n, subdiv) == (8, 1):
-        assert len(act.sliver_cells) == 2
+        # the probes see psi < 0 in cells 26 and 29, their depth-1 sub-grids
+        # do not: the clip has no inside area, and both are demoted as slivers
+        assert act.sliver_cells.tolist() == [26, 29]
+        verts = subgrid(mesh.cell_origin(act.sliver_cells), mesh.h, 1)
+        assert np.all(flower_domain.psi(verts.reshape(-1, 2)) >= 0.0)
     if (n, subdiv) == (12, 1):
-        assert np.count_nonzero(act.clips.subdiv > subdiv) == 1
+        # the whole mesh is classified and clipped at depth 2, as if asked for
+        assert np.all(act.clips.subdiv == 2)
+        deeper = classify(mesh, flower_domain, subdiv=2)
+        assert _same(act.tags, deeper.tags)
+        for f in ("blocks", "tris", "segs", "normals", "seg_off"):
+            assert _same(getattr(act.clips, f), getattr(deeper.clips, f)), f
+
+
+def test_escalation_logs_the_final_depth_and_the_first_inconsistent_cell(flower_domain, caplog):
+    import logging
+
+    with caplog.at_level(logging.WARNING, logger="cutbiot.mesh"):
+        classify(_flower_mesh(12), flower_domain, subdiv=1)
+        classify(_flower_mesh(12), flower_domain, subdiv=2)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "cell 95: level set not resolved at subdivision 1, mesh classified and clipped at "
+        "subdivision 2"]
 
 
 def test_batched_sliver_case_matches_per_cell_path():

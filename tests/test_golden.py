@@ -105,8 +105,8 @@ def small_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     cmd_convergence(RunConfig.from_dict(
         {"convergence": {"ladder": [8, 12, 16], "subdiv": 3}}), out / "conv")
-    cmd_sweep(RunConfig.from_dict({"sweep": {"n": 16, "deltas": [0.1, 0.3]}}),
-              out / "sweep")
+    cmd_sweep(RunConfig.from_dict({"mesh": {"subdiv": 3},
+                                   "sweep": {"n": 16, "deltas": [0.1, 0.3]}}), out / "sweep")
     return _read(out / "conv" / "convergence.csv"), _read(out / "sweep" / "sweep.csv")
 
 

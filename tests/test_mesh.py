@@ -158,8 +158,8 @@ def test_translation_family():
 
 def test_dump_classification(disc16, tmp_path):
     # the CLI's debug tables: every cell's tag in cell order, every boundary point's part
-    cmd_solve(RunConfig.from_dict({"mesh": {"n": 16}, "output": {"write_debug": True}}),
-              tmp_path)
+    cmd_solve(RunConfig.from_dict({"mesh": {"n": 16, "subdiv": disc16.active.subdiv},
+                                   "output": {"write_debug": True}}), tmp_path)
     names = {CellTag.OUTSIDE: "outside", CellTag.INTERIOR: "interior", CellTag.CUT: "cut"}
     lines = (tmp_path / "classification.txt").read_text().splitlines()
     assert lines == ["cell_index,tag"] + [f"{c},{names[t]}"
