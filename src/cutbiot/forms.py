@@ -9,17 +9,19 @@ Every cell integral runs through one quadrature table built per call from
 the flat cut rules: interior cells carry the reference rule, cut cells their
 own, boundary points also their normal and part tag.  Cells with equal point
 counts form a group (a stable sort of the cut cells by count, then a split),
-tabulated once per degree as [N, dN/dx, dN/dy]; a
-bilinear form is a slice or sum of the per-cell Gram matrices of that stack
-(one batched matmul per group), a load term a weighted moment of it, and
-each block one COO scatter.  `assemble_rhs` builds the load vectors of one
-case, one per parameter set, from one tabulation of each table.  Ghost
-facets of equal orientation share one jump matrix, and one walk over them
-serves the assembled penalty and the direct seminorm.  `_TERMS` is the only
-record of where each term goes in the 3x3 system (row, column, sign), how it
-scales with the material parameters and whether it is a ghost penalty.
+tabulated once per degree as [N, dN/dx, dN/dy]; a bilinear form is a slice
+or sum of the per-cell Gram matrices of that stack (one batched matmul per
+group), a load term a weighted moment of it, and each part one COO scatter
+over int32 dof indices.  `assemble_rhs` builds the load vectors of one case,
+one per parameter set, from one tabulation of each table.  Ghost facets of
+equal orientation share one jump matrix, and one walk over them serves the
+assembled penalty and the direct seminorm.  `_TERMS` is the only record of
+where each term goes in the 3x3 system (row, column, sign), how it scales
+with the material parameters and whether it is a ghost penalty.
 `BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
-`compose_matrix` and `group_terms` apply material parameters to them; the
+`compose_matrix` and `group_terms` apply material parameters to them.  The
+former composes one field's rows at a time, bitwise as one whole-system COO
+would, explicit zeros included, since SuperLU orders by the pattern; the
 latter sums the parts that scale alike, so `apply_groups` applies the
 matrices at several parameter sets to a block of vectors without composing
 any of them.  Assembly is single-threaded and bitwise deterministic.
@@ -481,23 +483,26 @@ def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
 
 
 def compose_matrix(parts: dict, layout: FieldLayout, params: PhysicalParams) -> sp.csr_matrix:
-    """Unit blocks placed by `_TERMS` times sign and scale, off-diagonal ones also mirrored."""
-    rr, cc, vv = [], [], []
-    for name in sorted(parts):
-        term, coo = _TERMS[name], parts[name].tocoo()
-        rows, cols = coo.row + layout.offset(term.row), coo.col + layout.offset(term.col)
-        vals = term.sign * term.scale(params) * coo.data
-        rr.append(rows)
-        cc.append(cols)
-        vv.append(vals)
-        if term.row != term.col:
-            rr.append(cols)
-            cc.append(rows)
-            vv.append(vals)
-    return sp.coo_matrix(
-        (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
-        shape=(layout.total, layout.total),
-    ).tocsr()
+    """Unit blocks placed by `_TERMS` times sign and scale, off-diagonal ones also mirrored.
+
+    One field's rows at a time, so no triplet array of the whole system is made:
+    the scaled parts in those rows, mirrored ones transposed, go into one COO.
+    Each row gets its entries in the order of one whole-system COO, so the sums
+    are bitwise the same, and so is the pattern, explicit zeros included (SuperLU
+    orders by it; CSR `+` would drop them)."""
+    rows = []
+    for fld, n in zip(("u", "pT", "pF"), (layout.n_u, layout.n_t, layout.n_f)):
+        triplets = []
+        for name in sorted(k for k in parts if fld in (_TERMS[k].row, _TERMS[k].col)):
+            term, coo = _TERMS[name], parts[name].tocoo()
+            vals = term.sign * term.scale(params) * coo.data
+            if term.row == fld:
+                triplets.append((coo.row, coo.col + layout.offset(term.col), vals))
+            else:  # an off-diagonal part, mirrored
+                triplets.append((coo.col, coo.row + layout.offset(term.row), vals))
+        rr, cc, vv = (np.concatenate(a) for a in zip(*triplets)) if triplets else ([], [], [])
+        rows.append(sp.coo_matrix((vv, (rr, cc)), shape=(n, layout.total)).tocsr())
+    return sp.vstack(rows, format="csr")
 
 
 def without_ghost(system: BlockSystem) -> BlockSystem:

@@ -276,9 +276,12 @@ def _extremal_magnitude(op_matvec, n: int) -> float:
         return float(np.abs(vals).max())
     except spla.ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
+            logger.warning("ARPACK did not converge; keeping the largest of %d partial "
+                           "Ritz values", len(exc.eigenvalues))
             return float(np.abs(exc.eigenvalues).max())
-        # power iteration on the squared operator as a deterministic fallback
-        v = v0
+        logger.warning("ARPACK did not converge and returned no Ritz values; "
+                       "falling back to power iteration")
+        v = v0  # power iteration on the squared operator, deterministic
         lam = 0.0
         for _ in range(300):
             w = op_matvec(op_matvec(v))

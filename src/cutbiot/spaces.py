@@ -108,7 +108,7 @@ class FeSpace:
         used = np.unique(lattice)
         self.n_nodes = len(used)
         self.n_dofs = ncomp * self.n_nodes
-        self.cell_dofs = np.full((mesh.n_cells, nloc), -1, dtype=np.int64)
+        self.cell_dofs = np.full((mesh.n_cells, nloc), -1, dtype=np.int32)
         self.cell_dofs[cells] = np.searchsorted(used, lattice)
 
         gxu, gyu = used % nn, used // nn

@@ -6,8 +6,9 @@ the package is evidence of correctness rather than shared code.  The
 per-cell geometry path at the end is the package's earlier clip, rule and
 table code, run one cut cell at a time under the same classification rule
 (one sub-grid depth per mesh): the batched code must match it bit for bit.
-The test data (straight and constant level sets, a zero case) and the small
-measures of rules and matrices that only tests read live here too;
+The test data (straight and constant level sets, a zero case), the small
+measures of rules and matrices that only tests read, and the earlier
+whole-system composition of the matrix live here too;
 `full_cell_stiffness` alone reuses the package's per-cell Gram, so the
 extension-constant spreads it feeds keep their values.
 """
@@ -91,6 +92,32 @@ def symmetry_defect(matrix):
     d = matrix - matrix.T
     amax = np.abs(matrix.data).max() if matrix.nnz else 1.0
     return (np.abs(d.data).max() / amax) if d.nnz else 0.0
+
+
+def compose_by_triplets(parts, layout, params):
+    """The system matrix from one COO of every scaled part, off-diagonal ones also mirrored.
+
+    The earlier whole-system composition.  `forms.compose_matrix` must match it
+    bit for bit: the pattern, explicit zeros included (SuperLU orders by it),
+    and every row's sums.
+    """
+    import scipy.sparse as sp
+    from cutbiot.forms import _TERMS
+
+    rr, cc, vv = [], [], []
+    for name in sorted(parts):
+        term, coo = _TERMS[name], parts[name].tocoo()
+        rows, cols = coo.row + layout.offset(term.row), coo.col + layout.offset(term.col)
+        vals = term.sign * term.scale(params) * coo.data
+        rr.append(rows)
+        cc.append(cols)
+        vv.append(vals)
+        if term.row != term.col:
+            rr.append(cols)
+            cc.append(rows)
+            vv.append(vals)
+    return sp.coo_matrix((np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
+                         shape=(layout.total, layout.total)).tocsr()
 
 
 def vector_dofs(scalar_dofs):

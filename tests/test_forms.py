@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 
 from cutbiot.errors import AssemblyError, ConfigurationError
 from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, _bilinear_parts,
-                           assemble_ghost, assemble_rhs, assemble_system, full_cell_matrix,
-                           mass_matrix, with_params, without_ghost)
+                           assemble_ghost, assemble_rhs, assemble_system, compose_matrix,
+                           full_cell_matrix, mass_matrix, with_params, without_ghost)
 from cutbiot.geometry import LevelSetDomain, build_cut_rules, make_flower_domain
 from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
+from cutbiot.solver import _symmetric_lu
 from cutbiot.spaces import build_space, make_layout
 from cutbiot.verification import error_norms, make_case
 
 from oracles import (FLOWER_AREA, OMEGA_AREA, AffineLevelSet, ConstantLevelSet, ZeroCase,
-                     a1_energy_by_summation, boundary_length, fitted_biot_system,
-                     full_cell_stiffness, mass_pairing_by_summation, symmetry_defect)
+                     a1_energy_by_summation, boundary_length, compose_by_triplets,
+                     fitted_biot_system, full_cell_stiffness, mass_pairing_by_summation,
+                     symmetry_defect)
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +289,38 @@ def test_system_matches_fitted_oracle():
     dense = sys_.matrix.toarray()
     oracle = fitted_biot_system(n, [-1, -1], [1, 1], prm.mu, prm.lam, prm.K)
     assert np.abs(dense - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("ghost", [True, False])
+def test_compose_matches_the_whole_system_triplets(disc16, stab, ghost):
+    # SuperLU's MMD ordering reads the pattern, explicit zeros included
+    prm = PhysicalParams(mu=2.5, lam=7.0, K=0.3)
+    system = assemble_system(disc16.su, disc16.st, disc16.sf, disc16.rules, prm, stab)
+    if not ghost:
+        system = without_ghost(system)
+    got = compose_matrix(system.parts, system.layout, prm)
+    want = compose_by_triplets(system.parts, system.layout, prm)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.count_nonzero(want.data == 0.0) > 0
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)  # each row is summed in the same order
+    fill = [lu.L.nnz + lu.U.nnz for lu in (_symmetric_lu(m.tocsc()) for m in (got, want))]
+    assert fill[0] == fill[1]
+
+
+def test_compose_peak_memory_and_int32_indices(disc32, params, stab):
+    system = assemble_system(disc32.su, disc32.st, disc32.sf, disc32.rules, params, stab)
+    assert all(s.cell_dofs.dtype == np.int32 for s in (disc32.su, disc32.st, disc32.sf))
+    assert all(part.indices.dtype == np.int32 for part in system.parts.values())
+    tracemalloc.start()
+    try:
+        matrix = compose_matrix(system.parts, system.layout, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
 
 def test_system_layout_mismatch(disc16, params, stab):

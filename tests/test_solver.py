@@ -239,12 +239,18 @@ def _stalled_lanczos(monkeypatch, partial):
     return solver._extremal_magnitude(lambda v: d * v, n)
 
 
-def test_condition_estimate_keeps_partial_eigenvalues(monkeypatch):
-    assert _stalled_lanczos(monkeypatch, [0, 37]) == pytest.approx(10.0, rel=1e-2)
+def test_condition_estimate_keeps_partial_eigenvalues(monkeypatch, caplog):
+    with caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
+        assert _stalled_lanczos(monkeypatch, [0, 37]) == pytest.approx(10.0, rel=1e-2)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and "2 partial Ritz values" in record.message
 
 
-def test_condition_estimate_power_iteration_without_eigenvalues(monkeypatch):
-    assert _stalled_lanczos(monkeypatch, []) == pytest.approx(10.0, rel=1e-2)
+def test_condition_estimate_power_iteration_without_eigenvalues(monkeypatch, caplog):
+    with caplog.at_level(logging.WARNING, logger="cutbiot.solver"):
+        assert _stalled_lanczos(monkeypatch, []) == pytest.approx(10.0, rel=1e-2)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and "power iteration" in record.message
 
 
 # ---------------------------------------------------------------------------
