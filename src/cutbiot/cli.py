@@ -373,9 +373,9 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """Run the refinement ladder over the parameter grid; write one CSV.
 
     With one worker the levels run on up to two threads in this process (a
-    third would add memory, not speed; SuperLU and numpy release the GIL, so
-    the threads share the cores); with more, each level runs in a worker
-    process.  See `_run_jobs`.
+    third would add memory, not speed; numpy and SuperLU's factorizations
+    release the GIL and overlap across the threads, SuperLU's solves hardly
+    do); with more, each level runs in a worker process.  See `_run_jobs`.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     conv = cfg.raw["convergence"]
@@ -385,7 +385,9 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("convergence ladder must be strictly increasing")
 
-    threads = min(2, len(os.sched_getaffinity(0)), len(ladder))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+        os.cpu_count() or 1  # macOS and Windows have no affinity call
+    threads = min(2, cores, len(ladder))
     if workers == 1:
         logger.info("%d levels on %d threads, finest first", len(ladder), threads)
     chunks = _run_jobs(_ladder_level_job, cfg, ladder, workers, threads)

@@ -6,13 +6,17 @@ scalings, and the right-hand side, into one sparse symmetric indefinite
 block system over the (u, p_T, p_F) layout.
 
 Every cell integral runs through one quadrature table built per call from
-the flat cut rules: interior cells carry the reference rule, cut cells their
-own, boundary points also their normal and part tag.  Cells with equal point
-counts form a group (a stable sort of the cut cells by count, then a split),
-tabulated once per degree as [N, dN/dx, dN/dy]; a bilinear form is a slice
-or sum of the per-cell Gram matrices of that stack (one batched matmul per
-group), a load term a weighted moment of it, and each part one COO scatter
-over int32 dof indices.  `assemble_rhs` builds the load vectors of one case,
+the flat cut rules: the interior cells form one group that shares the
+reference rule, cut cells carry their own, boundary points also their normal
+and part tag, and cut cells with equal point counts form a group (a stable
+sort by count, then a split).  Each group is tabulated once per degree as
+[N, dN/dx, dN/dy], the interior group once for all of its cells; a bilinear
+form is a slice or sum of the group's Gram matrices of that stack (one
+batched matmul per group: one Gram for all interior cells, scattered as one
+broadcast local block, and boundary Grams only against the value columns
+their terms read), a load term a weighted moment of it at each cell's own
+points, and each part one COO scatter over int32 dof indices into
+preallocated triplets.  `assemble_rhs` builds the load vectors of one case,
 one per parameter set, from one tabulation of each table.  Ghost facets of
 equal orientation share one jump matrix, and one walk over them serves the
 assembled penalty and the direct seminorm.  `_TERMS` is the only record of
@@ -20,11 +24,12 @@ where each term goes in the 3x3 system (row, column, sign), how it scales
 with the material parameters and whether it is a ghost penalty.
 `BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
 `compose_matrix` and `group_terms` apply material parameters to them.  The
-former composes one field's rows at a time, bitwise as one whole-system COO
-would, explicit zeros included, since SuperLU orders by the pattern; the
-latter sums the parts that scale alike, so `apply_groups` applies the
-matrices at several parameter sets to a block of vectors without composing
-any of them.  Assembly is single-threaded and bitwise deterministic.
+former composes one field's rows at a time straight from the parts' CSR
+arrays, bitwise as one whole-system COO would, explicit zeros included, since
+SuperLU orders by the pattern; the latter sums the parts that scale alike, so
+`apply_groups` applies the matrices at several parameter sets to a block of
+vectors without composing any of them.  Assembly is single-threaded and
+bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -94,17 +99,19 @@ class QuadGroup:
     pts: np.ndarray  # (nc, nq, 2)
     wts: np.ndarray  # (nc, nq)
     normals: np.ndarray | None = None  # (nc, nq, 2), boundary tables only
+    ref: np.ndarray | None = None  # (nq, 2) unit-cell points, when every cell has this rule
 
 
 def quadrature_table(active: ActiveMesh, rules: CutRule,
                      tag: int | None = None) -> list[QuadGroup]:
     """The volume rule (tag None) or one boundary part's rule, grouped by point count.
 
-    Interior cells carry the reference rule, cut cells their own; only cells
-    with points enter.  Groups ascend in point count.  Within a group the
-    interior cells come first, then the cut cells by ascending id, so passes
-    are deterministic.  The cut cells are sorted stably by their count and
-    split; each run of equal counts gathers its rows of the flat rule at once.
+    Interior cells form one group that shares the reference rule (`ref`), cut
+    cells carry their own; only cells with points enter.  Groups ascend in
+    point count, the interior group first among equal counts, and the cut
+    cells of a group ascend by id, so passes are deterministic.  The cut cells
+    are sorted stably by their count and split; each run of equal counts
+    gathers its rows of the flat rule at once.
     """
     if tag is None:
         pts, wts, nrm, off = rules.vol_pts, rules.vol_wts, None, rules.vol_off
@@ -120,22 +127,19 @@ def quadrature_table(active: ActiveMesh, rules: CutRule,
     take = np.arange(ends[-1] if len(n) else 0) + np.repeat(off[order] - (ends - n), n)
     cells, pts, wts = rules.cells[order], pts[take], wts[take]
     nrm = None if nrm is None else nrm[take]
-    groups = {}  # point count -> QuadGroup
+    groups = []
+    if tag is None and len(active.interior_cells):
+        icells = active.interior_cells
+        ipts = active.mesh.cell_origin(icells)[:, None, :] + rules.h * rules.ref_pts
+        groups.append(QuadGroup(icells, ipts, np.broadcast_to(rules.int_wts, ipts.shape[:2]),
+                                ref=rules.ref_pts))
     bounds = np.flatnonzero(np.diff(n)) + 1
     for a, b in zip([0, *bounds], [*bounds, len(n)]) if len(n) else []:
         k, m = b - a, int(n[a])
         rows = slice(ends[a] - m, ends[b - 1])
-        groups[m] = QuadGroup(cells[a:b], pts[rows].reshape(k, m, 2), wts[rows].reshape(k, m),
-                              None if nrm is None else nrm[rows].reshape(k, m, 2))
-    if tag is None and len(active.interior_cells):
-        cells = active.interior_cells
-        ipts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
-        iwts = np.repeat(rules.int_wts[None], len(cells), axis=0)
-        m, cut = len(rules.int_wts), groups.get(len(rules.int_wts))
-        groups[m] = QuadGroup(cells, ipts, iwts) if cut is None else QuadGroup(
-            np.concatenate([cells, cut.cells]), np.concatenate([ipts, cut.pts]),
-            np.concatenate([iwts, cut.wts]))
-    return [groups[m] for m in sorted(groups)]
+        groups.append(QuadGroup(cells[a:b], pts[rows].reshape(k, m, 2), wts[rows].reshape(k, m),
+                                None if nrm is None else nrm[rows].reshape(k, m, 2)))
+    return sorted(groups, key=lambda g: g.wts.shape[1])  # stable: the interior group first
 
 
 def tabulation_columns(spaces) -> dict:
@@ -147,43 +151,53 @@ def tabulation_columns(spaces) -> dict:
 
 
 def tabulate(groups: list[QuadGroup], spaces):
-    """Yield (group, B): B (nc, nq, m) stacks [N, dN/dx, dN/dy] once per distinct degree."""
+    """Yield (group, B): B (nc, nq, m) stacks [N, dN/dx, dN/dy] once per distinct degree;
+    B (1, nq, m) at `ref` for a group that shares one rule."""
     mesh = spaces[0].active.mesh
     for g in groups:
-        local = ((g.pts - mesh.cell_origin(g.cells)[:, None, :]) / mesh.h).reshape(-1, 2)
+        local = g.ref if g.ref is not None else \
+            ((g.pts - mesh.cell_origin(g.cells)[:, None, :]) / mesh.h).reshape(-1, 2)
         cols = []
         for d in dict.fromkeys(s.degree for s in spaces):
             vals, grads = ref_basis(d).tabulate(local)
             cols += [vals, grads[:, :, 0] / mesh.h, grads[:, :, 1] / mesh.h]
-        yield g, np.concatenate(cols, axis=1).reshape(*g.wts.shape, -1)
+        B = np.concatenate(cols, axis=1)
+        yield g, B.reshape(-1, g.wts.shape[1], B.shape[1])
 
 
 class _Gram:
-    """Per-cell integrals over one table against the stacked tabulation B.
+    """Per-cell integrals over one group of a table against its tabulation B.
 
     `g(a, b, k)` is sum_q w_q (1, n_x, n_y)[k] a_q b_q for a column key b such
     as ("x", 2); a is a column key too, or, when pointwise `data(pts, normals)`
     rows are given, a row index into them (load moments).  k > 0 needs normals.
+    A group with a shared rule has one B, so its bilinear Gram is one block
+    (1, ...) for all of its cells; data rows keep one block per cell.  With
+    `right`, b can only be that key, and only its columns of B are multiplied.
     """
 
-    def __init__(self, groups: list[QuadGroup], spaces, data: Callable | None = None):
-        self.cols, self.data = tabulation_columns(spaces), data
-        m = max(c.stop for c in self.cols.values())
-        cells, grams = [np.zeros(0, dtype=np.int64)], []
-        for g, B in tabulate(groups, spaces):
-            W = g.wts[:, None] if g.normals is None else \
-                np.stack([g.wts, g.wts * g.normals[..., 0], g.wts * g.normals[..., 1]], axis=1)
-            rows = B.transpose(0, 2, 1) if data is None else np.stack(
-                data(g.pts.reshape(-1, 2), None if g.normals is None
-                     else g.normals.reshape(-1, 2))).reshape(-1, *g.wts.shape).swapaxes(0, 1)
-            grams.append(np.matmul(rows[:, None] * W[:, :, None, :], B[:, None]))
-            cells.append(g.cells)
-        self.cells = np.concatenate(cells)
-        # an empty table has room for every column key and weight
-        self.G = np.concatenate(grams) if grams else np.zeros((0, 3, m, m))
+    def __init__(self, g: QuadGroup, B: np.ndarray, cols: dict,
+                 data: Callable | None = None, right: tuple | None = None):
+        self.cells, self.cols, self.data = g.cells, cols, data is not None
+        self.right = cols if right is None else {right: slice(None)}
+        w = g.wts[:len(B)]  # one row of weights for a shared rule
+        W = w[:, None] if g.normals is None else \
+            np.stack([w, w * g.normals[..., 0], w * g.normals[..., 1]], axis=1)
+        rows = B.transpose(0, 2, 1) if data is None else np.stack(
+            data(g.pts.reshape(-1, 2), None if g.normals is None
+                 else g.normals.reshape(-1, 2))).reshape(-1, *g.wts.shape).swapaxes(0, 1)
+        self.G = np.matmul(rows[:, None] * W[:, :, None, :],
+                           (B if right is None else B[:, :, cols[right]])[:, None])
 
     def __call__(self, a, b, k: int = 0) -> np.ndarray:
-        return self.G[:, k, a if self.data else self.cols[a], self.cols[b]]
+        return self.G[:, k, a if self.data else self.cols[a], self.right[b]]
+
+
+def _grams(groups: list[QuadGroup], spaces, data: Callable | None = None,
+           right: tuple | None = None) -> list[_Gram]:
+    """One `_Gram` per group of a table."""
+    cols = tabulation_columns(spaces)
+    return [_Gram(g, B, cols, data, right) for g, B in tabulate(groups, spaces)]
 
 
 def _keys(space: FeSpace):
@@ -198,56 +212,66 @@ def _dofs(space: FeSpace, cells: np.ndarray, scalar: bool = False) -> np.ndarray
 
 def _scatter(shape, blocks) -> sp.csr_matrix:
     """One COO scatter of (rows (nc, nr), cols (nc, nk), local (nc|1, nr, nk)) blocks."""
-    rr, cc, vv = [], [], []
-    for rows, cols, loc in blocks:
-        full = (len(rows), rows.shape[1], cols.shape[1])
-        rr.append(np.broadcast_to(rows[:, :, None], full).ravel())
-        cc.append(np.broadcast_to(cols[:, None, :], full).ravel())
-        vv.append(np.broadcast_to(loc, full).ravel())
-    return sp.coo_matrix((np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
-                         shape=shape).tocsr()
+    fulls = [(len(rows), rows.shape[1], cols.shape[1]) for rows, cols, _ in blocks]
+    n = sum(math.prod(full) for full in fulls)
+    rr, cc, vv = np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n)
+    end = 0
+    for (rows, cols, loc), full in zip(blocks, fulls):  # filled in place, no concatenation
+        at, end = slice(end, end + math.prod(full)), end + math.prod(full)
+        rr[at].reshape(full)[...] = rows[:, :, None]
+        cc[at].reshape(full)[...] = cols[:, None, :]
+        vv[at].reshape(full)[...] = loc
+    return sp.coo_matrix((vv, (rr, cc)), shape=shape).tocsr()
 
 
-def _form(space_r: FeSpace, space_c: FeSpace, cells, loc, scalar: bool = False):
-    """Scatter local matrices; `scalar` pairs node dofs (a mass applied per component)."""
+def _form(space_r: FeSpace, space_c: FeSpace, grams: list[_Gram], local: Callable,
+          scalar: bool = False):
+    """Scatter `local(gram)` per group; `scalar` pairs node dofs (a mass per component)."""
     n = (space_r.n_nodes, space_c.n_nodes) if scalar else (space_r.n_dofs, space_c.n_dofs)
-    return _scatter(n, [(_dofs(space_r, cells, scalar), _dofs(space_c, cells, scalar), loc)])
+    return _scatter(n, [(_dofs(space_r, m.cells, scalar), _dofs(space_c, m.cells, scalar),
+                         local(m)) for m in grams])
 
 
 def _bilinear_parts(rules: CutRule, stab: StabilizationParams,
                     su: FeSpace, st: FeSpace, sf: FeSpace) -> dict:
-    """Every non-ghost block of the system at unit parameters, from one Gram per table."""
-    vol, dr, sr = (_Gram(quadrature_table(su.active, rules, tag), (su, st, sf))
-                   for tag in (None, TAG_DIRICHLET, TAG_STRESS))
+    """Every non-ghost block of the system at unit parameters, from one Gram per group.
+
+    A boundary Gram keeps on its right only the value columns its terms read:
+    those of u on the Dirichlet part, those of p_F on the stress part."""
     h = rules.h
     (N, x, y), t, (Nf, xf, yf) = _keys(su), ("N", st.degree), _keys(sf)
-    xx, yy, P = vol(x, x), vol(y, y), dr(N, N)
-    # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
-    F = np.block([[dr(x, N, 1) + 0.5 * dr(y, N, 2), 0.5 * dr(y, N, 1)],
-                  [0.5 * dr(x, N, 2), 0.5 * dr(x, N, 1) + dr(y, N, 2)]])
-    flux = sr(xf, Nf, 1) + sr(yf, Nf, 2)
+    vol, dr, sr = (_grams(quadrature_table(su.active, rules, tag), (su, st, sf), right=right)
+                   for tag, right in ((None, None), (TAG_DIRICHLET, N), (TAG_STRESS, Nf)))
+
+    def nitsche(F):
+        return -(F + F.transpose(0, 2, 1))
+
     return {
-        "a1_strain": _form(su, su, vol.cells, np.block(
-            [[xx + 0.5 * yy, 0.5 * vol(y, x)], [0.5 * vol(x, y), yy + 0.5 * xx]])),
-        "a1_nitsche": _form(su, su, dr.cells, -(F + F.transpose(0, 2, 1))),
-        "a1_penalty": _form(su, su, dr.cells, (stab.gamma_u / h)
-                            * np.block([[P, 0.0 * P], [0.0 * P, P]])),
-        "b1_vol": _form(st, su, vol.cells, -np.block([vol(t, x), vol(t, y)])),
-        "b1_bnd": _form(st, su, dr.cells, np.block([dr(t, N, 1), dr(t, N, 2)])),
-        "a2_mass": _form(st, st, vol.cells, vol(t, t)),
-        "b2_mass": _form(st, sf, vol.cells, vol(t, Nf)),
-        "a3_stiff": _form(sf, sf, vol.cells, vol(xf, xf) + vol(yf, yf)),
-        "a3_nitsche": _form(sf, sf, sr.cells, -(flux + flux.transpose(0, 2, 1))),
-        "a3_penalty": _form(sf, sf, sr.cells, (stab.gamma_p / h) * sr(Nf, Nf)),
-        "a3_mass": _form(sf, sf, vol.cells, 2.0 * vol(Nf, Nf)),
+        "a1_strain": _form(su, su, vol, lambda m: np.block(
+            [[m(x, x) + 0.5 * m(y, y), 0.5 * m(y, x)],
+             [0.5 * m(x, y), m(y, y) + 0.5 * m(x, x)]])),
+        # F[(a,i),(b,j)] = ((eps(phi_a e_i) n)_j, phi_b) on the Dirichlet part
+        "a1_nitsche": _form(su, su, dr, lambda m: nitsche(np.block(
+            [[m(x, N, 1) + 0.5 * m(y, N, 2), 0.5 * m(y, N, 1)],
+             [0.5 * m(x, N, 2), 0.5 * m(x, N, 1) + m(y, N, 2)]]))),
+        "a1_penalty": _form(su, su, dr, lambda m: (stab.gamma_u / h) * np.block(
+            [[m(N, N), 0.0 * m(N, N)], [0.0 * m(N, N), m(N, N)]])),
+        "b1_vol": _form(st, su, vol, lambda m: -np.block([m(t, x), m(t, y)])),
+        "b1_bnd": _form(st, su, dr, lambda m: np.block([m(t, N, 1), m(t, N, 2)])),
+        "a2_mass": _form(st, st, vol, lambda m: m(t, t)),
+        "b2_mass": _form(st, sf, vol, lambda m: m(t, Nf)),
+        "a3_stiff": _form(sf, sf, vol, lambda m: m(xf, xf) + m(yf, yf)),
+        "a3_nitsche": _form(sf, sf, sr, lambda m: nitsche(m(xf, Nf, 1) + m(yf, Nf, 2))),
+        "a3_penalty": _form(sf, sf, sr, lambda m: (stab.gamma_p / h) * m(Nf, Nf)),
+        "a3_mass": _form(sf, sf, vol, lambda m: 2.0 * m(Nf, Nf)),
     }
 
 
 def mass_matrix(space: FeSpace, rules: CutRule) -> sp.csr_matrix:
     """Scalar mass over the physical domain (cut cells restricted), one row per node."""
-    vol = _Gram(quadrature_table(space.active, rules), (space,))
     N = ("N", space.degree)
-    return _form(space, space, vol.cells, vol(N, N), scalar=True)
+    return _form(space, space, _grams(quadrature_table(space.active, rules), (space,)),
+                 lambda m: m(N, N), scalar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +390,29 @@ def assemble_rhs(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                TAG_DIRICHLET: lambda p, n, prm: [*case.u(p).T, case.g_N(p, n, prm)],
                TAG_STRESS: lambda p, n, prm: [*case.sigma_N(p, n, prm).T, case.p_F(p)]}
     for tag, source in sources.items():
-        groups = quadrature_table(space_u.active, rules, tag)
-        if not groups:  # no points, no load; an empty Gram has no data rows to index
-            continue
-        m = _Gram(groups, (space_u, space_t, space_f),
-                  lambda p, n: [row for prm in params for row in source(p, n, prm)])
-        for s, prm in enumerate(params):
-            mu, K = prm.mu, prm.K
-            pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
-            i, j, k = 3 * s, 3 * s + 1, 3 * s + 2
-            if tag is None:  # L1: (f, v); L3: (g, q_F)
-                terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
-                         (space_f, off_f, m(k, Nf))]
-            elif tag == TAG_DIRICHLET:
-                # L1: -(u, mu eps(v) n) + gamma_u mu / h (u, v); L2: (u . n, q_T);
-                # L3: -(g_N, q_F)
-                terms = [(space_u, 0, np.block([
-                    -mu * (m(i, xu, 1) + 0.5 * m(i, yu, 2) + 0.5 * m(j, yu, 1))
-                    + pen_u * m(i, Nu),
-                    -mu * (0.5 * m(i, xu, 2) + 0.5 * m(j, xu, 1) + m(j, yu, 2))
-                    + pen_u * m(j, Nu)])),
-                    (space_t, off_t, m(i, Nt, 1) + m(j, Nt, 2)), (space_f, off_f, -m(k, Nf))]
-            else:  # L1: (sigma_N, v); L3: +(p_F, K grad q . n) - gamma_p K / h (p_F, q)
-                terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
-                         (space_f, off_f, K * (m(k, xf, 1) + m(k, yf, 2)) - pen_f * m(k, Nf))]
-            for space, offset, vals in terms:
-                np.add.at(rhs[s], offset + _dofs(space, m.cells).ravel(), vals.ravel())
+        for m in _grams(quadrature_table(space_u.active, rules, tag), (space_u, space_t, space_f),
+                        lambda p, n: [row for prm in params for row in source(p, n, prm)]):
+            for s, prm in enumerate(params):
+                mu, K = prm.mu, prm.K
+                pen_u, pen_f = stab.gamma_u * mu / h, stab.gamma_p * K / h
+                i, j, k = 3 * s, 3 * s + 1, 3 * s + 2
+                if tag is None:  # L1: (f, v); L3: (g, q_F)
+                    terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
+                             (space_f, off_f, m(k, Nf))]
+                elif tag == TAG_DIRICHLET:
+                    # L1: -(u, mu eps(v) n) + gamma_u mu / h (u, v); L2: (u . n, q_T);
+                    # L3: -(g_N, q_F)
+                    terms = [(space_u, 0, np.block([
+                        -mu * (m(i, xu, 1) + 0.5 * m(i, yu, 2) + 0.5 * m(j, yu, 1))
+                        + pen_u * m(i, Nu),
+                        -mu * (0.5 * m(i, xu, 2) + 0.5 * m(j, xu, 1) + m(j, yu, 2))
+                        + pen_u * m(j, Nu)])),
+                        (space_t, off_t, m(i, Nt, 1) + m(j, Nt, 2)), (space_f, off_f, -m(k, Nf))]
+                else:  # L1: (sigma_N, v); L3: +(p_F, K grad q . n) - gamma_p K / h (p_F, q)
+                    terms = [(space_u, 0, np.block([m(i, Nu), m(j, Nu)])),
+                             (space_f, off_f, K * (m(k, xf, 1) + m(k, yf, 2)) - pen_f * m(k, Nf))]
+                for space, offset, vals in terms:
+                    np.add.at(rhs[s], offset + _dofs(space, m.cells).ravel(), vals.ravel())
     return rhs
 
 
@@ -486,23 +507,29 @@ def compose_matrix(parts: dict, layout: FieldLayout, params: PhysicalParams) -> 
     """Unit blocks placed by `_TERMS` times sign and scale, off-diagonal ones also mirrored.
 
     One field's rows at a time, so no triplet array of the whole system is made:
-    the scaled parts in those rows, mirrored ones transposed, go into one COO.
-    Each row gets its entries in the order of one whole-system COO, so the sums
-    are bitwise the same, and so is the pattern, explicit zeros included (SuperLU
-    orders by it; CSR `+` would drop them)."""
-    rows = []
-    for fld, n in zip(("u", "pT", "pF"), (layout.n_u, layout.n_t, layout.n_f)):
-        triplets = []
-        for name in sorted(k for k in parts if fld in (_TERMS[k].row, _TERMS[k].col)):
-            term, coo = _TERMS[name], parts[name].tocoo()
-            vals = term.sign * term.scale(params) * coo.data
-            if term.row == fld:
-                triplets.append((coo.row, coo.col + layout.offset(term.col), vals))
-            else:  # an off-diagonal part, mirrored
-                triplets.append((coo.col, coo.row + layout.offset(term.row), vals))
-        rr, cc, vv = (np.concatenate(a) for a in zip(*triplets)) if triplets else ([], [], [])
-        rows.append(sp.coo_matrix((vv, (rr, cc)), shape=(n, layout.total)).tocsr())
-    return sp.vstack(rows, format="csr")
+    the scaled parts in those rows, mirrored ones by column, are placed straight
+    into one CSR, each row's entries in the order of one whole-system COO; its
+    sums are then bitwise the same, and so is the pattern, explicit zeros included
+    (SuperLU orders by it; CSR `+` would drop them)."""
+    def block_row(fld: str, n: int) -> sp.csr_matrix:
+        names = sorted(k for k in parts if fld in (_TERMS[k].row, _TERMS[k].col))
+        by_row = [parts[k] if _TERMS[k].row == fld else parts[k].tocsc() for k in names]
+        counts = [np.diff(a.indptr) for a in by_row]
+        indptr = np.concatenate([[0], np.cumsum(sum(counts, np.zeros(n, np.int32)))])
+        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        start = indptr[:-1].copy()  # where each row's next entries go
+        for name, a, count in zip(names, by_row, counts):
+            term = _TERMS[name]
+            at = np.repeat(start - a.indptr[:-1], count) + np.arange(a.nnz)
+            indices[at] = a.indices + layout.offset(term.col if term.row == fld else term.row)
+            data[at] = a.data * (term.sign * term.scale(params))
+            start += count
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(n, layout.total))
+        matrix.sum_duplicates()
+        return matrix
+
+    return sp.vstack([block_row(fld, n) for fld, n in
+                      zip(("u", "pT", "pF"), (layout.n_u, layout.n_t, layout.n_f))], format="csr")
 
 
 def without_ghost(system: BlockSystem) -> BlockSystem:
@@ -571,8 +598,8 @@ def full_cell_matrix(space: FeSpace) -> sp.csr_matrix:
     mesh = space.active.mesh
     cells = space.active.active_cells
     pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref
-    gram = _Gram([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]))],
-                 (space,))
+    grams = _grams([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]),
+                              ref=ref)], (space,))
     N = ("N", space.degree)
-    return _form(space, space, cells, gram(N, N), scalar=True)
+    return _form(space, space, grams, lambda m: m(N, N), scalar=True)
 

@@ -7,9 +7,12 @@ check, or SuperLU raises, the factor is freed and the system is factored
 again with COLAMD and partial pivoting.  Every solution, direct or MINRES,
 must have finite entries and a relative residual (`_relative_residual`) of
 at most `RESIDUAL_TOL`; any linear factor solves a zero right-hand side, so
-there the factor must also solve a fixed non-zero probe.  `solve` keeps the
-factor in its report but never builds copies of L and U; the factor's
-nonzero count is made only when read.
+there the factor must also solve a fixed non-zero probe.  The composed CSR's
+arrays are read as the CSC of Aᵀ, so SuperLU factors Aᵀ without a CSC copy
+of the system, and every solve with that factor is transposed (`trans="T"`):
+the residual check, the probe, the COLAMD fallback and the inverse Lanczos
+of the condition estimate.  `solve` keeps the factor in its report but never
+builds copies of L and U; the factor's nonzero count is made only when read.
 
 One system at several parameter sets (a ladder level's (lambda, K) pairs):
 `solve_params` steps preconditioned MINRES (Paige & Saunders) in lockstep
@@ -59,7 +62,7 @@ class SolveReport:
     rel_residual: float
     ordering: str  # "MMD_AT_PLUS_A" (symmetric attempt), "COLAMD" (fallback) or "MINRES"
     steps: int = 0  # MINRES steps taken, also when the column fell back to a direct solve
-    _lu: object = field(default=None, repr=False)
+    _lu: object = field(default=None, repr=False)  # factor of the transposed matrix
 
     @property
     def factor_nnz(self) -> int:
@@ -87,11 +90,12 @@ def _relative_residual(rnorm: float, bnorm: float):
 
 
 def _solve_checked(a: sp.spmatrix, lu, b: np.ndarray):
-    """Solve `a x = b` with `lu`: `(x, rel, failure)`, failure None if `x` passes.
+    """Solve `a x = b` with `lu`, the factor of aᵀ: `(x, rel, failure)`, failure None
+    if `x` passes.
 
     Any linear factor solves a zero `b`, so there the factor must also solve `_probe`.
     """
-    x = lu.solve(b)
+    x = lu.solve(b, trans="T")
     if not np.all(np.isfinite(x)):
         return x, float("nan"), "solution contains non-finite entries (singular system)"
     bnorm = np.linalg.norm(b)
@@ -102,11 +106,11 @@ def _solve_checked(a: sp.spmatrix, lu, b: np.ndarray):
 def solve(system: BlockSystem) -> SolveReport:
     """Factor and solve: the symmetric attempt, else COLAMD; raises SolverError with
     the last attempt's failure when neither passes the check."""
-    csc = system.matrix.tocsc()
+    transposed = system.matrix.T  # a CSC view of the CSR's arrays, no copy
     for ordering, factorize in (("MMD_AT_PLUS_A", _symmetric_lu), ("COLAMD", spla.splu)):
         lu = cause = None  # free a rejected factor before the next one is made
         try:
-            lu = factorize(csc)
+            lu = factorize(transposed)
         except RuntimeError as exc:  # SuperLU reports the failing pivot here
             failure, cause = f"sparse factorization failed: {exc}", exc
         else:
@@ -296,13 +300,13 @@ def _extremal_magnitude(op_matvec, n: int) -> float:
 def estimate_condition(system: BlockSystem, lu) -> float:
     """Spectral condition number estimate, accurate to a few percent.
 
-    `lu` is the factor of `system.matrix` that `solve` kept in its report
-    (`SolveReport._lu`), so it has passed the residual check.
+    `lu` is the factor of the transposed `system.matrix` that `solve` kept in
+    its report (`SolveReport._lu`), so it has passed the residual check.
     """
     a = system.matrix
     n = a.shape[0]
     sigma_max = _extremal_magnitude(lambda v: a @ v, n)
-    inv_max = _extremal_magnitude(lu.solve, n)
+    inv_max = _extremal_magnitude(lambda v: lu.solve(v, trans="T"), n)
     if not np.isfinite(inv_max) or inv_max <= 0:
         raise SolverError("condition estimate failed: inverse iteration broke down")
     return sigma_max * inv_max

@@ -9,8 +9,8 @@ table code, run one cut cell at a time under the same classification rule
 The test data (straight and constant level sets, a zero case), the small
 measures of rules and matrices that only tests read, and the earlier
 whole-system composition of the matrix live here too;
-`full_cell_stiffness` alone reuses the package's per-cell Gram, so the
-extension-constant spreads it feeds keep their values.
+`full_cell_stiffness` alone reuses the package's Gram, so the
+extension-constant spreads it feeds are measured as the package measures.
 """
 
 from __future__ import annotations
@@ -129,19 +129,19 @@ def vector_dofs(scalar_dofs):
 def full_cell_stiffness(space, cells):
     """Scalar stiffness of `space` over the entire background `cells` (no cut restriction).
 
-    Built with the package's per-cell Gram and scatter at the rule of degree
-    2*degree + 1, as the whole-cell mass of `forms.full_cell_matrix` is.
+    Built with the package's Gram and scatter at the rule of degree 2*degree + 1,
+    shared by every cell, as the whole-cell mass of `forms.full_cell_matrix` is.
     """
-    from cutbiot.forms import QuadGroup, _form, _Gram
+    from cutbiot.forms import QuadGroup, _form, _grams
     from cutbiot.quadrature import tensor_square
 
     ref, w = tensor_square(2 * space.degree + 1)
     mesh = space.active.mesh
     pts = mesh.cell_origin(cells)[:, None, :] + mesh.h * ref
-    gram = _Gram([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]))],
-                 (space,))
+    grams = _grams([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]),
+                              ref=ref)], (space,))
     x, y = ("x", space.degree), ("y", space.degree)
-    return _form(space, space, cells, gram(x, x) + gram(y, y), scalar=True)
+    return _form(space, space, grams, lambda m: m(x, x) + m(y, y), scalar=True)
 
 
 def q1_shape(t):
@@ -570,15 +570,12 @@ def cut_rules(clips, dom, order=5):
 def quadrature_rows(active, rules, tag=None):
     """The volume (tag None) or one boundary part's table, one row per cell, grouped.
 
-    Returns [(cells, pts, wts, normals)] in the order the package's
-    `quadrature_table` promises: ascending point count, interior cells first,
-    then cut cells by ascending id.
+    Returns [(cells, pts, wts, normals, ref)] in the order the package's
+    `quadrature_table` promises: ascending point count, the interior cells'
+    group (which shares the reference points `ref`) first among equal counts,
+    the cut cells of a group by ascending id.
     """
     rows = []
-    if tag is None and len(active.interior_cells):
-        cells = active.interior_cells
-        pts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
-        rows.append((cells, pts, np.broadcast_to(rules.int_wts, pts.shape[:2]), None))
     for c in sorted(rules.cut):
         r = rules.cut[c]
         if tag is None:
@@ -587,9 +584,15 @@ def quadrature_rows(active, rules, tag=None):
             on = r.bnd_tags == tag
             pts, w, nrm = r.bnd_pts[on], r.bnd_wts[on], r.bnd_normals[on][None]
         if len(w):
-            rows.append((np.array([c]), pts[None], w[None], nrm))
+            rows.append((np.array([c]), pts[None], w[None], nrm, None))
     by_count = {}
     for row in rows:
         by_count.setdefault(row[2].shape[1], []).append(row)
-    return [tuple(None if col[0] is None else np.concatenate(col) for col in zip(*rs))
-            for _, rs in sorted(by_count.items())]
+    groups = [tuple(None if col[0] is None else np.concatenate(col) for col in zip(*rs))
+              for rs in by_count.values()]
+    if tag is None and len(active.interior_cells):
+        cells = active.interior_cells
+        pts = active.mesh.cell_origin(cells)[:, None, :] + rules.h * rules.ref_pts
+        groups.insert(0, (cells, pts, np.broadcast_to(rules.int_wts, pts.shape[:2]), None,
+                          rules.ref_pts))
+    return sorted(groups, key=lambda row: row[2].shape[1])

@@ -347,6 +347,24 @@ def test_parallel_workers_match_serial(monkeypatch, tmp_path):
             (tmp_path / out / "convergence.csv").read_bytes()
 
 
+def test_convergence_without_an_affinity_call(monkeypatch, caplog, tmp_path):
+    # macOS and Windows have no os.sched_getaffinity: the thread count falls back
+    # to os.cpu_count(), and to one thread when that is unknown too
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    cfg = RunConfig.from_dict({"convergence": {"ladder": [6, 8, 10], "lambdas": [1.0],
+                                               "Ks": [1.0], "subdiv": 2}})
+    for cpus, threads in ((4, 2), (None, 1)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cutbiot.cli"):
+            assert cmd_convergence(cfg, tmp_path / str(cpus)) == 0
+        assert f"3 levels on {threads} threads" in caplog.text
+        rows = (tmp_path / str(cpus) / "convergence.csv").read_text().splitlines()
+        assert len(rows) == 4
+    assert (tmp_path / "4" / "convergence.csv").read_bytes() == \
+        (tmp_path / "None" / "convergence.csv").read_bytes()
+
+
 def test_levels_start_finest_first_on_at_most_two_threads(monkeypatch, caplog, tmp_path):
     lock = threading.Lock()
     starts, threads, running, peak = [], set(), [0], [0]

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cutbiot import forms
 from cutbiot.errors import AssemblyError, ConfigurationError
 from cutbiot.forms import (_TERMS, PhysicalParams, StabilizationParams, _bilinear_parts,
                            assemble_ghost, assemble_rhs, assemble_system, compose_matrix,
-                           full_cell_matrix, mass_matrix, with_params, without_ghost)
+                           full_cell_matrix, mass_matrix, quadrature_table, with_params,
+                           without_ghost)
 from cutbiot.geometry import LevelSetDomain, build_cut_rules, make_flower_domain
 from cutbiot.mesh import CellTag, build_mesh, classify, translate_box
 from cutbiot.solver import _symmetric_lu
@@ -321,6 +323,50 @@ def test_compose_peak_memory_and_int32_indices(disc32, params, stab):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+
+
+def test_assembly_peak_memory(disc32, params, stab):
+    # one Gram for all interior cells, boundary Grams on the value columns their
+    # terms read, and triplets filled in place: the peak is 2.19x the parts' bytes;
+    # with per-cell interior Grams, all 39 boundary columns and concatenated
+    # triplets it was 3.20x
+    tracemalloc.start()
+    try:
+        system = assemble_system(disc32.su, disc32.st, disc32.sf, disc32.rules, params, stab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(p.data.nbytes + p.indices.nbytes + p.indptr.nbytes for p in system.parts.values())
+    assert peak <= 2.75 * held
+
+
+def test_interior_cells_contribute_one_shared_local_block(disc16, stab, monkeypatch):
+    d = disc16
+    spaces = (d.su, d.st, d.sf)
+    groups = quadrature_table(d.active, d.rules)
+    [i] = [k for k, g in enumerate(groups) if g.ref is not None]
+    assert np.array_equal(groups[i].cells, d.active.interior_cells)
+    # one Gram for the group, equal to the per-cell Grams at each cell's own points
+    [shared], [per_cell] = (forms._grams([g], spaces) for g in (groups[i], replace(
+        groups[i], ref=None)))
+    assert shared.G.shape[0] == 1 and per_cell.G.shape[0] == len(groups[i].cells)
+    assert np.abs(per_cell.G - shared.G).max() <= 1e-13 * np.abs(shared.G).max()
+    # every volume part scatters it as one broadcast local block
+    scattered = []
+
+    def recording(shape, blocks):
+        scattered.append([(len(rows), len(loc)) for rows, _, loc in blocks])
+        return real(shape, blocks)
+
+    real = forms._scatter
+    monkeypatch.setattr(forms, "_scatter", recording)
+    parts = _bilinear_parts(d.rules, stab, *spaces)
+    volume = {"a1_strain", "b1_vol", "a2_mass", "b2_mass", "a3_stiff", "a3_mass"}
+    for name, blocks in zip(parts, scattered, strict=True):
+        shared_at = [k for k, (cells, nloc) in enumerate(blocks) if nloc != cells]
+        assert shared_at == ([i] if name in volume else []), name
+        if name in volume:
+            assert blocks[i] == (len(d.active.interior_cells), 1)
 
 
 def test_system_layout_mismatch(disc16, params, stab):

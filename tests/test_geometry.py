@@ -409,8 +409,9 @@ def test_tables_and_parts_match_per_cell_path(disc16, params, stab, monkeypatch)
         rows = oracles.quadrature_rows(d.active, old, tag)
         assert len(groups) == len(rows)
         for g, row in zip(groups, rows):
+            got = (g.cells, g.pts, g.wts, g.normals, g.ref)
             assert all(b is None if a is None else _same(a, b)
-                       for a, b in zip((g.cells, g.pts, g.wts, g.normals), row))
+                       for a, b in zip(got, row, strict=True))
     case = make_case("trig")
     new = assemble_system(d.su, d.st, d.sf, d.rules, params, stab, case)
     monkeypatch.setattr(forms, "quadrature_table", lambda active, rules, tag=None: [

@@ -121,21 +121,44 @@ def test_symmetric_ordering_passes_and_fills_less(disc16, stab, lam, K):
     assert rep.factor_nnz < colamd.L.nnz + colamd.U.nnz
 
 
+@pytest.mark.parametrize("ghost", [True, False])
+def test_transposed_factor_matches_the_csc_factor(monkeypatch, disc16, params, stab, ghost):
+    # `solve` factors the CSC view of A^T that the CSR's own arrays are, so no CSC
+    # copy of the system exists beside the factor; it solves as the copy's factor
+    # does, to within 1e-13 of the load in the residual (the forward difference is
+    # as large as the conditioning allows: kappa is 1.3e6 and 3.2e14 here)
+    system = _trig_system(disc16, params, stab)
+    system = system if ghost else without_ghost(system)
+    factored = []
+    real = solver._symmetric_lu
+    monkeypatch.setattr(solver, "_symmetric_lu", lambda m: factored.append(m) or real(m))
+    rep = solve(system)
+    [matrix] = factored
+    assert matrix.format == "csc" and np.may_share_memory(matrix.data, system.matrix.data)
+    copy = real(system.matrix.tocsc())
+    want = copy.solve(system.rhs)
+    bnorm = np.linalg.norm(system.rhs)
+    assert np.linalg.norm(system.matrix @ (rep.x - want)) <= 1e-13 * bnorm
+    assert rep.rel_residual <= 1e-13
+    fill = copy.L.nnz + copy.U.nnz
+    assert abs(rep.factor_nnz - fill) <= 1e-4 * fill
+
+
 class _OffsetLU:
     """A factor whose solutions are shifted by a constant, so they miss the check."""
 
     def __init__(self, lu):
         self._lu = lu
 
-    def solve(self, b):
-        return self._lu.solve(b) + 1e-3
+    def solve(self, b, trans="N"):
+        return self._lu.solve(b, trans) + 1e-3
 
 
 class _DoublingLU(_OffsetLU):
     """A linear but wrong factor: it solves a zero right-hand side exactly."""
 
-    def solve(self, b):
-        return 2.0 * self._lu.solve(b)
+    def solve(self, b, trans="N"):
+        return 2.0 * self._lu.solve(b, trans)
 
 
 def test_fallback_when_symmetric_factorization_raises(monkeypatch, caplog, disc16,
