@@ -12,7 +12,7 @@ arrays are read as the CSC of Aᵀ, so SuperLU factors Aᵀ without a CSC copy
 of the system, and every solve with that factor is transposed (`trans="T"`):
 the residual check, the probe, the COLAMD fallback and the inverse Lanczos
 of the condition estimate.  `solve` keeps the factor in its report but never
-builds copies of L and U; the factor's nonzero count is made only when read.
+builds copies of L and U; its size is SuperLU's stored entry count.
 
 One system at several parameter sets (a ladder level's (lambda, K) pairs):
 `solve_params` steps preconditioned MINRES (Paige & Saunders) in lockstep
@@ -28,9 +28,9 @@ must pass the same residual check; a column that breaks down, hits the step
 cap or fails the check is solved by `solve` instead, after the MINRES
 factors are freed.
 
-The condition estimate combines extremal singular-value estimates of the
-matrix and of its inverse through the factor `solve` kept; everything is
-deterministic, including the Lanczos start vectors and the probe.
+The condition estimate is |λ|max(A)·|λ|max(A⁻¹), the inverse through the factor
+`solve` kept, each by one deterministic Lanczos run (Paige 1971) that stops once
+its largest Ritz value has converged: a few solves on a nearly singular system.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ logger = logging.getLogger(__name__)
 RESIDUAL_TOL = 1e-9
 MINRES_RTOL = 1e-12  # preconditioned residual, relative to its initial value
 MINRES_MAX_STEPS = 200  # about 3x the most a stabilized ladder level takes (60)
-EIGSH_TOL = 1e-2  # relative accuracy of the extremal eigenvalues behind a condition estimate
+LANCZOS_TOL = 1e-2  # Ritz residual, relative to the Ritz value, at which a kappa Lanczos stops
+LANCZOS_MAX_STEPS = 100  # about 2x the most a sweep arm's estimate takes (45)
 
 
 @dataclass
@@ -66,8 +67,9 @@ class SolveReport:
 
     @property
     def factor_nnz(self) -> int:
-        """Nonzeros of L plus U, 0 without a factor; builds copies of both, so made when read."""
-        return 0 if self._lu is None else int(self._lu.L.nnz + self._lu.U.nnz)
+        """Entries SuperLU stores for L and U, 0 without a factor: set by the factor's
+        structure alone, not by which values round to zero, and read without a copy."""
+        return 0 if self._lu is None else int(self._lu.nnz)
 
 
 def _symmetric_lu(matrix: sp.csc_matrix):
@@ -266,47 +268,45 @@ def solve_params(base: BlockSystem, params: list[PhysicalParams],
     return reports
 
 
-def _extremal_magnitude(op_matvec, n: int) -> float:
-    """Largest |eigenvalue| of a symmetric operator, deterministic Lanczos."""
-    v0 = _probe(n)
-    v0 /= np.linalg.norm(v0)
-    if n <= 64:
-        A = np.column_stack([op_matvec(e) for e in np.eye(n)])
-        return float(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max())
-    op = spla.LinearOperator((n, n), matvec=op_matvec, dtype=float)
-    try:
-        vals = spla.eigsh(op, k=1, which="LM", tol=EIGSH_TOL, v0=v0,
-                          maxiter=200, return_eigenvectors=False)
-        return float(np.abs(vals).max())
-    except spla.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues):
-            logger.warning("ARPACK did not converge; keeping the largest of %d partial "
-                           "Ritz values", len(exc.eigenvalues))
-            return float(np.abs(exc.eigenvalues).max())
-        logger.warning("ARPACK did not converge and returned no Ritz values; "
-                       "falling back to power iteration")
-        v = v0  # power iteration on the squared operator, deterministic
-        lam = 0.0
-        for _ in range(300):
-            w = op_matvec(op_matvec(v))
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return 0.0
-            v = w / nw
-            lam = nw
-        return float(np.sqrt(lam))
+def _extremal_magnitude(op_matvec, n: int, name: str) -> float:
+    """Largest |eigenvalue| of the symmetric operator `name`: Lanczos from `_probe`, fully
+    reorthogonalized, until the Ritz residual is at most `LANCZOS_TOL` of the largest
+    |Ritz value|, on an invariant subspace, or at the step cap (with a warning); nan
+    once the operator returns a non-finite value."""
+    v = _probe(n)
+    V, alpha, beta = [v / np.linalg.norm(v)], [], []
+    for _ in range(min(n, LANCZOS_MAX_STEPS)):
+        w, a = op_matvec(V[-1]), 0.0
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = [u @ w for u in V]
+            w = w - sum(c * u for c, u in zip(h, V))
+            a += h[-1]
+        alpha.append(a)
+        beta.append(np.linalg.norm(w))
+        if not np.isfinite(beta[-1]):
+            return float("nan")
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        k = np.argmax(np.abs(theta))
+        if beta[-1] * abs(s[-1, k]) <= LANCZOS_TOL * abs(theta[k]) or beta[-1] == 0:
+            return float(abs(theta[k]))
+        V.append(w / beta[-1])
+    logger.warning("Lanczos for the largest |eigenvalue| of %s stopped at %d steps with "
+                   "relative Ritz residual %.2e", name, len(alpha),
+                   beta[-1] * abs(s[-1, k]) / abs(theta[k]))
+    return float(abs(theta[k]))
 
 
 def estimate_condition(system: BlockSystem, lu) -> float:
-    """Spectral condition number estimate, accurate to a few percent.
+    """Spectral condition number estimate: |λ|max(A)·|λ|max(A⁻¹), each from below and
+    within about 2·`LANCZOS_TOL` (the residual test cannot part eigenvalues that close).
 
     `lu` is the factor of the transposed `system.matrix` that `solve` kept in
     its report (`SolveReport._lu`), so it has passed the residual check.
     """
     a = system.matrix
     n = a.shape[0]
-    sigma_max = _extremal_magnitude(lambda v: a @ v, n)
-    inv_max = _extremal_magnitude(lambda v: lu.solve(v, trans="T"), n)
+    sigma_max = _extremal_magnitude(lambda v: a @ v, n, "A")
+    inv_max = _extremal_magnitude(lambda v: lu.solve(v, trans="T"), n, "A^-1")
     if not np.isfinite(inv_max) or inv_max <= 0:
         raise SolverError("condition estimate failed: inverse iteration broke down")
     return sigma_max * inv_max

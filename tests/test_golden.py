@@ -2,7 +2,8 @@
 
 The numbers were produced with the cut-cell volume rule that merges the
 inside sub-squares into quadtree blocks and with each boundary chord's own
-normal, that of the clipped polygon; a refactor may change summation
+normal, that of the clipped polygon, and kappa with the Lanczos that stops
+once its Ritz residual is 1e-2 of its value; a refactor may change summation
 order, so they are compared to relative 1e-8, not bitwise.  The unstabilized
 sweep arm is ill-conditioned enough that its errors and kappa move with the
 rounding of single matrix entries, so only its status and its kappa blow-up
@@ -85,9 +86,9 @@ CONVERGENCE = {
 # delta -> (err_u_star, err_pT_star, err_pF_star, err_u_L2, kappa), stabilized arm
 SWEEP_STABILIZED = {
     0.1: (0.06837980344558853, 0.01329562094921968, 0.027734724815478857,
-          0.001110586780690651, 653975.4757796552),
+          0.001110586780690651, 653890.0404954144),
     0.3: (0.06949565993502502, 0.013174155668604541, 0.030665176369684213,
-          0.001158892533604946, 557085.9090034583),
+          0.001158892533604946, 556705.7808444293),
 }
 
 
