@@ -313,15 +313,13 @@ def _ghost_facet_matrix(degree: int, axis: int) -> np.ndarray:
 def _ghost_walk(space: FeSpace) -> list:
     """(axis, dofs) per facet orientation and component over the ghost facets.
 
-    `dofs` (nfacets, 2*nloc) lists the plus cell's dofs, then the minus
-    cell's, in the column order of `_ghost_jump_rows`.
+    The (minus, plus) cell pairs of `ActiveMesh.ghost_facets[axis]` are read
+    in their stored order; `dofs` (nfacets, 2*nloc) lists the plus cell's
+    dofs, then the minus cell's, in the column order of `_ghost_jump_rows`.
     """
-    active = space.active
-    fc = active.mesh.facet_cells[active.ghost_facets]
-    fax = active.mesh.facet_axis[active.ghost_facets]
     walk = []
-    for axis in (0, 1):
-        dofs = space.cell_dofs[fc[fax == axis][:, ::-1]]  # (plus, minus) cells
+    for axis, pairs in enumerate(space.active.ghost_facets):
+        dofs = space.cell_dofs[pairs[:, ::-1]]  # (plus, minus) cells
         if np.any(dofs < 0):
             raise AssemblyError("ghost facet with inactive neighbor")
         if len(dofs):

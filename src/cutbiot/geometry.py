@@ -47,17 +47,15 @@ CONFLICT_TOL = 1e-8  # level-set values below this count as zero in the conflict
 
 
 class CircleLevelSet:
-    """Signed distance to a circle: negative inside."""
+    """Signed distance to a circle about the origin: negative inside."""
 
-    def __init__(self, radius: float, center=(0.0, 0.0)):
+    def __init__(self, radius: float):
         if radius <= 0:
             raise ConfigurationError(f"circle radius must be positive, got {radius}")
         self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        d = pts - self.center
-        return np.hypot(d[:, 0], d[:, 1]) - self.radius
+        return np.hypot(pts[:, 0], pts[:, 1]) - self.radius
 
 
 class FlowerLevelSet:
@@ -148,8 +146,8 @@ class Clips:
 
     Cell i owns rows `block_off[i]:block_off[i+1]` of `blocks`, and likewise
     of `tris` and of `segs` and `normals`; `area[i]` is its inside area before
-    degenerate pieces are dropped and `subdiv[i]` the sub-grid depth of the
-    pass, the same for every cell.
+    degenerate pieces are dropped.  `subdiv` is the sub-grid depth of the
+    pass, one for all the cells.
     """
 
     blocks: np.ndarray
@@ -160,7 +158,7 @@ class Clips:
     normals: np.ndarray
     seg_off: np.ndarray
     area: np.ndarray
-    subdiv: np.ndarray
+    subdiv: int
 
     def _runs(self):
         """The row arrays, each group followed by the offsets its rows share."""
@@ -172,14 +170,14 @@ class Clips:
         flat = []
         for *rows, off in self._runs():
             flat += [r[off[i]:off[i + 1]] for r in rows] + [off[i:i + 2] - off[i]]
-        return Clips(*flat, self.area[i:i + 1], self.subdiv[i:i + 1])
+        return Clips(*flat, self.area[i:i + 1], self.subdiv)
 
     def take(self, keep: np.ndarray) -> "Clips":
         """The clips of the cells where the boolean mask `keep` holds, in order."""
         flat = []
         for *rows, off in self._runs():
             flat += [r[keep[_owners(off)]] for r in rows] + [_offsets(np.diff(off)[keep])]
-        return Clips(*flat, self.area[keep], self.subdiv[keep])
+        return Clips(*flat, self.area[keep], self.subdiv)
 
 
 def subgrid(lo: np.ndarray, h: float, m: int) -> np.ndarray:
@@ -296,7 +294,7 @@ def clip_cells(lo: np.ndarray, psi: np.ndarray, h: float, dom: LevelSetDomain, m
                  tris[keep_tri], _offsets(np.bincount(_owners(tri_off)[keep_tri], minlength=nc)),
                  segs[keep_seg, :2], segs[keep_seg, 2],
                  _offsets(np.bincount(_owners(seg_off)[keep_seg], minlength=nc)), area,
-                 np.full(nc, m, dtype=np.int64)), consistent
+                 m), consistent
 
 
 def _volume_rule(clips: Clips, order: int):

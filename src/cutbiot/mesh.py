@@ -9,6 +9,8 @@ changes sign on its own sub-grid vertices, whose values the batched clip
 edge and Omega_h closes.  The active mesh keeps the flat clips of its cut
 cells, from which `geometry.build_cut_rules` makes the cut rules;
 `ActiveMesh.clip_for` returns one cut cell's clip as a one-cell `Clips`.
+The ghost facets are read off the cell grid as pairs of neighbouring cells,
+one array per facet orientation.
 Mesh objects are immutable after construction.
 """
 
@@ -44,10 +46,10 @@ def translate_box(box_lo, box_hi, n: int, delta: float):
 
 
 class BackgroundMesh:
-    """Uniform n-by-n grid of square cells with facet adjacency.
+    """Uniform n-by-n grid of square cells.
 
-    Cells are numbered ix*n + iy (x-major); facets know their normal axis
-    and their two neighbor cells (-1 outside the box).
+    Cells are numbered ix*n + iy (x-major): the neighbour of cell c across
+    its right facet is c + n, across its top facet c + 1.
     """
 
     def __init__(self, box_lo, box_hi, n: int):
@@ -61,37 +63,9 @@ class BackgroundMesh:
         if n < 2:
             raise ConfigurationError(f"need at least 2 cells per axis, got {n}")
         self.box_lo = box_lo
-        self.box_hi = box_hi
         self.n = int(n)
         self.h = float(ext[0]) / n
         self.n_cells = n * n
-        self._build_facets()
-
-    def _build_facets(self):
-        n = self.n
-        # vertical facets (normal = x): grid line ix in 0..n, row iy in 0..n-1
-        ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
-        ix, iy = ix.ravel(), iy.ravel()
-        v_minus = np.where(ix > 0, (ix - 1) * n + iy, -1)
-        v_plus = np.where(ix < n, ix * n + iy, -1)
-        # horizontal facets (normal = y): column ix in 0..n-1, line iy in 0..n
-        jx, jy = np.meshgrid(np.arange(n), np.arange(n + 1), indexing="ij")
-        jx, jy = jx.ravel(), jy.ravel()
-        h_minus = np.where(jy > 0, jx * n + (jy - 1), -1)
-        h_plus = np.where(jy < n, jx * n + jy, -1)
-
-        self.facet_axis = np.concatenate([
-            np.zeros(len(v_minus), dtype=np.int8),
-            np.ones(len(h_minus), dtype=np.int8),
-        ])
-        self.facet_cells = np.concatenate([
-            np.column_stack([v_minus, v_plus]),
-            np.column_stack([h_minus, h_plus]),
-        ]).astype(np.int64)
-
-    @property
-    def interior_facets(self) -> np.ndarray:
-        return np.flatnonzero((self.facet_cells >= 0).all(axis=1))
 
     def cell_origin(self, c) -> np.ndarray:
         """Lower-left corner of cell(s) c; vectorized over arrays."""
@@ -109,8 +83,11 @@ def build_mesh(box_lo, box_hi, n: int) -> BackgroundMesh:
 class ActiveMesh:
     """Classification of a background mesh against an implicit domain.
 
-    Active cells are the interior and cut ones; ghost facets are the
-    interior facets with two active neighbors of which at least one is cut.
+    Active cells are the interior and cut ones.  The ghost facets are the
+    facets between two active cells of which at least one is cut:
+    `ghost_facets[axis]` is an (nf, 2) array of (minus, plus) cells, listed
+    by ascending minus cell, of the facets normal to that axis (axis 0 pairs
+    cells c and c + n, axis 1 cells c and c + 1 within a column).
     `subdiv` is the requested sub-grid depth.  `clips` holds the clip of
     each cut cell, in `cut_cells` order; its `subdiv` is the depth of the
     mesh's lattice, above `subdiv` where classification escalated.
@@ -122,7 +99,7 @@ class ActiveMesh:
     active_cells: np.ndarray
     interior_cells: np.ndarray
     cut_cells: np.ndarray
-    ghost_facets: np.ndarray
+    ghost_facets: tuple[np.ndarray, np.ndarray]
     subdiv: int
     clips: Clips
     sliver_cells: np.ndarray
@@ -213,12 +190,14 @@ def classify(mesh: BackgroundMesh, dom: LevelSetDomain, n_probe: int = 8,
     tags[slivers] = CellTag.OUTSIDE
     tags[cells[full]] = CellTag.INTERIOR
 
-    inter = mesh.interior_facets
-    nb = mesh.facet_cells[inter]
-    both_active = (tags[nb[:, 0]] != CellTag.OUTSIDE) & (tags[nb[:, 1]] != CellTag.OUTSIDE)
-    any_cut = (tags[nb[:, 0]] == CellTag.CUT) | (tags[nb[:, 1]] == CellTag.CUT)
-    return ActiveMesh(mesh=mesh, tags=tags, active_cells=np.flatnonzero(tags != CellTag.OUTSIDE),
+    active, cut, c = tags != CellTag.OUTSIDE, tags == CellTag.CUT, np.arange(mesh.n_cells)
+    ghost = []
+    for step, minus in ((mesh.n, c[:-mesh.n]), (1, c[c % mesh.n < mesh.n - 1])):
+        plus = minus + step
+        ghost.append(np.column_stack([minus, plus])[active[minus] & active[plus]
+                                                    & (cut[minus] | cut[plus])])
+    return ActiveMesh(mesh=mesh, tags=tags, active_cells=np.flatnonzero(active),
                       interior_cells=np.flatnonzero(tags == CellTag.INTERIOR),
-                      cut_cells=np.flatnonzero(tags == CellTag.CUT),
-                      ghost_facets=inter[both_active & any_cut], subdiv=subdiv,
+                      cut_cells=np.flatnonzero(cut),
+                      ghost_facets=tuple(ghost), subdiv=subdiv,
                       clips=clips.take(~(sliver | full)), sliver_cells=slivers)

@@ -273,13 +273,16 @@ def _extremal_magnitude(op_matvec, n: int, name: str) -> float:
     reorthogonalized, until the Ritz residual is at most `LANCZOS_TOL` of the largest
     |Ritz value|, on an invariant subspace, or at the step cap (with a warning); nan
     once the operator returns a non-finite value."""
-    v = _probe(n)
-    V, alpha, beta = [v / np.linalg.norm(v)], [], []
-    for _ in range(min(n, LANCZOS_MAX_STEPS)):
-        w, a = op_matvec(V[-1]), 0.0
+    steps = min(n, LANCZOS_MAX_STEPS)
+    V = np.empty((steps + 1, n))  # the Lanczos basis by rows; only rows written are resident
+    V[0] = _probe(n)
+    V[0] /= np.linalg.norm(V[0])
+    alpha, beta = [], []
+    for j in range(steps):
+        w, a = op_matvec(V[j]), 0.0
         for _ in range(2):  # classical Gram-Schmidt, twice
-            h = [u @ w for u in V]
-            w = w - sum(c * u for c, u in zip(h, V))
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
             a += h[-1]
         alpha.append(a)
         beta.append(np.linalg.norm(w))
@@ -289,7 +292,7 @@ def _extremal_magnitude(op_matvec, n: int, name: str) -> float:
         k = np.argmax(np.abs(theta))
         if beta[-1] * abs(s[-1, k]) <= LANCZOS_TOL * abs(theta[k]) or beta[-1] == 0:
             return float(abs(theta[k]))
-        V.append(w / beta[-1])
+        V[j + 1] = w / beta[-1]
     logger.warning("Lanczos for the largest |eigenvalue| of %s stopped at %d steps with "
                    "relative Ritz residual %.2e", name, len(alpha),
                    beta[-1] * abs(s[-1, k]) / abs(theta[k]))

@@ -52,9 +52,7 @@ class RefLagrangeBasis:
         return (self.degree + 1) ** 2
 
     def eval_1d(self, x: np.ndarray, deriv: int = 0) -> np.ndarray:
-        """Values (npts, k+1) of the d-th derivative of the 1D basis."""
-        if deriv > self.degree:
-            return np.zeros((len(np.atleast_1d(x)), self.degree + 1))
+        """Values (npts, k+1) of the d-th derivative (d <= degree) of the 1D basis."""
         out = P.polyval(np.atleast_1d(x), self._dcoeffs[deriv])
         return np.atleast_2d(out).T if out.ndim == 1 else out.T
 

@@ -41,6 +41,16 @@ class AffineLevelSet:
         return self.a * pts[:, 0] + self.b * pts[:, 1] + self.c
 
 
+class ShiftedCircleLevelSet:
+    """Signed distance to the circle of radius r about (cx, cy): negative inside."""
+
+    def __init__(self, r: float, cx: float, cy: float):
+        self.r, self.cx, self.cy = float(r), float(cx), float(cy)
+
+    def value(self, pts):
+        return np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy) - self.r
+
+
 class ConstantLevelSet:
     """Constant field; value -1 makes the whole box the physical domain."""
 
@@ -473,6 +483,19 @@ def _trimmed(blocks, tris, segs, normals, h):
         keep = lens > 1e-12 * h
         segs, normals = segs[keep], normals[keep]
     return blocks, tris, segs, normals, total
+
+
+def ghost_facet_pairs(mesh, tags):
+    """Per axis, the (minus, plus) cells of every facet inside the box whose two cells
+    are active and at least one cut, facet by facet in ascending minus cell."""
+    n = mesh.n
+    pairs = ([], [])
+    for c in range(n * n):
+        ix, iy = divmod(c, n)
+        for axis, (nb, has) in enumerate(((c + n, ix < n - 1), (c + 1, iy < n - 1))):
+            if has and tags[c] != 0 and tags[nb] != 0 and 2 in (tags[c], tags[nb]):
+                pairs[axis].append((c, nb))
+    return [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
 
 
 def classify_cut_cells(mesh, dom, subdiv, n_probe=8, sliver=1e-12, max_subdiv=6):

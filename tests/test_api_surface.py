@@ -5,7 +5,8 @@ package (less `__init__.py`, whose re-exports read everything) or in the
 benchmark harness `bench/*.py`.  Names that only tests call belong in the
 tests; the few kept in the package as references are listed with the reason
 they stay.  Matching is by bare name, so a method is read when any attribute
-of that name is.
+of that name is.  Likewise every attribute a class in the package assigns
+on `self` is loaded somewhere in those readers.
 """
 
 from __future__ import annotations
@@ -30,13 +31,27 @@ def _trees(paths):
     return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
 
 
+def _readers():
+    return _trees([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+                  + sorted(ROOT.glob("bench/*.py")))
+
+
 def test_every_defined_name_has_a_caller_in_the_program():
-    package = sorted(PACKAGE.glob("*.py"))
-    defined = {node.name for tree in _trees(package) for node in ast.walk(tree)
+    package = _trees(sorted(PACKAGE.glob("*.py")))
+    defined = {node.name for tree in package for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))}
-    readers = [p for p in package if p.name != "__init__.py"] + sorted(ROOT.glob("bench/*.py"))
     used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in _trees(readers) for node in ast.walk(tree)
+            for tree in _readers() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(defined - used) == sorted(REFERENCES)
+
+
+def test_every_attribute_set_on_self_is_read_in_the_program():
+    package = _trees(sorted(PACKAGE.glob("*.py")))
+    assigned = {node.attr for tree in package for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    loaded = {node.attr for tree in _readers() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(assigned - loaded) == []

@@ -9,7 +9,9 @@ resolution; the two boundary parts only where the sub-grid resolves the
 gap between them.  The boundary moment is checked to rounding on every draw:
 classification and clip share one sub-grid lattice per mesh, so the chords
 of neighbouring cut cells meet on their common edge and close up into a
-polygon.  No value that depends on the quadrature is pinned.
+polygon.  The ghost facets equal the facet-by-facet definition in
+`oracles.py`, order included.  No value that depends on the quadrature is
+pinned.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from cutbiot.geometry import TAG_DIRICHLET, TAG_STRESS, build_cut_rules, make_fl
 from cutbiot.mesh import build_mesh, classify, translate_box
 
 from oracles import CIRCLE_LENGTH, MOMENT_TOL, OMEGA_AREA, boundary_length, boundary_moment, \
-    flower_arclength
+    flower_arclength, ghost_facet_pairs
 
 
 # The petal tips (r0 + r1 = 0.88) come this close to the outer circle.  The
@@ -68,6 +70,9 @@ def test_flat_rule_invariants_over_random_cuts(n, delta, petals, subdiv):
     assert _partitions(clips.tri_off, ncut, clips.tris)
     assert _partitions(clips.seg_off, ncut, clips.segs)
     assert np.array_equal(rules.cells, act.cut_cells)
+    want = ghost_facet_pairs(act.mesh, act.tags)
+    assert len(act.ghost_facets) == 2
+    assert all(np.array_equal(got, w) for got, w in zip(act.ghost_facets, want))
     assert _partitions(rules.vol_off, ncut, rules.vol_pts, rules.vol_wts)
     assert _partitions(rules.bnd_off, ncut, rules.bnd_pts, rules.bnd_wts, rules.bnd_normals,
                        rules.bnd_tags)

@@ -11,7 +11,7 @@ from cutbiot.errors import (ConfigurationError, GeometryConflictError,
                             GeometryResolutionError)
 from cutbiot import forms
 from cutbiot.forms import QuadGroup, assemble_system, quadrature_table
-from cutbiot.geometry import (CircleLevelSet, FlowerLevelSet, LevelSetDomain,
+from cutbiot.geometry import (FlowerLevelSet, LevelSetDomain,
                               build_cut_rules, make_flower_domain, subgrid, TAG_DIRICHLET,
                               TAG_STRESS, _surface_rule, _volume_rule)
 from cutbiot.quadrature import tensor_square
@@ -20,8 +20,8 @@ from cutbiot.verification import make_case
 
 import oracles
 from oracles import CIRCLE_LENGTH, FLOWER_AREA, MOMENT_TOL, OMEGA_AREA, AffineLevelSet, \
-    ConstantLevelSet, boundary_length, boundary_moment, flower_arclength, montecarlo_area, \
-    unit_cell_clip
+    ConstantLevelSet, ShiftedCircleLevelSet, boundary_length, boundary_moment, \
+    flower_arclength, montecarlo_area, unit_cell_clip
 
 # random straight cuts through the unit cell: the normal's angle, a point the
 # cut passes through, and the sub-grid depth of the clip
@@ -100,7 +100,7 @@ def test_halfplane_volume_exact(theta, px, py, subdiv):
 
 def _check_blocks(clip, dom):
     """The blocks of the unit cell's one-cell clip are its maximal inside quadtree squares."""
-    ns = 2 ** int(clip.subdiv[0])
+    ns = 2 ** clip.subdiv
     ij = clip.blocks[:, :2] * ns
     side = clip.blocks[:, 2] * ns  # in sub-squares
     assert np.allclose(ij, np.round(ij), rtol=0, atol=1e-9)
@@ -134,7 +134,7 @@ def test_halfplane_blocks_maximal(theta, px, py, subdiv):
 @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.1, 1.5),
        hole=st.booleans(), subdiv=st.integers(1, 4))
 def test_circle_blocks_maximal(cx, cy, r, hole, subdiv):
-    circle = CircleLevelSet(r, (cx, cy))
+    circle = ShiftedCircleLevelSet(r, cx, cy)
     dom = LevelSetDomain(ConstantLevelSet(-1.0), circle) if hole else LevelSetDomain(circle)
     _check_blocks(unit_cell_clip(dom, subdiv), dom)
 
@@ -328,7 +328,7 @@ def _assert_matches_per_cell(mesh, dom, subdiv):
         clip = act.clip_for(c)
         assert _same(clip.blocks, blocks) and _same(clip.tris, tris) and _same(clip.segs, segs)
         assert _same(clip.normals, normals), c
-        assert clip.area[0] == area and clip.subdiv[0] == depth, c
+        assert clip.area[0] == area and clip.subdiv == depth, c
     rules = build_cut_rules(act, dom, order=5)
     assert len(rules.cut) == len(clips)
     for c, expected in oracles.cut_rules(clips, dom).items():

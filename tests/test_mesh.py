@@ -25,18 +25,6 @@ def test_refinement_ladder_sizes(n0):
     assert mesh.h == pytest.approx(2.0 / n)
 
 
-def test_interior_facet_count():
-    # enumeration oracle: 2*N*(N-1) facets inside an N x N grid
-    for n in (4, 7, 16):
-        mesh = build_mesh([-1, -1], [1, 1], n)
-        assert len(mesh.interior_facets) == 2 * n * (n - 1)
-    mesh = build_mesh([-1, -1], [1, 1], 4)
-    inter = mesh.interior_facets
-    cells = mesh.facet_cells[inter]
-    assert np.all(cells >= 0)
-    assert np.all(cells[:, 0] != cells[:, 1])
-
-
 def test_build_mesh_errors():
     with pytest.raises(ConfigurationError):
         build_mesh([0, 0], [2, 1], 4)
@@ -60,7 +48,7 @@ def test_classify_whole_box():
     mesh = build_mesh([-1, -1], [1, 1], 8)
     act = classify(mesh, LevelSetDomain(ConstantLevelSet(-1.0)))
     assert np.all(act.tags == CellTag.INTERIOR)
-    assert len(act.ghost_facets) == 0
+    assert [len(p) for p in act.ghost_facets] == [0, 0]
     assert len(act.cut_cells) == 0
 
 
@@ -83,14 +71,27 @@ def test_classify_boundary_on_facet():
 
 def test_ghost_facets_invariants(disc16):
     act = disc16.active
-    mesh = disc16.mesh
+    n = disc16.mesh.n
     tags = act.tags
-    assert len(act.ghost_facets) > 0
-    for f in act.ghost_facets:
-        c0, c1 = mesh.facet_cells[f]
-        assert c0 >= 0 and c1 >= 0
-        assert tags[c0] != CellTag.OUTSIDE and tags[c1] != CellTag.OUTSIDE
-        assert tags[c0] == CellTag.CUT or tags[c1] == CellTag.CUT
+    assert len(act.ghost_facets) == 2 and sum(len(p) for p in act.ghost_facets) > 0
+    listed = set()
+    for axis, step in enumerate((n, 1)):
+        pairs = act.ghost_facets[axis]
+        assert np.all(np.diff(pairs[:, 0]) > 0)  # ascending minus cell
+        assert np.all(pairs[:, 1] == pairs[:, 0] + step) and np.all(pairs[:, 1] < n * n)
+        if axis == 1:
+            assert np.all(pairs[:, 0] // n == pairs[:, 1] // n)  # within one column
+        for c0, c1 in pairs:
+            assert tags[c0] != CellTag.OUTSIDE and tags[c1] != CellTag.OUTSIDE
+            assert tags[c0] == CellTag.CUT or tags[c1] == CellTag.CUT
+            listed.add((int(c0), int(c1)))
+    # complete: every neighbouring pair of active cells with a cut cell is listed
+    for c in range(n * n):
+        ix, iy = divmod(c, n)
+        for nb, has in ((c + n, ix < n - 1), (c + 1, iy < n - 1)):
+            pair = (tags[c], tags[nb] if has else CellTag.OUTSIDE)
+            if CellTag.OUTSIDE not in pair and CellTag.CUT in pair:
+                assert (c, nb) in listed, (c, nb)
 
 
 def test_active_partition(disc16):
