@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, CutBiotError, GeometryError, SolverError
 # `with_params` is not called here any more, but bench/tracing.py wraps it by name.
 from .forms import (PhysicalParams, QuadGroup, StabilizationParams, assemble_rhs,
-                    assemble_system, mass_matrix, tabulate, tabulation_columns,
+                    assemble_system, quadrature_table, tabulate, tabulation_columns,
                     with_params, without_ghost)  # noqa: F401
 from .geometry import MAX_SUBDIV, TAG_DIRICHLET, build_cut_rules, make_flower_domain
 from .mesh import CellTag, build_mesh, classify, translate_box
@@ -262,14 +262,18 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     kappa = estimate_condition(system, lu=report._lu)
 
     xu, xt, xf = (report.x[layout.slice(name)] for name in ("u", "pT", "pF"))
-    m_u = mass_matrix(su, rules)
-    m_t = mass_matrix(st, rules)
-    m_f = mass_matrix(sf, rules)
-    norms = {
-        "u_L2": float(np.sqrt(xu[0::2] @ (m_u @ xu[0::2]) + xu[1::2] @ (m_u @ xu[1::2]))),
-        "pT_L2": float(np.sqrt(xt @ (m_t @ xt))),
-        "pF_L2": float(np.sqrt(xf @ (m_f @ xf))),
-    }
+    fields = ((su, xu[0::2]), (su, xu[1::2]), (st, xt), (sf, xf))
+    cols = tabulation_columns((su, st, sf))
+
+    def values(groups):
+        """(group, v (4, nc, nq)): u_x, u_y, p_T and p_F of the solution on each group."""
+        for g, B in tabulate(groups, (su, st, sf)):
+            yield g, np.stack([field_values(s, c[None], g.cells, B, cols)[0, ..., 0]
+                               for s, c in fields])
+
+    sq = sum((v ** 2 * g.wts).sum(axis=(1, 2)) for g, v in values(quadrature_table(active, rules)))
+    norms = {"u_L2": float(np.sqrt(sq[0] + sq[1])), "pT_L2": float(np.sqrt(sq[2])),
+             "pF_L2": float(np.sqrt(sq[3]))}
     [err] = error_norms(report.x[None], [params], case, su, st, sf, rules, stab)
     summary = {
         "n": n,
@@ -280,7 +284,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "dofs": {"u": layout.n_u, "pT": layout.n_t, "pF": layout.n_f,
                  "total": layout.total},
         "cells": {"active": len(active.active_cells), "cut": int(len(active.cut_cells)),
-                  "interior": int(len(active.interior_cells))},
+                  "interior": int(len(active.interior_cells)), "sliver": len(active.sliver_cells)},
         "rel_residual": report.rel_residual,
         "factorization": {"ordering": report.ordering, "factor_nnz": report.factor_nnz},
         "kappa": kappa,
@@ -296,13 +300,9 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         centers = mesh.cell_origin(active.active_cells) + mesh.h / 2
         inside = dom.psi(centers) < 0
         cells = active.active_cells[inside]
-        mid = QuadGroup(cells, centers[inside][:, None, :], np.ones((len(cells), 1)))
-        [(_, B)] = tabulate([mid], (su, st, sf))
-        cols = tabulation_columns((su, st, sf))
-        vals = [field_values(s, c[None], cells, B, cols)[0, :, 0, 0]
-                for s, c in ((su, xu[0::2]), (su, xu[1::2]), (st, xt), (sf, xf))]
+        [(_, v)] = values([QuadGroup(cells, centers[inside][:, None], np.ones((len(cells), 1)))])
         _write_csv(out_dir / "solution_points.csv", ["x", "y", "ux", "uy", "pT", "pF"],
-                   np.column_stack([centers[inside], *vals]).tolist())
+                   np.column_stack([centers[inside], *v[..., 0]]).tolist())
     if cfg.raw["output"]["write_matrix"]:
         from scipy.io import mmwrite
         mmwrite(out_dir / "system.mtx", system.matrix.tocoo())

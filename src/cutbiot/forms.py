@@ -5,24 +5,25 @@ tagged boundary parts, the facet-based ghost penalties with per-field
 scalings, and the right-hand side, into one sparse symmetric indefinite
 block system over the (u, p_T, p_F) layout.
 
-Every cell integral runs through one quadrature table built per call from
-the flat cut rules: the interior cells form one group that shares the
-reference rule, cut cells carry their own, boundary points also their normal
-and part tag, and cut cells with equal point counts form a group (a stable
-sort by count, then a split).  Each group is tabulated once per degree as
+Every cell integral runs through one quadrature table built per call from the
+flat cut rules: the interior cells form one group that shares the reference
+rule, cut cells carry their own, boundary points also their normal and part
+tag, and cut cells with equal point counts form a group (a stable sort by
+count, then a split).  Each group is tabulated once per degree as
 [N, dN/dx, dN/dy], the interior group once for all of its cells; a bilinear
-form is a slice or sum of the group's Gram matrices of that stack (one
-batched matmul per group: one Gram for all interior cells, scattered as one
-broadcast local block, and boundary Grams only against the value columns
-their terms read), a load term a weighted moment of it at each cell's own
-points, and each part one COO scatter over int32 dof indices into
-preallocated triplets.  `assemble_rhs` builds the load vectors of one case,
-one per parameter set, from one tabulation of each table.  Ghost facets of
-equal orientation share one jump matrix, and one walk over them serves the
-assembled penalty and the direct seminorm.  `_TERMS` is the only record of
-where each term goes in the 3x3 system (row, column, sign), how it scales
-with the material parameters and whether it is a ghost penalty.
-`BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
+form is a slice or sum of the group's Gram matrices of that stack (one batched
+matmul per group: one Gram for all interior cells, scattered as one broadcast
+local block, and boundary Grams only against the value columns their terms
+read), a load term a weighted moment of it at each cell's own points, and each
+part one COO scatter over int32 dof indices into preallocated triplets.
+`assemble_rhs` builds the load vectors of one case, one per parameter set,
+from one tabulation of each table; the same tables and tabulation measure a
+solution (`verification.field_values`: its error norms, norms and point
+values).  Ghost facets of equal orientation share one jump matrix, and one
+walk over them serves the assembled penalty and the direct seminorm.  `_TERMS`
+is the only record of where each term goes in the 3x3 system (row, column,
+sign), how it scales with the material parameters and whether it is a ghost
+penalty.  `BlockSystem.parts` holds the blocks at mu = lambda = K = 1 and only
 `compose_matrix` and `group_terms` apply material parameters to them.  The
 former composes one field's rows at a time straight from the parts' CSR
 arrays, bitwise as one whole-system COO would, explicit zeros included, since
@@ -204,10 +205,10 @@ def _keys(space: FeSpace):
     return ("N", space.degree), ("x", space.degree), ("y", space.degree)
 
 
-def _dofs(space: FeSpace, cells: np.ndarray, scalar: bool = False) -> np.ndarray:
+def _dofs(space: FeSpace, cells: np.ndarray) -> np.ndarray:
     """Cell dofs; vector fields list component 0 of every node, then component 1."""
     d = space.cell_dofs[cells]
-    return d if scalar or space.ncomp == 1 else np.concatenate([2 * d, 2 * d + 1], axis=1)
+    return d if space.ncomp == 1 else np.concatenate([2 * d, 2 * d + 1], axis=1)
 
 
 def _scatter(shape, blocks) -> sp.csr_matrix:
@@ -224,12 +225,10 @@ def _scatter(shape, blocks) -> sp.csr_matrix:
     return sp.coo_matrix((vv, (rr, cc)), shape=shape).tocsr()
 
 
-def _form(space_r: FeSpace, space_c: FeSpace, grams: list[_Gram], local: Callable,
-          scalar: bool = False):
-    """Scatter `local(gram)` per group; `scalar` pairs node dofs (a mass per component)."""
-    n = (space_r.n_nodes, space_c.n_nodes) if scalar else (space_r.n_dofs, space_c.n_dofs)
-    return _scatter(n, [(_dofs(space_r, m.cells, scalar), _dofs(space_c, m.cells, scalar),
-                         local(m)) for m in grams])
+def _form(space_r: FeSpace, space_c: FeSpace, grams: list[_Gram], local: Callable):
+    """Scatter `local(gram)` per group over the dofs of `_dofs`."""
+    return _scatter((space_r.n_dofs, space_c.n_dofs),
+                    [(_dofs(space_r, m.cells), _dofs(space_c, m.cells), local(m)) for m in grams])
 
 
 def _bilinear_parts(rules: CutRule, stab: StabilizationParams,
@@ -265,13 +264,6 @@ def _bilinear_parts(rules: CutRule, stab: StabilizationParams,
         "a3_penalty": _form(sf, sf, sr, lambda m: (stab.gamma_p / h) * m(Nf, Nf)),
         "a3_mass": _form(sf, sf, vol, lambda m: 2.0 * m(Nf, Nf)),
     }
-
-
-def mass_matrix(space: FeSpace, rules: CutRule) -> sp.csr_matrix:
-    """Scalar mass over the physical domain (cut cells restricted), one row per node."""
-    N = ("N", space.degree)
-    return _form(space, space, _grams(quadrature_table(space.active, rules), (space,)),
-                 lambda m: m(N, N), scalar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +457,6 @@ class BlockSystem:
     def matrix(self) -> sp.csr_matrix:
         return compose_matrix(self.parts, self.layout, self.params)
 
-    def block(self, row_field: str, col_field: str) -> sp.csr_matrix:
-        """The assembled matrix restricted to one field's rows and another's columns."""
-        return self.matrix[self.layout.slice(row_field), self.layout.slice(col_field)]
-
 
 def assemble_system(space_u: FeSpace, space_t: FeSpace, space_f: FeSpace,
                     rules: CutRule, params: PhysicalParams, stab: StabilizationParams,
@@ -591,7 +579,7 @@ def apply_groups(groups: list[TermGroup], layout: FieldLayout, X: np.ndarray) ->
 # the mass over whole background cells, for the inf-sup constant
 
 def full_cell_matrix(space: FeSpace) -> sp.csr_matrix:
-    """Scalar mass over the entire active cells (no cut restriction)."""
+    """Mass of a scalar space over the entire active cells (no cut restriction)."""
     ref, w = tensor_square(2 * space.degree + 1)
     mesh = space.active.mesh
     cells = space.active.active_cells
@@ -599,5 +587,5 @@ def full_cell_matrix(space: FeSpace) -> sp.csr_matrix:
     grams = _grams([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]),
                               ref=ref)], (space,))
     N = ("N", space.degree)
-    return _form(space, space, grams, lambda m: m(N, N), scalar=True)
+    return _form(space, space, grams, lambda m: m(N, N))
 

@@ -13,7 +13,7 @@ set, in one pass that tabulates each point group and evaluates each
 parameter-free field once; each solution's norms come back as a dict keyed
 by `ERR_NAMES`, the names of the CLI's CSV columns.  `field_values` is the
 one evaluation of discrete fields from that tabulation, also used for the
-CLI's point output.
+CLI's solution norms and point output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError
 from .forms import (BlockSystem, PhysicalParams, StabilizationParams, full_cell_matrix,
-                    quadrature_table, tabulate, tabulation_columns, with_params)
+                    group_terms, quadrature_table, tabulate, tabulation_columns)
 from .geometry import TAG_DIRICHLET, TAG_STRESS, CutRule
 from .spaces import FeSpace, make_layout
 
@@ -251,11 +251,13 @@ def infsup_constant(system: BlockSystem, space_t: FeSpace) -> float:
     unit material parameters, with A the u-u block (ghost penalty g1
     included), B the p_T-u coupling, G2 the total-pressure ghost penalty
     (zero without ghost terms) and M the p_T mass over whole active cells.
-    Dense, so meant for small meshes.
+    A and B are the grouped unit parts at unit parameters, where every u-u
+    term forms one group and every p_T-u term another; no system matrix is
+    composed.  Dense, so meant for small meshes.
     """
-    unit = with_params(system, PhysicalParams(), system.rhs)
-    B = unit.block("pT", "u")
-    schur = B @ spla.splu(unit.block("u", "u").tocsc()).solve(B.T.toarray())
+    groups = {(g.row, g.col): g.matrix for g in group_terms(system.parts, [PhysicalParams()])}
+    B = groups["pT", "u"]
+    schur = B @ spla.splu(groups["u", "u"].tocsc()).solve(B.T.toarray())
     if "g2" in system.parts:
         schur += system.parts["g2"].toarray()
     M = full_cell_matrix(space_t).toarray()

@@ -151,7 +151,7 @@ def full_cell_stiffness(space, cells):
     grams = _grams([QuadGroup(cells, pts, np.broadcast_to(w * mesh.h ** 2, pts.shape[:2]),
                               ref=ref)], (space,))
     x, y = ("x", space.degree), ("y", space.degree)
-    return _form(space, space, grams, lambda m: m(x, x) + m(y, y), scalar=True)
+    return _form(space, space, grams, lambda m: m(x, x) + m(y, y))
 
 
 def q1_shape(t):

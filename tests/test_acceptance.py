@@ -226,7 +226,8 @@ def test_criterion_5_assembly(disc32, params, stab):
                              params, stab)
     sym = symmetry_defect(system.matrix)
     check("5", sym <= 1e-12, f"symmetry defect {sym:.2e} (<= 1e-12)")
-    nnz = system.block("u", "pF").count_nonzero() + system.block("pF", "u").count_nonzero()
+    s_u, s_f = system.layout.slice("u"), system.layout.slice("pF")
+    nnz = system.matrix[s_u, s_f].count_nonzero() + system.matrix[s_f, s_u].count_nonzero()
     check("5", nnz == 0, f"(u, pF) coupling block nnz = {nnz} (exactly empty)")
 
     dom = LevelSetDomain(AffineLevelSet(1.0, 0.0, -0.5))

@@ -6,7 +6,8 @@ benchmark harness `bench/*.py`.  Names that only tests call belong in the
 tests; the few kept in the package as references are listed with the reason
 they stay.  Matching is by bare name, so a method is read when any attribute
 of that name is.  Likewise every attribute a class in the package assigns
-on `self` is loaded somewhere in those readers.
+on `self`, and every field a class body declares (dataclass and NamedTuple
+fields), is loaded somewhere in those readers.
 """
 
 from __future__ import annotations
@@ -47,11 +48,22 @@ def test_every_defined_name_has_a_caller_in_the_program():
     assert sorted(defined - used) == sorted(REFERENCES)
 
 
+def _loaded_attributes():
+    return {node.attr for tree in _readers() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_attribute_set_on_self_is_read_in_the_program():
     package = _trees(sorted(PACKAGE.glob("*.py")))
     assigned = {node.attr for tree in package for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                 and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    loaded = {node.attr for tree in _readers() for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert sorted(assigned - loaded) == []
+    assert sorted(assigned - _loaded_attributes()) == []
+
+
+def test_every_field_declared_in_a_class_body_is_read_in_the_program():
+    package = _trees(sorted(PACKAGE.glob("*.py")))
+    declared = {stmt.target.id for tree in package for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    assert declared and sorted(declared - _loaded_attributes()) == []

@@ -21,6 +21,12 @@ from cutbiot.cli import DEFAULT_CONFIG, RunConfig, cmd_convergence, cmd_solve, \
     cmd_sweep, main
 from cutbiot.errors import AssemblyError, ConfigurationError, GeometryResolutionError, \
     SolverError
+from cutbiot.forms import assemble_system
+from cutbiot.mesh import build_mesh, classify
+from cutbiot.solver import solve
+from cutbiot.verification import make_case
+
+from oracles import mass_pairing_by_summation, tensor_shape
 
 SOLVE_CFG = {"mesh": {"n": 12},
              "output": {"write_points": True, "write_matrix": True,
@@ -181,6 +187,54 @@ def test_solve_writes_summary_and_points(tmp_path):
     bnd = (tmp_path / "out" / "boundary_points.csv").read_text().splitlines()
     assert bnd[0] == "x,y,nx,ny,w,tag"
     assert (tmp_path / "out" / "classification.txt").read_text().startswith("cell_index")
+
+
+@pytest.fixture(scope="module")
+def solved12(tmp_path_factory):
+    """The N=12 `solve` with every dump, and its solution recomputed outside the CLI:
+    (output directory, mesh, rules, [(space, node coefficients)] of u_x, u_y, p_T, p_F)."""
+    out = tmp_path_factory.mktemp("solve12")
+    cfg = RunConfig.from_dict(SOLVE_CFG)
+    assert cmd_solve(cfg, out) == 0
+    _, mesh, _, rules, su, st, sf, layout = cli._discretize(cfg, 12)
+    system = assemble_system(su, st, sf, rules, cfg.params(), cfg.stab(),
+                             make_case(cfg.raw["case"]))
+    x = solve(system).x
+    xu, xt, xf = (x[layout.slice(name)] for name in ("u", "pT", "pF"))
+    return out, mesh, rules, [(su, xu[0::2]), (su, xu[1::2]), (st, xt), (sf, xf)]
+
+
+def test_solution_points_are_the_solution_at_the_cell_centres(solved12):
+    out, mesh, _, fields = solved12
+    rows = np.loadtxt(out / "solution_points.csv", delimiter=",", skiprows=1)
+    ix, iy = np.floor((rows[:, :2] - mesh.box_lo) / mesh.h).astype(int).T
+    cells = ix * mesh.n + iy
+    for col, (space, coeffs) in zip(rows[:, 2:].T, fields):
+        want = []
+        for p, c in zip(rows[:, :2], cells):
+            vals, _ = tensor_shape(space.degree, *((p - mesh.cell_origin(c)) / mesh.h))
+            want.append(vals @ coeffs[space.cell_dofs[c]])
+        assert np.abs(col - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solution_norms_are_the_l2_norms_over_the_domain(solved12):
+    out, _, rules, fields = solved12
+    norms = json.loads((out / "solution.json").read_text())["solution_norms"]
+    ux, uy, pt, pf = (mass_pairing_by_summation(c, c, s, s, rules, 1.0) for s, c in fields)
+    for name, square in (("u_L2", ux + uy), ("pT_L2", pt), ("pF_L2", pf)):
+        assert norms[name] ** 2 == pytest.approx(square, rel=1e-12), name
+
+
+def test_solve_counts_the_demoted_sliver_cells(tmp_path):
+    # the outer circle passes 1e-15 outside four mesh vertices: the two cells
+    # beyond each hold a sliver of it and are demoted to outside
+    cfg = RunConfig.from_dict({"geometry": {"radius": 0.5 + 1e-15, "r0": 0.2, "r1": 0.05},
+                               "mesh": {"n": 12}})
+    assert cmd_solve(cfg, tmp_path / "out") == 0
+    cells = json.loads((tmp_path / "out" / "solution.json").read_text())["cells"]
+    mesh = build_mesh(cfg.raw["mesh"]["box_lo"], cfg.raw["mesh"]["box_hi"], 12)
+    slivers = classify(mesh, cfg.domain(), subdiv=cfg.raw["mesh"]["subdiv"]).sliver_cells
+    assert cells["sliver"] == len(slivers) == 8
 
 
 def test_solve_no_stab_flag(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _discretize
+from cutbiot import forms
 from cutbiot.forms import PhysicalParams, StabilizationParams, assemble_system, without_ghost
 from cutbiot.verification import infsup_constant
 
@@ -42,3 +43,14 @@ def test_infsup_constant_ignores_the_systems_material_parameters(disc12, stab):
                              PhysicalParams(mu=7.0, lam=1e8, K=1e-8), stab)
     assert abs(infsup_constant(scaled, disc12.st) - infsup_constant(unit, disc12.st)) \
         <= 1e-10 * infsup_constant(unit, disc12.st)
+
+
+def test_infsup_constant_composes_no_matrix(disc12, stab, monkeypatch):
+    # A_uu and B come from the grouped unit parts, not from a composed system matrix
+    system = assemble_system(disc12.su, disc12.st, disc12.sf, disc12.rules, PhysicalParams(),
+                             stab)
+    calls = []
+    compose = forms.compose_matrix
+    monkeypatch.setattr(forms, "compose_matrix", lambda *a: calls.append(1) or compose(*a))
+    assert infsup_constant(system, disc12.st) >= STABLE_BETA
+    assert calls == []
